@@ -13,6 +13,14 @@ and the formula is exact below the truncation cap K*(p-1).
 
 Valuations at or beyond the cap are reported as the sentinel CAP
 (math.inf), which is exactly the "element is 0 mod p^K" case.
+
+The unit predicates and the digit expansion are read off the same
+coefficients.  A rational integer changes only l_0, so a unit a is a p-th
+power c^p mod lam^depth iff every l_i with i >= 1 passes the minimum rule
+at depth, and, once depth > p-1, also l_0^(p-1) = 1 mod p^2 (the p-th
+powers among the 1-units of Z_p are 1 + p^2 Z_p).  Since p = -lam^(p-1)
+mod lam^p, the digit at position q*(p-1) + k of an element of exactly that
+valuation is (-1)^q * l_k / p^q mod p.
 """
 
 from __future__ import annotations
@@ -84,21 +92,22 @@ def from_lambda_basis(ctx: PrimeContext, K: int, values) -> RingElement:
     return RingElement(ctx, K, [int(x) for x in (U @ vals) % modulus])
 
 
+def _vp(x: int, p: int) -> int:
+    """Exponent of p in the nonzero integer x."""
+    n = 0
+    while x % p == 0:
+        x //= p
+        n += 1
+    return n
+
+
 def valuation(a: RingElement) -> int | float:
     """Order of vanishing at the ramified prime; CAP when a == 0 mod p^K."""
     p = a.ctx.p
-    best = CAP
-    for i, li in enumerate(to_lambda_basis(a)):
-        if li == 0:
-            continue
-        vp = 0
-        while li % p == 0:
-            li //= p
-            vp += 1
-        cand = i + (p - 1) * vp
-        if cand < best:
-            best = cand
-    return best
+    return min(
+        (i + (p - 1) * _vp(li, p) for i, li in enumerate(to_lambda_basis(a)) if li),
+        default=CAP,
+    )
 
 
 @dataclass(frozen=True)
@@ -124,10 +133,12 @@ class LambdaExpansion:
 
 
 def digits(a: RingElement, N: int) -> LambdaExpansion:
-    """Greedy digit extraction: N digits, each certified by a valuation probe.
+    """N digits of a along powers of lam, each read off the lam-basis.
 
-    For positions below p-1 the lam-coefficient mod p predicts the digit,
-    so its probe succeeds immediately; deeper positions scan the p residues.
+    While the remainder r has valuation exactly i = q*(p-1) + k, its
+    coefficient l_k is p^q times a unit w, and the digit is (-1)^q * w mod p
+    (from p = -lam^(p-1) mod lam^p).  One valuation probe per nonzero digit
+    certifies that subtracting it clears position i.
     """
     ctx, K, p = a.ctx, a.K, a.ctx.p
     nmax = K * (p - 1)
@@ -143,22 +154,13 @@ def digits(a: RingElement, N: int) -> LambdaExpansion:
         if vcur >= i + 1:
             out.append(0)
         else:
-            # vcur == i exactly; exactly one digit in 1..p-1 clears it
-            if i <= p - 2:
-                first = to_lambda_basis(r)[i] % p
-                cands = [first] + [d for d in range(1, p) if d != first]
-            else:
-                cands = list(range(1, p))
-            for d in cands:
-                t = r - lam_pow * d
-                vt = valuation(t)
-                if vt >= i + 1:
-                    r = t
-                    vcur = vt
-                    out.append(d)
-                    break
-            else:
-                raise AssertionError("no digit cleared the current term")
+            q, k = divmod(i, p - 1)
+            d = (-1) ** q * (to_lambda_basis(r)[k] // p**q) % p
+            r = r - lam_pow * d
+            vcur = valuation(r)
+            if vcur < i + 1:
+                raise AssertionError(f"digit {d} did not clear position {i}")
+            out.append(d)
         lam_pow = lam_pow * lam1
     return LambdaExpansion(
         digits=tuple(out),
@@ -189,20 +191,18 @@ def _require_unit(a: RingElement, opname: str) -> None:
 
 
 def _pth_power_to_depth(a: RingElement, depth: int) -> bool:
-    """Whether a is congruent to c^p for some rational integer c mod lam^depth.
+    """Whether the unit a is congruent to c^p for a rational c mod lam^depth.
 
-    c mod p^j determines c^p mod p^(j+1), so lifting the forced residue
-    c = d0 mod p through j levels covers every candidate.
+    a - c^p differs from a only in l_0, so every other lam-coefficient must
+    already vanish to depth.  c = l_0 mod p always clears l_0 to depth p-1;
+    deeper, l_0 must be a p-th power in Z_p, i.e. l_0^(p-1) = 1 mod p^2.
     """
-    ctx, K, p = a.ctx, a.K, a.ctx.p
-    d0, _ = _first_two_digits(a)
-    j = max(0, -(-(depth - (p - 1)) // (p - 1)))
-    for t in range(p**j):
-        c = d0 + t * p
-        w = a - from_integer(ctx, K, pow(c, p, a.modulus))
-        if valuation(w) >= depth:
-            return True
-    return False
+    p = a.ctx.p
+    l = to_lambda_basis(a)
+    for i in range(1, p - 1):
+        if l[i] and i + (p - 1) * _vp(l[i], p) < depth:
+            return False
+    return depth <= p - 1 or pow(l[0], p - 1, p * p) == 1
 
 
 def is_primary(a: RingElement) -> bool:

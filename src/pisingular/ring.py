@@ -198,62 +198,27 @@ class RingElement:
     def invert(self) -> "RingElement":
         """Multiplicative inverse; errors if the element is not a unit.
 
-        Z[z]/(Phi_p, p^K) is local with maximal ideal generated by z - 1,
-        so a is a unit iff a(1) is a unit mod p.  The inverse is found by
-        solving the multiplication-matrix system M_a x = e_0 over Z/p^K.
+        Z[z]/(Phi_p, p^K) is local with maximal ideal generated by lam = z - 1,
+        so a is a unit iff a(1) is a unit mod p.  Newton iteration
+        x <- x * (2 - a*x) from the constant x = a(1)^(-1) squares the error
+        1 - a*x at each step, so its lam-adic valuation doubles from 1 until
+        it reaches the truncation cap K*(p-1), where the error is 0.
         """
         p = self.ctx.p
-        if int(self.coeffs.sum()) % p == 0:
+        a1 = int(self.coeffs.sum())
+        if a1 % p == 0:
             from .padic import valuation
 
             raise ValueError(
                 f"invert: element is not a unit, valuation is {valuation(self)}"
             )
-        M = _mult_matrix_mod(self.coeffs, p, self.modulus)
-        rhs = np.zeros(p - 1, dtype=M.dtype)
-        rhs[0] = 1
-        x = _solve_local_system(M, rhs, p, self.modulus)
-        return self._wrap(x)
-
-
-def _mult_matrix_mod(coeffs, p: int, modulus: int):
-    """Matrix of multiplication by the element, columns a * z^j."""
-    dtype = _dtype_for(modulus, p)
-    cols = [np.array(coeffs, dtype=dtype)]
-    for _ in range(p - 2):
-        prev = cols[-1]
-        ext = np.zeros(p, dtype=dtype)
-        ext[1:p] = prev
-        nxt = (ext[: p - 1] - ext[p - 1]) % modulus
-        cols.append(nxt)
-    return np.stack(cols, axis=1)
-
-
-def _solve_local_system(M, rhs, p: int, modulus: int):
-    """Solve M x = rhs over Z/p^K by Gauss-Jordan with unit pivots.
-
-    Every pivot must be a unit mod p; for the multiplication matrix of a
-    unit this always succeeds because the matrix is invertible over the
-    local ring.
-    """
-    n = M.shape[0]
-    A = np.concatenate([M % modulus, rhs[:, None] % modulus], axis=1)
-    for col in range(n):
-        piv = -1
-        for r in range(col, n):
-            if int(A[r, col]) % p != 0:
-                piv = r
-                break
-        if piv < 0:
-            raise ValueError("matrix is singular over the local ring")
-        if piv != col:
-            A[[col, piv]] = A[[piv, col]]
-        inv = pow(int(A[col, col]), -1, modulus)
-        A[col] = A[col] * inv % modulus
-        factors = A[:, col].copy()
-        factors[col] = 0
-        A = (A - np.outer(factors, A[col])) % modulus
-    return A[:, n]
+        x = from_integer(self.ctx, self.K, pow(a1, -1, self.modulus))
+        two = from_integer(self.ctx, self.K, 2)
+        prec = 1
+        while prec < self.K * (p - 1):
+            x = x * (two - self * x)
+            prec *= 2
+        return x
 
 
 class ExactElement:

@@ -309,6 +309,8 @@ def check_ppower_congruence(
     v(x^p - y^p) >= p+1.  Fixed seed makes the run bit-reproducible.
     """
     p = ctx.p
+    if trials < 1:
+        raise PreconditionError(f"check needs at least one trial, got {trials}")
     if K * (p - 1) < p + 1:
         raise PreconditionError(
             f"check needs depth {p + 1}; K={K} caps at {K * (p - 1)}"

@@ -1,0 +1,156 @@
+"""Brute-force routes kept as test oracles for the closed forms in src/.
+
+Each function here is the search or elimination route the package used
+before its closed form: Gauss-Jordan inversion over the local ring, the
+p^j candidate loop for rational p-th powers, the p-candidate digit scan and
+the F_p nullspace of the Galois permutation matrix.  Nothing at runtime
+needs them; the property tests compare the package against them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from pisingular import CAP, LambdaExpansion, RingElement, from_integer, lam, valuation
+from pisingular.padic import _first_two_digits, to_lambda_basis
+from pisingular.ring import _dtype_for
+
+
+def _mult_matrix_mod(coeffs, p: int, modulus: int):
+    """Matrix of multiplication by the element, columns a * z^j."""
+    dtype = _dtype_for(modulus, p)
+    cols = [np.array(coeffs, dtype=dtype)]
+    for _ in range(p - 2):
+        prev = cols[-1]
+        ext = np.zeros(p, dtype=dtype)
+        ext[1:p] = prev
+        nxt = (ext[: p - 1] - ext[p - 1]) % modulus
+        cols.append(nxt)
+    return np.stack(cols, axis=1)
+
+
+def _solve_local_system(M, rhs, p: int, modulus: int):
+    """Solve M x = rhs over Z/p^K by Gauss-Jordan with unit pivots.
+
+    Every pivot must be a unit mod p; for the multiplication matrix of a
+    unit this always succeeds because the matrix is invertible over the
+    local ring.
+    """
+    n = M.shape[0]
+    A = np.concatenate([M % modulus, rhs[:, None] % modulus], axis=1)
+    for col in range(n):
+        piv = -1
+        for r in range(col, n):
+            if int(A[r, col]) % p != 0:
+                piv = r
+                break
+        if piv < 0:
+            raise ValueError("matrix is singular over the local ring")
+        if piv != col:
+            A[[col, piv]] = A[[piv, col]]
+        inv = pow(int(A[col, col]), -1, modulus)
+        A[col] = A[col] * inv % modulus
+        factors = A[:, col].copy()
+        factors[col] = 0
+        A = (A - np.outer(factors, A[col])) % modulus
+    return A[:, n]
+
+
+def invert(a: RingElement) -> RingElement:
+    """Inverse of a unit by solving the multiplication-matrix system M_a x = e_0."""
+    p = a.ctx.p
+    M = _mult_matrix_mod(a.coeffs, p, a.modulus)
+    rhs = np.zeros(p - 1, dtype=M.dtype)
+    rhs[0] = 1
+    x = _solve_local_system(M, rhs, p, a.modulus)
+    return RingElement(a.ctx, a.K, [int(c) for c in x])
+
+
+def pth_power_to_depth(a: RingElement, depth: int) -> bool:
+    """Whether a is congruent to c^p for some rational integer c mod lam^depth.
+
+    c mod p^j determines c^p mod p^(j+1), so lifting the forced residue
+    c = d0 mod p through j levels covers every candidate.
+    """
+    ctx, K, p = a.ctx, a.K, a.ctx.p
+    d0, _ = _first_two_digits(a)
+    j = max(0, -(-(depth - (p - 1)) // (p - 1)))
+    for t in range(p**j):
+        c = d0 + t * p
+        w = a - from_integer(ctx, K, pow(c, p, a.modulus))
+        if valuation(w) >= depth:
+            return True
+    return False
+
+
+def digits(a: RingElement, N: int) -> LambdaExpansion:
+    """Greedy digit extraction: N digits, each certified by a valuation probe.
+
+    For positions below p-1 the lam-coefficient mod p predicts the digit,
+    so its probe succeeds immediately; deeper positions scan the p residues.
+    """
+    ctx, K, p = a.ctx, a.K, a.ctx.p
+    nmax = K * (p - 1)
+    if not (1 <= N <= nmax):
+        raise ValueError(f"precision must lie in [1, {nmax}], got {N}")
+    v0 = valuation(a)
+    r = a
+    lam1 = lam(ctx, K)
+    lam_pow = from_integer(ctx, K, 1)
+    out = []
+    vcur = v0
+    for i in range(N):
+        if vcur >= i + 1:
+            out.append(0)
+        else:
+            # vcur == i exactly; exactly one digit in 1..p-1 clears it
+            if i <= p - 2:
+                first = to_lambda_basis(r)[i] % p
+                cands = [first] + [d for d in range(1, p) if d != first]
+            else:
+                cands = list(range(1, p))
+            for d in cands:
+                t = r - lam_pow * d
+                vt = valuation(t)
+                if vt >= i + 1:
+                    r = t
+                    vcur = vt
+                    out.append(d)
+                    break
+            else:
+                raise AssertionError("no digit cleared the current term")
+        lam_pow = lam_pow * lam1
+    return LambdaExpansion(
+        digits=tuple(out),
+        valuation=v0 if v0 < N else CAP,
+        precision=N,
+    )
+
+
+def nullspace_mod_p(M: np.ndarray, p: int) -> list[np.ndarray]:
+    """Basis of the kernel of M over F_p (row-reduction, unit pivots)."""
+    A = M % p
+    rows, cols = A.shape
+    pivot_of_col: dict[int, int] = {}
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if A[i, c] % p), None)
+        if piv is None:
+            continue
+        if piv != r:
+            A[[r, piv]] = A[[piv, r]]
+        A[r] = A[r] * pow(int(A[r, c]), -1, p) % p
+        mask = np.arange(rows) != r
+        A[mask] = (A[mask] - np.outer(A[mask, c], A[r])) % p
+        pivot_of_col[c] = r
+        r += 1
+    basis = []
+    for c in range(cols):
+        if c in pivot_of_col:
+            continue
+        v = np.zeros(cols, dtype=np.int64)
+        v[c] = 1
+        for pc, pr in pivot_of_col.items():
+            v[pc] = (-A[pr, c]) % p
+        basis.append(v)
+    return basis

@@ -159,6 +159,14 @@ def test_ppower_depth_error():
     assert "needs depth" in r.stderr
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_ppower_needs_a_trial(trials):
+    r = run_cli("ppower", "--p", "5", "--trials", trials)
+    assert r.returncode == 2
+    assert "at least one trial" in r.stderr
+    assert r.stdout == ""
+
+
 def test_units_all():
     code, doc = run_json("units", "--p", "7", "--all")
     assert code == 0

@@ -72,6 +72,12 @@ def test_ppower_congruence_depth_precondition(ctx5):
         check_ppower_congruence(ctx5, K=1)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_ppower_congruence_needs_a_trial(ctx5, trials):
+    with pytest.raises(PreconditionError, match="at least one trial"):
+        check_ppower_congruence(ctx5, trials=trials)
+
+
 # ------------------------------------------------------------------ loading
 
 
