@@ -12,6 +12,12 @@ Two element types:
   * ExactElement -- coefficients are arbitrary Python integers; no
                     truncation ever happens.  Norms are only defined here.
 
+norm_exact computes N(B) by evaluation at primes q = 1 (mod p) below 2^26,
+where Phi_p splits, and CRT up to the Parseval and AM-GM bound
+N(B) <= ((p*sum b_i^2 - (sum b_i)^2)/(p-1))^((p-1)/2).  It refuses, with
+ValueError, p >= 2049 (int64 residues) and bounds of more than
+min(2^18, 2^25/(p-1)) bits.
+
 Conversion is one-way: ExactElement.reduce(ctx, K) projects into the
 truncated ring.  There is deliberately no inverse (a truncated element does
 not determine an exact one).
@@ -19,9 +25,12 @@ not determine an exact one).
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
-from .context import PrimeContext
+from .context import PrimeContext, is_prime
 
 __all__ = [
     "RingElement",
@@ -311,34 +320,117 @@ class ExactElement:
         return RingElement(ctx, K, self.coeffs)
 
 
-def _bareiss_det(M: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (Bareiss recurrence)."""
-    n = len(M)
-    if n == 0:
-        return 1
-    M = [row[:] for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for r in range(k + 1, n):
-                if M[r][k] != 0:
-                    M[k], M[r] = M[r], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+_Q_LIMIT = 2**26  # residue primes for norm_exact lie below this
+# Bits of the norm bound that norm_exact accepts at prime p.  2^25/(p-1) is
+# about a third of what the primes q = 1 (mod p) below 2^26 supply (their
+# log2 sum is close to 2^26/(ln 2 * (p-1))), and 2^18 keeps a norm at the cap,
+# whose CRT is quadratic in the bit count, to one or two seconds.
+_NORM_MAX_BITS = 2**18
+
+
+def _norm_bit_cap(p: int) -> int:
+    return min(_NORM_MAX_BITS, 2**25 // (p - 1))
+
+
+_PRIME_BLOCK = 256  # candidates q = 2pm + 1 per cached block
+
+
+@functools.lru_cache(maxsize=1024)
+def _split_prime_block(p: int, k: int) -> tuple[tuple[int, int], ...]:
+    """(q, r) for the primes among the k-th block of candidates q = 2pm + 1
+    below 2^26, largest first, with r of order p mod q."""
+    top = (_Q_LIMIT - 2) // (2 * p) - k * _PRIME_BLOCK
+    out = []
+    for m in range(top, max(top - _PRIME_BLOCK, 0), -1):
+        q = 2 * p * m + 1
+        if is_prime(q):
+            g = 2
+            while (r := pow(g, (q - 1) // p, q)) == 1:
+                g += 1
+            out.append((q, r))
+    return tuple(out)
+
+
+def _split_primes(p: int):
+    """Yield (q, r) for the primes q = 1 (mod p) below 2^26, largest first."""
+    blocks = -(-((_Q_LIMIT - 2) // (2 * p)) // _PRIME_BLOCK)
+    for k in range(blocks):
+        yield from _split_prime_block(p, k)
+
+
+@functools.lru_cache(maxsize=4)
+def _exponent_table(p: int) -> np.ndarray:
+    """(i * j) mod p for rows j = 1 .. p-1 and columns i = 0 .. p-2."""
+    j = np.arange(1, p, dtype=np.intp)[:, None]
+    i = np.arange(p - 1, dtype=np.intp)[None, :]
+    table = i * j % p
+    table.setflags(write=False)
+    return table
+
+
+def _norm_mod(coeffs, p: int, q: int, r: int) -> int:
+    """N(B) mod q as the product of B(r^j) over j = 1 .. p-1."""
+    powers = np.ones(p, dtype=np.int64)  # r^k mod q, by doubling the prefix
+    k, step = 1, r
+    while k < p:
+        n = min(k, p - k)
+        powers[k : k + n] = powers[:n] * step % q
+        step = step * step % q
+        k += n
+    b = np.array([c % q for c in coeffs], dtype=np.int64)
+    # each entry is a sum of p-1 products below q^2: the int64 guard
+    values = powers[_exponent_table(p)] @ b % q
+    prod = np.ones(1 << (p - 2).bit_length(), dtype=np.int64)
+    prod[: p - 1] = values
+    while prod.size > 1:
+        half = prod.size // 2
+        prod = prod[:half] * prod[half:] % q
+    return int(prod[0])
+
+
+def _norm_bound(a: ExactElement) -> int:
+    """An integer F >= N(a): the floor of (S/(p-1))^((p-1)/2).
+
+    S = p * sum(b_i^2) - (sum b_i)^2 is the sum of |a(z^j)|^2 over
+    j = 1 .. p-1 (Parseval over the p-th roots of unity, minus the j = 0
+    term), and AM-GM bounds the product of those p-1 squares by
+    (S/(p-1))^(p-1).  Rational constants and roots of unity meet it exactly.
+    Raises ValueError when F has more bits than the cap at p; a float
+    estimate refuses far larger bounds before S^((p-1)/2) is formed.
+    """
+    p = a.p
+    S = p * sum(c * c for c in a.coeffs) - sum(a.coeffs) ** 2
+    if S == 0:
+        return 0
+    h = (p - 1) // 2
+    cap = _norm_bit_cap(p)
+    bits = h * (math.log2(S) - math.log2(p - 1))
+    if bits <= cap + 1:
+        bound = S**h // (p - 1) ** h
+        if bound.bit_length() <= cap:
+            return bound
+        bits = bound.bit_length()
+    raise ValueError(
+        f"norm_exact: the norm bound needs about {bits:.0f} bits, over the "
+        f"limit of {cap} bits at p={p} (min(2^18, 2^25/(p-1)))"
+    )
 
 
 def norm_exact(a: ExactElement) -> int:
-    """Field norm down to Q, computed as det of the multiplication matrix.
+    """Field norm down to Q, the resultant of Phi_p and a's polynomial.
 
-    Equals the resultant of Phi_p and the coefficient polynomial of a.
+    Computed by evaluation at split primes and CRT.  For each prime
+    q = 1 (mod p) below 2^26, descending, N(a) mod q is the product of
+    a(r^j) over j = 1 .. p-1 with r of order p mod q: one int64 mat-vec with
+    the table r^((i*j) mod p) and a product mod q.  The residues are folded
+    in by incremental CRT until the modulus M exceeds the bound of
+    _norm_bound, so the result is exact.  The field is totally complex, so
+    N(a) = prod over conjugate pairs of |a(z^j)|^2 >= 0 and the residue is
+    read in [0, M).
+
+    Limits (ValueError): an odd prime p < 2049, so that the mat-vec sums
+    (p-1)*q^2 stay below 2^63; and the bound must fit in min(2^18, 2^25/(p-1)) bits, so
+    that the primes suffice and the CRT stays short.
     Only exact elements have norms; truncated elements lose the integer.
     """
     if isinstance(a, RingElement):
@@ -346,14 +438,26 @@ def norm_exact(a: ExactElement) -> int:
             "norms are not defined on truncated elements; use ExactElement"
         )
     p = a.p
-    cols = [list(a.coeffs)]
-    for _ in range(p - 2):
-        prev = cols[-1]
-        ext = [0] + prev  # multiply by z
-        top = ext[p - 1]
-        cols.append([ext[i] - top for i in range(p - 1)])
-    M = [[cols[j][i] for j in range(p - 1)] for i in range(p - 1)]
-    return _bareiss_det(M)
+    if p < 3 or (p - 1) * _Q_LIMIT**2 >= 2**63:
+        raise ValueError(
+            f"norm_exact: p={p} is out of range; it needs an odd prime p < 2049, "
+            f"so that int64 residues keep (p-1) * (2^26)^2 < 2^63"
+        )
+    bound = _norm_bound(a)
+    x, M = 0, 1
+    primes = _split_primes(p)
+    while M <= bound:
+        prime = next(primes, None)
+        if prime is None:
+            raise ValueError(
+                f"norm_exact: the primes q = 1 (mod {p}) below 2^26 do not cover "
+                f"the norm bound of {bound.bit_length()} bits"
+            )
+        q, r = prime
+        residue = _norm_mod(a.coeffs, p, q, r)
+        x += M * ((residue - x) * pow(M % q, -1, q) % q)
+        M *= q
+    return x
 
 
 def from_integer(ctx: PrimeContext, K: int, n: int) -> RingElement:

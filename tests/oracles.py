@@ -1,17 +1,26 @@
 """Brute-force routes kept as test oracles for the closed forms in src/.
 
 Each function here is the search or elimination route the package used
-before its closed form: Gauss-Jordan inversion over the local ring, the
-p^j candidate loop for rational p-th powers, the p-candidate digit scan and
-the F_p nullspace of the Galois permutation matrix.  Nothing at runtime
-needs them; the property tests compare the package against them.
+before its closed form or its modular method: Gauss-Jordan inversion over
+the local ring, the p^j candidate loop for rational p-th powers, the
+p-candidate digit scan, the F_p nullspace of the Galois permutation matrix
+and the Bareiss determinant for exact norms.  Nothing at runtime needs them;
+the property tests compare the package against them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from pisingular import CAP, LambdaExpansion, RingElement, from_integer, lam, valuation
+from pisingular import (
+    CAP,
+    ExactElement,
+    LambdaExpansion,
+    RingElement,
+    from_integer,
+    lam,
+    valuation,
+)
 from pisingular.padic import _first_two_digits, to_lambda_basis
 from pisingular.ring import _dtype_for
 
@@ -154,3 +163,40 @@ def nullspace_mod_p(M: np.ndarray, p: int) -> list[np.ndarray]:
             v[pc] = (-A[pr, c]) % p
         basis.append(v)
     return basis
+
+
+def _bareiss_det(M: list[list[int]]) -> int:
+    """Fraction-free determinant of an integer matrix (Bareiss recurrence)."""
+    n = len(M)
+    if n == 0:
+        return 1
+    M = [row[:] for row in M]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            for r in range(k + 1, n):
+                if M[r][k] != 0:
+                    M[k], M[r] = M[r], M[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
+
+
+def norm_bareiss(a: ExactElement) -> int:
+    """Field norm as the determinant of the multiplication matrix."""
+    p = a.p
+    cols = [list(a.coeffs)]
+    for _ in range(p - 2):
+        prev = cols[-1]
+        ext = [0] + prev  # multiply by z
+        top = ext[p - 1]
+        cols.append([ext[i] - top for i in range(p - 1)])
+    M = [[cols[j][i] for j in range(p - 1)] for i in range(p - 1)]
+    return _bareiss_det(M)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -246,6 +247,38 @@ def test_verify_structural_errors(tmp_path):
     r = run_cli("verify", "--file", path)
     assert r.returncode == 2
     assert "K >= 2" in r.stderr
+
+
+def test_verify_p101_norm(tmp_path):
+    # N(eta^k * c^p) = c^(p(p-1)) for a unit eta: at c=2 the p-th root is 2^(p-1).
+    doc = bundle_to_json(synthetic_unit_bundle(new_context(101), a=2, two_m=4, c=2))
+    path = write_bundle(tmp_path, doc)
+    start = time.perf_counter()
+    code, payload = run_json("verify", "--file", path)
+    elapsed = time.perf_counter() - start
+    assert code == 0 and payload["overall"] is True
+    norm = next(c for c in payload["claims"] if c["id"] == "norm-shape")
+    assert norm["holds"] is True
+    assert norm["data"]["root"] == str(2**100)
+    assert elapsed < 15, f"verify at p=101 took {elapsed:.1f}s"
+
+
+def test_verify_norm_over_limit_exits_2(tmp_path):
+    # At p=257 the norm bound of the constant 2^4000 needs 1024000 bits,
+    # past the limit; the refusal comes before any residue is computed.
+    ctx = new_context(257)
+    B = ExactElement.from_integer(257, 2**4000)
+    doc = bundle_to_json(
+        CandidateBundle(ctx=ctx, K=2, parity="positive", mu=ctx.upow[4], B=B)
+    )
+    path = write_bundle(tmp_path, doc)
+    start = time.perf_counter()
+    r = run_cli("verify", "--json", "--file", path)
+    elapsed = time.perf_counter() - start
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: norm_exact:") and "limit" in r.stderr
+    assert r.stdout == ""
+    assert elapsed < 2, f"refusal took {elapsed:.1f}s"
 
 
 def test_usage_errors_exit_2():

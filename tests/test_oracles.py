@@ -3,25 +3,33 @@
 Inputs lean toward c^p plus a sparse lam-basis perturbation p^e * t: a
 uniformly random unit is almost never a local p-th power past depth p-1,
 so without the lean the True branch of the p-th power test would hardly
-be reached.
+be reached.  The multimodular norm is checked against the Bareiss
+determinant and sympy resultants on the kinds of element the verifier
+sees, and at the edge of each CRT modulus.
 """
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from pisingular import (
+    ExactElement,
     RingElement,
     canonical_eigenvector,
+    cyclotomic_unit_exact,
     digits,
+    eigen_project_unit_exact,
     from_lambda_basis,
     is_locally_pth_power,
     new_context,
+    norm_exact,
     sigma_matrix,
 )
 from pisingular.eigen import _eigenspace_dimension
 from pisingular.padic import _pth_power_to_depth
+from pisingular.ring import _norm_bound, _split_primes
 
 import oracles
 from conftest import random_unit, seeded
@@ -167,3 +175,106 @@ def test_cycle_count_with_several_cycles(p):
         for mu in range(1, p):
             basis = oracles.nullspace_mod_p((M - mu * eye) % p, p)
             assert _eigenspace_dimension(p, u, mu) == len(basis), (u, mu)
+
+
+NORM_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+NORM_PROPERTY = settings(PROPERTY, max_examples=10)
+
+
+@st.composite
+def exact_elements(draw, p):
+    """Exact elements of the kinds the verifier meets, coefficients to ~300 bits.
+
+    Rational constants n meet the norm bound exactly, so they sit at the
+    edge of the CRT; the projected units times c^p are the verify bundles.
+    """
+    kinds = ["zero", "rational", "root", "dense"]
+    if p >= 5:
+        kinds += ["cyclotomic", "projected"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "zero":
+        return ExactElement.from_integer(p, 0)
+    if kind == "rational":
+        return ExactElement.from_integer(p, draw(st.integers(-(2**300), 2**300)))
+    if kind == "dense":
+        w = draw(st.integers(0, 300))
+        bound = 2**w
+        return ExactElement(
+            p, draw(st.lists(st.integers(-bound, bound), min_size=p - 1, max_size=p - 1))
+        )
+    # the remaining kinds are units, shifted by a signed root of unity
+    root = [0] * (p - 1)
+    j = draw(st.integers(0, p - 1))
+    sign = draw(st.sampled_from([1, -1]))
+    if j <= p - 2:
+        root[j] = sign
+    else:  # z^(p-1) = -(1 + z + ... + z^(p-2))
+        root = [-sign] * (p - 1)
+    elem = ExactElement(p, root)
+    if kind == "cyclotomic":
+        elem = elem * cyclotomic_unit_exact(p, draw(st.integers(2, (p - 1) // 2)))
+    elif kind == "projected":
+        a = draw(st.integers(2, (p - 1) // 2))
+        two_m = 2 * draw(st.integers(1, (p - 3) // 2))
+        c = draw(st.integers(1, 5).filter(lambda c: c % p))
+        elem = elem * eigen_project_unit_exact(new_context(p), a, two_m) * c**p
+    return elem
+
+
+@pytest.mark.parametrize("p", NORM_PRIMES)
+@NORM_PROPERTY
+@given(data=st.data())
+def test_norm_matches_bareiss(p, data):
+    a = data.draw(exact_elements(p))
+    assert norm_exact(a) == oracles.norm_bareiss(a)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@NORM_PROPERTY
+@given(data=st.data())
+def test_norm_matches_sympy_resultant(p, data):
+    a = data.draw(exact_elements(p))
+    z = sympy.Symbol("z")
+    phi = sympy.Poly([1] * p, z)
+    poly = sympy.Poly(list(reversed(a.coeffs)), z)
+    assert norm_exact(a) == int(sympy.resultant(phi, poly))
+
+
+@pytest.mark.parametrize("p", NORM_PRIMES + (53, 61, 97))
+@NORM_PROPERTY
+@given(data=st.data())
+def test_norm_positive_and_within_bound(p, data):
+    # The field is totally complex: N(a) is a product of |a(z^j)|^2.
+    a = data.draw(exact_elements(p))
+    n = norm_exact(a)
+    bound = _norm_bound(a)
+    assert n <= bound  # so n.bit_length() <= bound.bit_length()
+    if any(a.coeffs):
+        assert n > 0
+    else:
+        assert n == 0
+
+
+@pytest.mark.parametrize("p", NORM_PRIMES)
+def test_norm_bound_tight_on_constants_and_roots(p):
+    for n in (1, 2, 3, -7, 2**300 + 1):
+        a = ExactElement.from_integer(p, n)
+        assert _norm_bound(a) == norm_exact(a) == abs(n) ** (p - 1)
+    top = ExactElement(p, [-1] * (p - 1))  # z^(p-1)
+    assert _norm_bound(top) == norm_exact(top) == 1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_norm_just_below_each_crt_modulus(p):
+    # n^(p-1) in (M_k/2, M_k) for the product M_k of the first k split
+    # primes: the CRT needs all k primes (the bound equals the norm), and
+    # the residue lies past M_k/2, so only the range [0, M_k) reads it back.
+    primes = _split_primes(p)
+    M = 1
+    for k in range(1, 5):
+        M *= next(primes)[0]
+        n, _ = sympy.integer_nthroot(M - 1, p - 1)
+        assert 2 * n ** (p - 1) > M, k
+        for m in (n, -n):
+            assert norm_exact(ExactElement.from_integer(p, m)) == n ** (p - 1), k

@@ -1,5 +1,7 @@
 """Ring arithmetic mod p^K and exact, cross-checked against sympy."""
 
+import math
+
 import numpy as np
 import pytest
 import sympy
@@ -13,6 +15,8 @@ from pisingular import (
     norm_exact,
     zeta,
 )
+
+from pisingular.ring import _norm_bit_cap, _split_primes
 
 from conftest import random_element, random_unit, seeded
 
@@ -249,6 +253,30 @@ def test_norm_multiplicative():
 def test_norm_rejects_truncated(ctx5):
     with pytest.raises(TypeError, match="ExactElement"):
         norm_exact(from_integer(ctx5, 2, 3))
+
+
+def test_norm_limits():
+    # p = 2053 is the first prime past the int64 guard (p-1) * (2^26)^2 < 2^63
+    with pytest.raises(ValueError, match="p < 2049"):
+        norm_exact(ExactElement.from_integer(2053, 1))
+    # the constant 2^k has norm 2^(k(p-1)), exactly at the bound
+    cap = _norm_bit_cap(257)
+    k = cap // 256  # 256k + 1 bits: fits only while 256k < cap
+    assert norm_exact(ExactElement.from_integer(257, 2 ** (k - 1))) == 2 ** (256 * (k - 1))
+    with pytest.raises(ValueError, match=f"limit of {cap} bits at p=257"):
+        norm_exact(ExactElement.from_integer(257, 2**k))
+
+
+@pytest.mark.parametrize("p", [3, 257, 1031, 2039])
+def test_split_primes_cover_the_cap(p):
+    bits = 0.0
+    for q, r in _split_primes(p):
+        assert q < 2**26 and q % p == 1 and r != 1 and pow(r, p, q) == 1
+        bits += math.log2(q)
+        if bits >= _norm_bit_cap(p):
+            break
+    else:
+        pytest.fail(f"primes = 1 mod {p} below 2^26 supply only {bits:.0f} bits")
 
 
 def test_galois_fixes_norm():
