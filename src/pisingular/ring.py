@@ -12,6 +12,16 @@ Two element types:
   * ExactElement -- coefficients are arbitrary Python integers; no
                     truncation ever happens.  Norms are only defined here.
 
+Products of int64 vectors (moduli with 8 * p * (p^K - 1)^2 < 2^63) use
+np.convolve.  Products of object-dtype vectors -- wider moduli and exact
+coefficients -- use one big-integer multiplication (Kronecker
+substitution): each vector becomes one Python int with a slot of w bytes
+per coefficient, where w is the least width with
+(p-1) * max|a| * max|b| < 2^(8w-1).  Every product coefficient is below
+that bound in absolute value, so after a bias of 2^(8w-1) per slot each
+one sits in its own slot with no carry into the next: the slots read back
+exactly, signs included, and are then folded by z^p = 1 and Phi_p.
+
 norm_exact computes N(B) by evaluation at primes q = 1 (mod p) below 2^26,
 where Phi_p splits, and CRT up to the Parseval and AM-GM bound
 N(B) <= ((p*sum b_i^2 - (sum b_i)^2)/(p-1))^((p-1)/2).  It refuses, with
@@ -60,9 +70,56 @@ def _as_coeff_array(values, n: int, modulus: int | None, dtype):
     return arr
 
 
+def _kronecker_conv(a, b) -> list[int]:
+    """Full product of two integer coefficient vectors of length n by one
+    big-integer multiplication (Kronecker substitution).
+
+    Every product coefficient is a sum of at most n terms a_i * b_j, so its
+    absolute value is at most n * max|a| * max|b|.  The slot width of w
+    bytes chosen here puts that bound, and every input coefficient (which
+    matters only when the other vector is zero), below h = 2^(8w-1).  Each
+    vector is packed as the integer sum c_i * X^i with X = 2^(8w): written
+    slot by slot as c_i + h in [0, X), then the bias pattern
+    h * (1 + X + X^2 + ...) is taken off.  The product is the integer
+    sum d_k * X^k with |d_k| < h, so adding the bias pattern again puts
+    d_k + h in [0, X) in slot k with no carry between slots: the slots read
+    back exactly, signed coefficients included.
+    """
+    n = len(a)
+    amax, bmax = max(map(abs, a)), max(map(abs, b))
+    top = max(amax, bmax, n * amax * bmax)
+    w = (top.bit_length() + 8) // 8  # bytes per slot: top < 2^(8w-1)
+    h = 1 << (8 * w - 1)
+    slot_bias = b"\x00" * (w - 1) + b"\x80"  # h, little-endian
+
+    def pack(coeffs) -> int:
+        raw = b"".join((c + h).to_bytes(w, "little") for c in coeffs)
+        return int.from_bytes(raw, "little") - int.from_bytes(
+            slot_bias * len(coeffs), "little"
+        )
+
+    m = 2 * n - 1
+    pa = pack(a)
+    pb = pa if b is a else pack(b)  # a square: pack once, CPython squares faster
+    prod = pa * pb + int.from_bytes(slot_bias * m, "little")
+    raw = prod.to_bytes(m * w, "little")
+    return [int.from_bytes(raw[k * w : (k + 1) * w], "little") - h for k in range(m)]
+
+
 def _fold_mul(a, b, p: int, modulus: int | None, dtype):
-    """Multiply two coefficient vectors of length p-1, reduce by Phi_p."""
-    conv = np.convolve(a, b)  # degrees 0 .. 2p-4
+    """Multiply two coefficient vectors of length p-1, reduce by Phi_p.
+
+    int64 vectors (moduli with 8 * p * (modulus-1)^2 < 2^63) go through
+    np.convolve.  Object-dtype vectors -- wide moduli and exact coefficients
+    -- go through _kronecker_conv, one big-integer product whose slots of w
+    bytes hold (p-1) * max|a| * max|b| below the bias 2^(8w-1), so the
+    product coefficients come back exactly.  The full product of degree
+    2p-4 is then folded by z^p = 1 and z^(p-1) = -(1 + ... + z^(p-2)).
+    """
+    if dtype is object:
+        conv = np.array(_kronecker_conv(a, b), dtype=object)
+    else:
+        conv = np.convolve(a, b)  # degrees 0 .. 2p-4
     ext = np.zeros(p, dtype=dtype)  # exponents 0 .. p-1 after z^p = 1
     ext[: min(p, conv.size)] += conv[:p]
     if conv.size > p:
@@ -281,7 +338,7 @@ class ExactElement:
         if isinstance(other, int):
             return ExactElement(self.p, (x * other for x in self.coeffs))
         self._check(other)
-        out = _fold_mul(self._arr(), other._arr(), self.p, None, object)
+        out = _fold_mul(self.coeffs, other.coeffs, self.p, None, object)
         return ExactElement(self.p, out)
 
     def __rmul__(self, other):

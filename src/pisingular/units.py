@@ -12,6 +12,13 @@ exponent pattern c_j = u^(-2m*j) mod p produces a projected unit eta with
 
 an exact identity in the ring (eps a unit), which is the entry point for
 all the congruence verification downstream.
+
+The product prod_j sigma^j(xi_a)^(c_j) is evaluated by the bucket method
+for multi-exponentiation: the conjugates that share an exponent c are
+multiplied into one bucket B_c, and prod_c B_c^c is formed by a running
+product from the largest exponent down to 1.  That is about 3(p-1) ring
+products in place of one square-and-multiply power per conjugate, and in a
+commutative ring it is the same element, coefficient for coefficient.
 """
 
 from __future__ import annotations
@@ -87,36 +94,57 @@ def _projection_exponents(ctx: PrimeContext, two_m: int) -> list[int]:
     return exps
 
 
+def _bucketed_projection(xi, upow, exps):
+    """prod_j sigma_j(xi)^(exps[j]) with sigma_j: z -> z^(upow[j]), exps >= 1.
+
+    Bucket B_c is the product of the conjugates with exponent c.  Walking c
+    from the largest exponent down to 1, running = prod_{c' >= c} B_c' and
+    total gains one factor of running per step, so B_c' ends up raised to
+    exactly c'.  Works for RingElement and ExactElement alike.
+    """
+    buckets = {}
+    for j, c in enumerate(exps):
+        conj = xi.galois_apply(upow[j])
+        buckets[c] = buckets[c] * conj if c in buckets else conj
+    top = max(buckets)
+    running = total = buckets[top]
+    for c in range(top - 1, 0, -1):
+        if c in buckets:
+            running = running * buckets[c]
+        total = total * running
+    return total
+
+
 def eigen_project_unit(
     ctx: PrimeContext, K: int, a: int, two_m: int
 ) -> tuple[RingElement, UnitExponentVector]:
     """Project xi_a onto the mu = u^(2m) eigencomponent of the units.
 
     Returns (eta, exponent vector); eta satisfies the twisted relation
-    sigma(eta) = eta^mu * (unit)^p exactly.
+    sigma(eta) = eta^mu * (unit)^p exactly.  eta = prod_j sigma^j(xi_a)^(c_j)
+    is evaluated by the bucket method (module docstring): one bucket per
+    distinct exponent c_j, then a running product from the largest c down.
     """
     _check_unit_index(ctx.p, a)
     _check_even_index(ctx.p, two_m)
     xi = cyclotomic_unit(ctx, K, a)
     exps = _projection_exponents(ctx, two_m)
-    eta = from_integer(ctx, K, 1)
-    for j, c in enumerate(exps):
-        eta = eta * xi.galois_apply(ctx.upow[j]) ** c
+    eta = _bucketed_projection(xi, ctx.upow, exps)
     return eta, UnitExponentVector(base_index=a, exponents=tuple(exps))
 
 
 def eigen_project_unit_exact(
     ctx: PrimeContext, a: int, two_m: int
 ) -> ExactElement:
-    """Exact-coefficient version of eigen_project_unit (no truncation)."""
+    """Exact-coefficient version of eigen_project_unit (no truncation).
+
+    The same bucketed evaluation over ExactElement; reducing the result
+    mod p^K gives eigen_project_unit's eta.
+    """
     _check_unit_index(ctx.p, a)
     _check_even_index(ctx.p, two_m)
     xi = cyclotomic_unit_exact(ctx.p, a)
-    exps = _projection_exponents(ctx, two_m)
-    eta = ExactElement.from_integer(ctx.p, 1)
-    for j, c in enumerate(exps):
-        eta = eta * xi.galois_apply(ctx.upow[j]) ** c
-    return eta
+    return _bucketed_projection(xi, ctx.upow, _projection_exponents(ctx, two_m))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ Three failure modes are kept distinct:
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,7 +34,14 @@ from .padic import (
     is_semi_primary,
     valuation,
 )
-from .ring import ExactElement, RingElement, from_integer, lam, norm_exact
+from .ring import (
+    _NORM_MAX_BITS,
+    ExactElement,
+    RingElement,
+    from_integer,
+    lam,
+    norm_exact,
+)
 from .units import eigen_project_unit_exact
 
 __all__ = [
@@ -124,6 +132,61 @@ class CandidateBundle:
         return self.ctx.index_of(self.mu)
 
 
+# Coefficients may have at most 2^17 + 1 bits.  Any B that the norm accepts
+# fits: its coefficients are b_i = (1/p) sum_{j>=1} B(z^j) (z^(-ij) - z^j),
+# so |b_i|^2 <= 4 (p-1) S / p^2 < 4 S/(p-1) with S = sum_j |B(z^j)|^2, and a
+# norm bound (S/(p-1))^((p-1)/2) of at most 2^18 bits forces S/(p-1) < 2^(2^18).
+_COEFF_MAX_BITS = _NORM_MAX_BITS // 2 + 1
+_COEFF_MAX_DIGITS = math.floor(_COEFF_MAX_BITS * math.log10(2)) + 1  # digits of 2^bits
+_INT_STR_CHUNK = 4000  # digits int() and str() convert under CPython's 4300 limit
+
+
+def _digits_to_int(d: str) -> int:
+    if len(d) <= _INT_STR_CHUNK:
+        return int(d)
+    k = len(d) // 2
+    return _digits_to_int(d[:-k]) * 10**k + _digits_to_int(d[-k:])
+
+
+def _decimal_int(s: str) -> int:
+    """int(s) for decimal strings of up to _COEFF_MAX_DIGITS digits.
+
+    int() refuses more than 4300 digits (a process-wide limit, left alone
+    here), so longer strings of the form [+-]digits are converted in halves.
+    Raises BundleError over the digit cap and ValueError on a malformed
+    string.  It is also the json.loads parse_int hook of load_bundle.
+    """
+    t = s.strip()
+    digits = t[1:] if t[:1] in ("+", "-") else t
+    if len(digits) > _COEFF_MAX_DIGITS:
+        raise BundleError(
+            f"a decimal integer of {len(digits)} digits is over the limit of "
+            f"{_COEFF_MAX_DIGITS} digits (2^{_COEFF_MAX_BITS} has that many)"
+        )
+    if len(t) <= _INT_STR_CHUNK:
+        return int(t)
+    if not digits.isdecimal():
+        raise ValueError(f"not a decimal integer: {_echo(s)}")
+    return (-1 if t[0] == "-" else 1) * _digits_to_int(digits)
+
+
+def _decimal_str(n: int) -> str:
+    """str(n) for integers of any size, as above for int()."""
+    if n < 0:
+        return "-" + _decimal_str(-n)
+    if n.bit_length() <= 3 * _INT_STR_CHUNK:  # under 4000 digits
+        return str(n)
+    k = int(n.bit_length() * math.log10(2)) // 2  # hi below keeps a digit
+    hi, lo = divmod(n, 10**k)
+    return _decimal_str(hi) + _decimal_str(lo).zfill(k)
+
+
+def _echo(v) -> str:
+    """A value for an error message, cut to its first 40 characters."""
+    r = _decimal_str(v) if isinstance(v, int) else repr(v)
+    return r if len(r) <= 40 else f"{r[:40]}... ({len(r)} characters)"
+
+
 def _parse_coeffs(p: int, name: str, raw) -> ExactElement:
     if not isinstance(raw, list):
         raise BundleError(f"bundle field '{name}': expected a list of decimal strings")
@@ -138,12 +201,22 @@ def _parse_coeffs(p: int, name: str, raw) -> ExactElement:
                 f"bundle field '{name}': entry {i} must be an integer or "
                 f"decimal string, got {type(v).__name__}"
             )
-        try:
-            vals.append(int(v))
-        except ValueError:
+        if isinstance(v, str):
+            try:
+                v = _decimal_int(v)
+            except BundleError as e:
+                raise BundleError(f"bundle field '{name}': entry {i}: {e}") from None
+            except ValueError:
+                raise BundleError(
+                    f"bundle field '{name}': entry {i} is not a decimal integer: "
+                    f"{_echo(v)}"
+                ) from None
+        if v.bit_length() > _COEFF_MAX_BITS:
             raise BundleError(
-                f"bundle field '{name}': entry {i} is not a decimal integer: {v!r}"
-            ) from None
+                f"bundle field '{name}': entry {i} has {v.bit_length()} bits, over "
+                f"the limit of {_COEFF_MAX_BITS} bits"
+            )
+        vals.append(v)
     return ExactElement(p, vals)
 
 
@@ -162,7 +235,7 @@ def load_bundle(source) -> CandidateBundle:
         else:
             text = source
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, parse_int=_decimal_int)
         except json.JSONDecodeError as e:
             raise BundleError(f"bundle is not valid JSON: {e}") from None
     elif isinstance(source, dict):
@@ -191,7 +264,7 @@ def load_bundle(source) -> CandidateBundle:
     parity = doc["parity"]
     if parity not in ("negative", "positive"):
         raise BundleError(
-            f"bundle field 'parity': must be 'negative' or 'positive', got {parity!r}"
+            f"bundle field 'parity': must be 'negative' or 'positive', got {_echo(parity)}"
         )
 
     mu = doc["mu"]
@@ -240,12 +313,12 @@ def bundle_to_json(bundle: CandidateBundle) -> dict:
         "K": bundle.K,
         "parity": bundle.parity,
         "mu": bundle.mu,
-        "B": [str(c) for c in bundle.B.coeffs],
+        "B": [_decimal_str(c) for c in bundle.B.coeffs],
         "label": bundle.label,
     }
     if bundle.eta is not None:
-        doc["eta"] = [str(c) for c in bundle.eta.coeffs]
-        doc["beta"] = [str(c) for c in bundle.beta.coeffs]
+        doc["eta"] = [_decimal_str(c) for c in bundle.eta.coeffs]
+        doc["beta"] = [_decimal_str(c) for c in bundle.beta.coeffs]
     return doc
 
 
@@ -364,8 +437,8 @@ def _norm_claim(bundle: CandidateBundle) -> ClaimResult:
     data = {
         "sign": 1 if N > 0 else -1,
         "p_exponent": t,
-        "p_free_part_digits": len(str(rest)),
-        "root": str(root) if root is not None else None,
+        "p_free_part_digits": len(_decimal_str(rest)),
+        "root": _decimal_str(root) if root is not None else None,
     }
     return ClaimResult("norm-shape", ref, root is not None, data)
 

@@ -1,13 +1,14 @@
 """Brute-force routes kept as test oracles for the closed forms in src/.
 
-Each function here is the search or elimination route the package used
-before its closed form or its modular method: Gauss-Jordan inversion over
-the local ring, the p^j candidate loop for rational p-th powers, the
-p-candidate digit scan, the F_p nullspace of the Galois permutation matrix
-and the Bareiss determinant for exact norms.  Nothing at runtime needs them;
-the property tests compare the package against them.
+Each function here is the search, elimination or schoolbook route the
+package used before its closed form or its faster method: Gauss-Jordan
+inversion over the local ring, the p^j candidate loop for rational p-th
+powers, the p-candidate digit scan, the F_p nullspace of the Galois
+permutation matrix, the Bareiss determinant for exact norms, the
+np.convolve fold that multiplied object-dtype coefficient vectors, and the
+per-conjugate power loop of the unit projection.  Nothing at runtime needs
+them; the property tests compare the package against them.
 """
-
 from __future__ import annotations
 
 import numpy as np
@@ -16,13 +17,17 @@ from pisingular import (
     CAP,
     ExactElement,
     LambdaExpansion,
+    PrimeContext,
     RingElement,
+    cyclotomic_unit,
+    cyclotomic_unit_exact,
     from_integer,
     lam,
     valuation,
 )
 from pisingular.padic import _first_two_digits, to_lambda_basis
 from pisingular.ring import _dtype_for
+from pisingular.units import _projection_exponents
 
 
 def _mult_matrix_mod(coeffs, p: int, modulus: int):
@@ -200,3 +205,36 @@ def norm_bareiss(a: ExactElement) -> int:
         cols.append([ext[i] - top for i in range(p - 1)])
     M = [[cols[j][i] for j in range(p - 1)] for i in range(p - 1)]
     return _bareiss_det(M)
+
+
+def fold_mul(a, b, p: int, modulus: int | None, dtype):
+    """Multiply two coefficient vectors of length p-1, reduce by Phi_p."""
+    conv = np.convolve(a, b)  # degrees 0 .. 2p-4
+    ext = np.zeros(p, dtype=dtype)  # exponents 0 .. p-1 after z^p = 1
+    ext[: min(p, conv.size)] += conv[:p]
+    if conv.size > p:
+        ext[: conv.size - p] += conv[p:]
+    out = ext[: p - 1] - ext[p - 1]
+    if modulus is not None:
+        out = out % modulus
+    return out
+
+
+def eigen_project_unit(ctx: PrimeContext, K: int, a: int, two_m: int) -> RingElement:
+    """eta = prod_j sigma^j(xi_a)^(c_j), one power per conjugate."""
+    xi = cyclotomic_unit(ctx, K, a)
+    exps = _projection_exponents(ctx, two_m)
+    eta = from_integer(ctx, K, 1)
+    for j, c in enumerate(exps):
+        eta = eta * xi.galois_apply(ctx.upow[j]) ** c
+    return eta
+
+
+def eigen_project_unit_exact(ctx: PrimeContext, a: int, two_m: int) -> ExactElement:
+    """Exact-coefficient version of the per-conjugate power loop."""
+    xi = cyclotomic_unit_exact(ctx.p, a)
+    exps = _projection_exponents(ctx, two_m)
+    eta = ExactElement.from_integer(ctx.p, 1)
+    for j, c in enumerate(exps):
+        eta = eta * xi.galois_apply(ctx.upow[j]) ** c
+    return eta

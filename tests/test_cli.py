@@ -16,6 +16,7 @@ from pisingular import (
     new_context,
     synthetic_unit_bundle,
 )
+from pisingular.verifier import _COEFF_MAX_DIGITS
 
 
 def run_cli(*args, env_extra=None):
@@ -316,3 +317,50 @@ def test_byte_identical_reruns(args):
     second = run_cli(*args, "--json")
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_units_p257_k4_within_budget():
+    # K=4 at p=257 keeps object-dtype coefficients (8 * p * (p^4)^2 > 2^63);
+    # the bucketed projection and the big-integer product make it practical.
+    start = time.perf_counter()
+    code, doc = run_json("units", "--p", "257", "--K", "4", "--two-m", "6")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    (rep,) = doc["reports"]
+    assert rep["relation_holds"] is True and rep["dichotomy_holds"] is True
+    assert elapsed < 5, f"units at p=257, K=4 took {elapsed:.1f}s"
+
+
+def _p7_bundle_with_b0(tmp_path, literal, name):
+    doc = bundle_to_json(synthetic_unit_bundle(new_context(7), 2, 2))
+    doc["B"] = ["X"] + ["0"] * 5
+    path = tmp_path / name
+    path.write_text(json.dumps(doc).replace('"X"', literal))
+    return str(path)
+
+
+def test_verify_coefficients_past_4300_digits(tmp_path):
+    # Valid decimals of 4000 and 5000 digits, as strings and as a bare JSON
+    # literal, are read and verified: the claims decide (exit 1), not the
+    # int/str conversion limit.
+    for name, literal in (
+        ("s4000.json", '"' + "7" * 4000 + '"'),
+        ("s5000.json", '"' + "7" * 5000 + '"'),
+        ("n5000.json", "7" * 5000),
+    ):
+        code, payload = run_json("verify", "--file", _p7_bundle_with_b0(tmp_path, literal, name))
+        assert code == 1, name
+        norm = next(c for c in payload["claims"] if c["id"] == "norm-shape")
+        assert norm["data"]["p_free_part_digits"] > 4300, name
+
+
+def test_verify_malformed_and_oversized_coefficients_exit_2(tmp_path):
+    for name, literal, message in (
+        ("bad.json", '"' + "7" * 4999 + 'x"', "not a decimal integer"),
+        ("over.json", '"' + "9" * (_COEFF_MAX_DIGITS + 1) + '"', "over the limit"),
+        ("overlit.json", "9" * (_COEFF_MAX_DIGITS + 1), "over the limit"),
+    ):
+        r = run_cli("verify", "--json", "--file", _p7_bundle_with_b0(tmp_path, literal, name))
+        assert r.returncode == 2, name
+        assert message in r.stderr and len(r.stderr) < 300, name
+        assert r.stdout == "", name

@@ -5,8 +5,13 @@ uniformly random unit is almost never a local p-th power past depth p-1,
 so without the lean the True branch of the p-th power test would hardly
 be reached.  The multimodular norm is checked against the Bareiss
 determinant and sympy resultants on the kinds of element the verifier
-sees, and at the edge of each CRT modulus.
+sees, and at the edge of each CRT modulus.  The bucketed unit projection
+is checked against the per-conjugate power loop, and the big-integer
+product kernel against the np.convolve fold on signed exact coefficients
+and on wide moduli.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from pisingular import (
     canonical_eigenvector,
     cyclotomic_unit_exact,
     digits,
+    eigen_project_unit,
     eigen_project_unit_exact,
     from_lambda_basis,
     is_locally_pth_power,
@@ -29,7 +35,7 @@ from pisingular import (
 )
 from pisingular.eigen import _eigenspace_dimension
 from pisingular.padic import _pth_power_to_depth
-from pisingular.ring import _norm_bound, _split_primes
+from pisingular.ring import _dtype_for, _fold_mul, _norm_bound, _split_primes
 
 import oracles
 from conftest import random_unit, seeded
@@ -278,3 +284,143 @@ def test_norm_just_below_each_crt_modulus(p):
         assert 2 * n ** (p - 1) > M, k
         for m in (n, -n):
             assert norm_exact(ExactElement.from_integer(p, m)) == n ** (p - 1), k
+
+
+# -- bucketed unit projection against the per-conjugate power loop --------
+
+PROJECTION_PAIRS = [
+    (p, a, two_m)
+    for p in PRIMES
+    if p >= 5
+    for a in range(2, (p - 1) // 2 + 1)
+    for two_m in range(2, p - 2, 2)
+]
+
+
+@pytest.mark.parametrize("p, a, two_m", PROJECTION_PAIRS)
+def test_projection_matches_power_loop_every_index(p, a, two_m):
+    ctx = new_context(p)
+    exact = eigen_project_unit_exact(ctx, a, two_m)
+    assert exact == oracles.eigen_project_unit_exact(ctx, a, two_m)
+    for K in (1, 2, 3):
+        eta, _ = eigen_project_unit(ctx, K, a, two_m)
+        assert eta == oracles.eigen_project_unit(ctx, K, a, two_m), K
+        assert eta == exact.reduce(ctx, K), K
+
+
+def _few_exponent_indices(p: int) -> list[int]:
+    # gcd(2m, p-1) > 2: mu has order (p-1)/gcd, so only that many distinct
+    # exponents c_j occur and each bucket collects several conjugates.
+    return [t for t in range(2, p - 2, 2) if math.gcd(t, p - 1) > 2]
+
+
+@st.composite
+def projection_indices(draw, p):
+    a = draw(st.integers(2, (p - 1) // 2))
+    if draw(st.booleans()):
+        two_m = draw(st.sampled_from(_few_exponent_indices(p)))
+    else:
+        two_m = 2 * draw(st.integers(1, (p - 3) // 2))
+    return a, two_m
+
+
+@pytest.mark.parametrize("p, K", [(37, 1), (37, 2), (37, 3), (101, 2), (101, 4),
+                                  (103, 1), (103, 3), (103, 4)])
+@settings(PROPERTY, max_examples=4)
+@given(data=st.data())
+def test_projection_matches_power_loop_sampled(p, K, data):
+    ctx = new_context(p)
+    a, two_m = data.draw(projection_indices(p))
+    eta, _ = eigen_project_unit(ctx, K, a, two_m)
+    assert eta == oracles.eigen_project_unit(ctx, K, a, two_m)
+
+
+@settings(PROPERTY, max_examples=6)
+@given(data=st.data())
+def test_exact_projection_matches_power_loop_p37(data):
+    ctx = new_context(37)
+    a, two_m = data.draw(projection_indices(37))
+    assert eigen_project_unit_exact(ctx, a, two_m) == oracles.eigen_project_unit_exact(
+        ctx, a, two_m
+    )
+
+
+# -- big-integer product kernel against the np.convolve fold ---------------
+
+
+def _obj(values):
+    return np.array(list(values), dtype=object)
+
+
+@st.composite
+def signed_vectors(draw, p):
+    """Signed exact coefficient vectors of 0..600 bits, in several shapes."""
+    n = p - 1
+    kind = draw(st.sampled_from(["zero", "single", "mixed", "extreme"]))
+    if kind == "zero":
+        return [0] * n
+    if kind == "single":
+        out = [0] * n
+        out[draw(st.integers(0, n - 1))] = draw(st.integers(-(2**600), 2**600))
+        return out
+    if kind == "extreme":  # every entry at the full width: the widest slots
+        w = draw(st.integers(0, 600))
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+        return [s * (2**w - 1) for s in signs]
+    out = []
+    for _ in range(n):
+        w = draw(st.integers(0, 600))
+        out.append(draw(st.integers(-(2**w), 2**w)))
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 23])
+@settings(PROPERTY, max_examples=25)
+@given(data=st.data())
+def test_exact_kernel_matches_convolve_fold(p, data):
+    a = data.draw(signed_vectors(p))
+    b = data.draw(signed_vectors(p))
+    want = oracles.fold_mul(_obj(a), _obj(b), p, None, object)
+    got = _fold_mul(tuple(a), tuple(b), p, None, object)
+    assert list(got) == list(want)
+    assert (ExactElement(p, a) * ExactElement(p, b)).coeffs == tuple(want)
+    x = ExactElement(p, a)  # a square passes one vector twice
+    assert (x * x).coeffs == tuple(oracles.fold_mul(_obj(a), _obj(a), p, None, object))
+
+
+@pytest.mark.parametrize("p, K", [(5, 13), (103, 4), (257, 4)])
+@settings(PROPERTY, max_examples=8)
+@given(data=st.data())
+def test_wide_modulus_kernel_matches_convolve_fold(p, K, data):
+    m = p**K
+    assert _dtype_for(m, p) is object
+    n = p - 1
+    if data.draw(st.booleans()):
+        a = data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        b = data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    else:  # all coefficients at m-1: every slot near its bound
+        a = b = [m - 1] * n
+    want = oracles.fold_mul(_obj(a), _obj(b), p, m, object)
+    ctx = new_context(p)
+    x = RingElement(ctx, K, a)
+    prod = x * RingElement(ctx, K, b)
+    assert prod.coeffs.dtype == object
+    assert prod.coeff_list() == list(want)
+    assert (x * x).coeff_list() == list(oracles.fold_mul(_obj(a), _obj(a), p, m, object))
+
+
+def test_int64_path_unchanged_at_101_4():
+    p, K = 101, 4
+    m = p**K
+    assert _dtype_for(m, p) is np.int64
+    ctx = new_context(p)
+    rng = seeded(1014)
+    for top in (m - 1, rng.randrange(m)):
+        a = [top] * (p - 1)
+        b = [rng.randrange(m) for _ in range(p - 1)]
+        prod = RingElement(ctx, K, a) * RingElement(ctx, K, b)
+        assert prod.coeffs.dtype == np.int64
+        want = oracles.fold_mul(
+            np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p, m, np.int64
+        )
+        assert prod.coeff_list() == [int(x) for x in want]

@@ -26,6 +26,13 @@ from pisingular import (
 )
 
 from pisingular import CAP
+from pisingular.ring import _norm_bound
+from pisingular.verifier import (
+    _COEFF_MAX_BITS,
+    _COEFF_MAX_DIGITS,
+    _decimal_int,
+    _decimal_str,
+)
 
 
 def report_json(rep):
@@ -399,3 +406,86 @@ def test_corruption_always_detected():
             B=ExactElement(7, coeffs),
         )
         assert not verify_positive_candidate(corrupt).overall, (i, bump)
+
+
+# ------------------------------------------------- decimals past 4300 digits
+
+
+def test_decimal_helpers_match_decimal_module():
+    # decimal converts ints exactly and without CPython's int/str digit
+    # limit, so it is an independent oracle for the limit-free helpers.
+    import decimal
+
+    for digits in (1, 3999, 4000, 4001, 4300, 4301, 8001, 12345, _COEFF_MAX_DIGITS):
+        for n in (10 ** (digits - 1), 10**digits - 1, 7 ** int(digits * 1.18)):
+            for m in (n, -n):
+                text = str(decimal.Decimal(m))
+                assert _decimal_str(m) == text
+                assert _decimal_int(text) == m
+                assert _decimal_int(" +" + text.lstrip("-") + "\n") == abs(m)
+    assert _decimal_str(0) == "0" and _decimal_int("-0") == 0
+
+
+def test_coefficient_cap_follows_the_norm_limit():
+    assert _COEFF_MAX_BITS == 2**17 + 1
+    assert len(_decimal_str(2**_COEFF_MAX_BITS)) == _COEFF_MAX_DIGITS
+    # at p=3 the constant 2^(2^17) - 1 has a norm bound of exactly 2^18
+    # bits, the norm's limit, and fits under the coefficient cap
+    c = 2 ** (2**17) - 1
+    assert _norm_bound(ExactElement.from_integer(3, c)).bit_length() == 2**18
+    assert c.bit_length() <= _COEFF_MAX_BITS
+
+
+def _big_coeff_doc(B0):
+    doc = good_doc()
+    doc["B"] = [B0] + ["0"] * 5
+    return doc
+
+
+def test_load_bundle_reads_coefficients_past_4300_digits():
+    big = "7" * 5000
+    b = load_bundle(json.dumps(_big_coeff_doc(big)))
+    assert b.B.coeffs[0] == _decimal_int(big)
+    assert bundle_to_json(b)["B"][0] == big
+    # the same value as a bare JSON integer literal
+    text = json.dumps(_big_coeff_doc("X")).replace('"X"', big)
+    assert load_bundle(text).B == b.B
+
+
+def test_load_bundle_refuses_coefficients_over_the_cap():
+    over = "9" * (_COEFF_MAX_DIGITS + 1)
+    with pytest.raises(BundleError, match=r"entry 0: .*over the limit") as info:
+        load_bundle(_big_coeff_doc(over))
+    assert len(str(info.value)) < 200
+    text = json.dumps(_big_coeff_doc("X")).replace('"X"', over)
+    with pytest.raises(BundleError, match="over the limit") as info:
+        load_bundle(text)
+    assert len(str(info.value)) < 200
+    with pytest.raises(BundleError, match=f"over the limit of {_COEFF_MAX_BITS} bits"):
+        load_bundle(_big_coeff_doc(2**_COEFF_MAX_BITS))
+    assert load_bundle(_big_coeff_doc(2**_COEFF_MAX_BITS - 1)).B.coeffs[0] > 0
+
+
+def test_load_bundle_echoes_bad_values_briefly():
+    bad = "7" * 4999 + "x"
+    with pytest.raises(BundleError, match="entry 0 is not a decimal integer") as info:
+        load_bundle(_big_coeff_doc(bad))
+    assert len(str(info.value)) < 200
+    with pytest.raises(BundleError, match="'negative' or 'positive'") as info:
+        load_bundle(good_doc(parity="p" * 5000))
+    assert len(str(info.value)) < 200
+
+
+def test_norm_claim_prints_roots_past_4300_digits():
+    # B = eta * c^7 with c of 801 digits: the coefficients pass 4300 digits
+    # and the norm-shape root c^6 has 4801.
+    ctx = new_context(7)
+    c = 10**800 + 1
+    b = synthetic_unit_bundle(ctx, 2, 2, c=c)
+    assert max(abs(x) for x in b.B.coeffs).bit_length() > 4300 * 3.33
+    b = load_bundle(json.dumps(bundle_to_json(b)))
+    report = verify_positive_candidate(b)
+    assert report.overall
+    norm = next(c for c in report.claims if c.claim_id == "norm-shape")
+    assert norm.data["root"] == _decimal_str(c**6)
+    assert norm.data["p_free_part_digits"] == 42 * 800 + 1
