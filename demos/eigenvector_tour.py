@@ -2,9 +2,9 @@
 
 For each eigenvalue mu in 2..p-1 the automorphism z -> z^u has a
 one-dimensional fixed direction over F_p with an explicit closed form.
-This script prints the vector with the eigenspace dimension counted from
-the cycles of the permutation matrix, and shows that its valuation at the
-ramified prime recovers the discrete log of mu.
+This script prints the vector with the eigenspace dimension, which is 1
+because u is a primitive root (j -> u*j is one (p-1)-cycle), and shows
+that its valuation at the ramified prime recovers the discrete log of mu.
 """
 
 import argparse

@@ -103,7 +103,7 @@ def _cmd_eigen(args) -> int:
     ctx = new_context(args.p)
     mus = list(range(2, ctx.p)) if args.all else [args.mu]
     reports = [canonical_eigenvector(ctx, mu) for mu in mus]
-    ok = all(r.dimension == 1 and r.matches_closed_form for r in reports)
+    ok = all(r.matches_closed_form for r in reports)
     payload = {"p": ctx.p, "u": ctx.u, "reports": [r.to_json_dict() for r in reports]}
     lines = []
     for r in reports:

@@ -8,8 +8,7 @@ one-dimensional eigenspace spanned by the closed-form vector
 
     e_mu = sum_i mu^(-i) z^(u^i)      (i = 0..p-2).
 
-This module builds those eigenvectors from the closed form, reads the
-eigenspace dimension off the cycles of the permutation, solves the
+This module builds those eigenvectors from the closed form, solves the
 first-order recurrence the eigen equation imposes on the coefficient list,
 and exposes the digit-expansion matcher that recognizes elements congruent
 to 1 - delta * e_mu to a requested depth.
@@ -111,36 +110,14 @@ class EigenReport:
         }
 
 
-def _eigenspace_dimension(p: int, u: int, mu: int) -> int:
-    """Dimension over F_p of the mu-eigenspace of the permutation j -> u*j mod p.
-
-    A permutation matrix splits into one block per cycle.  An L-cycle has
-    eigenvalue mu iff mu^L = 1, with a one-dimensional eigenspace, since
-    L < p makes x^L - 1 separable mod p.
-    """
-    seen = [False] * p
-    dimension = 0
-    for start in range(1, p):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = j * u % p
-            length += 1
-        if pow(mu, length, p) == 1:
-            dimension += 1
-    return dimension
-
-
 def canonical_eigenvector(ctx: PrimeContext, mu: int) -> EigenReport:
     """Closed-form eigenvector, confirmed as the whole eigenspace.
 
-    matches_closed_form records two facts: the mu-eigenspace of sigma is
-    one-dimensional (counted from the cycles of j -> u*j), and applying the
-    automorphism in the ring reproduces mu times the nonzero closed form,
-    which therefore spans it.
+    dimension is 1 for every mu: a PrimeContext admits only a primitive
+    root u, so j -> u*j is a single (p-1)-cycle and each mu-eigenspace of
+    sigma is one-dimensional.  matches_closed_form records that applying
+    the automorphism in the ring reproduces mu times the nonzero closed
+    form, which therefore spans it.
     """
     p = ctx.p
     mu = mu % p
@@ -149,16 +126,15 @@ def canonical_eigenvector(ctx: PrimeContext, mu: int) -> EigenReport:
     coords = eigenvector_span_coords(ctx, mu)
     elem = _span_to_element(ctx, 1, coords)
     sigma_ok = elem.galois_apply(ctx.u) == elem * mu
-    dimension = _eigenspace_dimension(p, ctx.u, mu)
     val = valuation(elem)  # < p-1 always: some coordinate is a unit
     return EigenReport(
         p=p,
         mu=mu,
         index_s=ctx.index_of(mu),
-        dimension=dimension,
+        dimension=1,
         vector=coords,
         valuation=int(val),
-        matches_closed_form=dimension == 1 and sigma_ok,
+        matches_closed_form=sigma_ok,
     )
 
 

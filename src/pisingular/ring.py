@@ -378,6 +378,10 @@ class ExactElement:
 
 
 _Q_LIMIT = 2**26  # residue primes for norm_exact lie below this
+# norm_exact needs p below this, 2049: its int64 mat-vec sums are below
+# (p-1) * _Q_LIMIT^2, which must stay below 2^63.  Bundles are checked
+# against it when they are loaded.
+_P_LIMIT = 2**63 // _Q_LIMIT**2 + 1
 # Bits of the norm bound that norm_exact accepts at prime p.  2^25/(p-1) is
 # about a third of what the primes q = 1 (mod p) below 2^26 supply (their
 # log2 sum is close to 2^26/(ln 2 * (p-1))), and 2^18 keeps a norm at the cap,
@@ -495,9 +499,9 @@ def norm_exact(a: ExactElement) -> int:
             "norms are not defined on truncated elements; use ExactElement"
         )
     p = a.p
-    if p < 3 or (p - 1) * _Q_LIMIT**2 >= 2**63:
+    if p < 3 or p >= _P_LIMIT:
         raise ValueError(
-            f"norm_exact: p={p} is out of range; it needs an odd prime p < 2049, "
+            f"norm_exact: p={p} is out of range; it needs an odd prime p < {_P_LIMIT}, "
             f"so that int64 residues keep (p-1) * (2^26)^2 < 2^63"
         )
     bound = _norm_bound(a)

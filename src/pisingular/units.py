@@ -182,6 +182,12 @@ class UnitReport:
         }
 
 
+def _twisted_quotient(x: RingElement, mu: int) -> RingElement:
+    """sigma(x) * x^(-mu), a local p-th power when x satisfies the twisted relation."""
+    ctx = x.ctx
+    return x.galois_apply(ctx.u) * (x**mu).invert()
+
+
 def verify_unit_relation(eta: RingElement, two_m: int) -> UnitReport:
     """Check the twisted relation and measure the unit's local behavior.
 
@@ -196,8 +202,7 @@ def verify_unit_relation(eta: RingElement, two_m: int) -> UnitReport:
             f"verification needs depth {p + 1}; K={eta.K} caps at {eta.K * (p - 1)}"
         )
     mu = ctx.upow[two_m]
-    twisted = eta.galois_apply(ctx.u) * (eta**mu).invert()
-    relation_holds = is_locally_pth_power(twisted, p + 1)
+    relation_holds = is_locally_pth_power(_twisted_quotient(eta, mu), p + 1)
     local = is_locally_pth_power(eta, p + 1)
     power = eta ** (p - 1)
     val = valuation(power - from_integer(ctx, eta.K, 1))

@@ -8,6 +8,13 @@ twisted local p-th power condition, the valuation dichotomy, and the
 leading eigen-expansion.  A bundle that passes is "not refuted"; no
 class-group membership is ever decided here.
 
+The three verify paths are one claim loop, _verify, over a table of claim
+specs.  A spec derives the element X of its path -- C = B/conj(B), the
+witnesses' B' = B^2/eta, or B -- with the leading claims (semi-primary and
+norm shape, or the witness identities).  The loop checks parity and K, then
+makes the same claims on X (or X^(p-1)): the twisted local p-th power, the
+valuation unless X is primary, and the eigen-expansion if the spec has one.
+
 Three failure modes are kept distinct:
 
   * theorem violation  -- a claim evaluates false; reported in the verdict.
@@ -24,6 +31,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .context import PrimeContext, new_context
 from .eigen import expansion_matches
@@ -36,13 +44,14 @@ from .padic import (
 )
 from .ring import (
     _NORM_MAX_BITS,
+    _P_LIMIT,
     ExactElement,
     RingElement,
     from_integer,
     lam,
     norm_exact,
 )
-from .units import eigen_project_unit_exact
+from .units import _twisted_quotient, eigen_project_unit_exact
 
 __all__ = [
     "BundleError",
@@ -252,6 +261,11 @@ def load_bundle(source) -> CandidateBundle:
     p = doc["p"]
     if not isinstance(p, int) or isinstance(p, bool):
         raise BundleError("bundle field 'p': must be an integer")
+    if p >= _P_LIMIT:  # before new_context builds its tables
+        raise BundleError(
+            f"bundle field 'p': must be below {_P_LIMIT}, the exact norm's limit, "
+            f"got {_echo(p)}"
+        )
     try:
         ctx = new_context(p)
     except ValueError as e:
@@ -280,15 +294,10 @@ def load_bundle(source) -> CandidateBundle:
             "bundle field 'mu': the eigenvalue u itself is excluded; no "
             "candidate survives the standard annihilator constraint at index 1"
         )
-    if parity == "negative" and s % 2 == 0:
+    if s % 2 != (parity == "negative"):
         raise BundleError(
-            f"bundle field 'parity': negative parity needs an odd power of u, "
-            f"but mu={mu} = u^{s}"
-        )
-    if parity == "positive" and s % 2 == 1:
-        raise BundleError(
-            f"bundle field 'parity': positive parity needs an even power of u, "
-            f"but mu={mu} = u^{s}"
+            f"bundle field 'parity': {parity} parity needs an "
+            f"{'odd' if parity == 'negative' else 'even'} power of u, but mu={mu} = u^{s}"
         )
 
     B = _parse_coeffs(p, "B", doc["B"])
@@ -413,15 +422,6 @@ def check_ppower_congruence(
     return _verdict([claim])
 
 
-def _semi_primary_claim(Bq: RingElement) -> ClaimResult:
-    return ClaimResult(
-        "semi-primary",
-        "B is semi-primary in the truncated ring",
-        holds=is_semi_primary(Bq),
-        data={"valuation": _val_json(valuation(Bq))},
-    )
-
-
 def _norm_claim(bundle: CandidateBundle) -> ClaimResult:
     p = bundle.ctx.p
     N = norm_exact(bundle.B)
@@ -443,208 +443,158 @@ def _norm_claim(bundle: CandidateBundle) -> ClaimResult:
     return ClaimResult("norm-shape", ref, root is not None, data)
 
 
-def _check_verify_preconditions(bundle: CandidateBundle, parity: str, op: str):
-    if bundle.parity != parity:
-        raise PreconditionError(
-            f"{op}: bundle has parity {bundle.parity!r}, needs {parity!r}"
-        )
-    if bundle.K < 2:
-        raise PreconditionError(
-            f"{op}: verification needs K >= 2 (congruence depth p+1), got K={bundle.K}"
-        )
+def _leading_claims(bundle: CandidateBundle):
+    """Semi-primary and norm-shape claims on B; B mod p^K when it is a unit.
 
-
-def verify_negative_candidate(bundle: CandidateBundle) -> VerdictReport:
-    """Necessary-condition checks for an odd-index candidate.
-
-    Works on the conjugate ratio C = B / conj(B), whose expansion carries
-    the odd eigencomponent directly.
+    This is also the derive of the positive path, whose X is B itself.
     """
-    _check_verify_preconditions(bundle, "negative", "verify_negative_candidate")
-    ctx, K, p = bundle.ctx, bundle.K, bundle.ctx.p
-    s = bundle.index_s
-    mu = bundle.mu
-    Bq = bundle.B.reduce(ctx, K)
-    claims = [_semi_primary_claim(Bq), _norm_claim(bundle)]
-
-    ref3 = "sigma(C) * C^(-mu) is a local p-th power to depth p+1, C = B/conj(B)"
-    ref4 = "v(C - 1) = 2m+1 when C is not primary"
-    ref5 = "C = 1 - delta*e_mu mod lam^(p-1), delta nonzero when C is not primary"
-    if valuation(Bq) != 0:
-        reason = "B is not a unit at the ramified prime; quotient checks undefined"
-        claims += [
-            _skip("twist-local-pth-power", ref3, reason),
-            _skip("twist-valuation", ref4, reason),
-            _skip("eigen-expansion", ref5, reason),
-        ]
-        return _verdict(claims)
-
-    C = Bq * Bq.conjugate().invert()
-    twisted = C.galois_apply(ctx.u) * (C**mu).invert()
-    claims.append(
+    Bq = bundle.B.reduce(bundle.ctx, bundle.K)
+    claims = [
         ClaimResult(
-            "twist-local-pth-power",
-            ref3,
-            holds=is_locally_pth_power(twisted, p + 1),
-            data={},
-        )
-    )
-    prim = is_primary(C)
-    if prim:
-        claims.append(_skip("twist-valuation", ref4, "C is primary"))
-    else:
-        v = valuation(C - from_integer(ctx, K, 1))
-        claims.append(
-            ClaimResult(
-                "twist-valuation",
-                ref4,
-                holds=v == s,
-                data={"expected": s, "measured": _val_json(v)},
-            )
-        )
-    if s > (p - 1) // 2:
-        matched, delta = expansion_matches(C, mu, p - 1)
-        holds = matched and (prim or (delta is not None and delta % p != 0))
-        claims.append(
-            ClaimResult(
-                "eigen-expansion",
-                ref5,
-                holds=holds,
-                data={"matched": matched, "delta": delta, "primary": prim},
-            )
-        )
-    else:
-        claims.append(
-            _skip("eigen-expansion", ref5, "index within the low range; expansion form not asserted")
-        )
-    return _verdict(claims)
+            "semi-primary",
+            "B is semi-primary in the truncated ring",
+            holds=is_semi_primary(Bq),
+            data={"valuation": _val_json(valuation(Bq))},
+        ),
+        _norm_claim(bundle),
+    ]
+    return claims, (Bq if valuation(Bq) == 0 else None)
 
 
-def verify_b_prime(bundle: CandidateBundle) -> VerdictReport:
-    """Witness-backed checks for the adjusted element B' = B^2 / eta.
+def _derive_ratio(bundle: CandidateBundle):
+    """The conjugate ratio C = B / conj(B), whose expansion carries the odd
+    eigencomponent directly."""
+    claims, Bq = _leading_claims(bundle)
+    return claims, (None if Bq is None else Bq * Bq.conjugate().invert())
 
-    The witness identities are exact; their failure means the bundle is
-    self-inconsistent (WitnessInvalidError), which is a different event
-    from a theorem claim evaluating false.
+
+def _derive_adjusted(bundle: CandidateBundle):
+    """The adjusted element B' = B^2 / eta, after the exact witness identities.
+
+    A failed identity means the bundle is self-inconsistent
+    (WitnessInvalidError), a different event from a claim evaluating false.
     """
-    _check_verify_preconditions(bundle, "negative", "verify_b_prime")
     if bundle.eta is None or bundle.beta is None:
         raise PreconditionError("verify_b_prime: bundle has no eta/beta witnesses")
-    ctx, K, p = bundle.ctx, bundle.K, bundle.ctx.p
-    s = bundle.index_s
-    mu = bundle.mu
-
-    lhs = bundle.B * bundle.B.conjugate()
-    rhs = bundle.eta * bundle.beta**p
-    if lhs != rhs:
+    if bundle.B * bundle.B.conjugate() != bundle.eta * bundle.beta**bundle.ctx.p:
         raise WitnessInvalidError(
             "witness identity B * conj(B) = eta * beta^p fails exactly"
         )
     if bundle.eta.conjugate() != bundle.eta:
         raise WitnessInvalidError("witness identity conj(eta) = eta fails exactly")
     claims = [
-        ClaimResult(
-            "witness-product",
-            "B * conj(B) = eta * beta^p exactly",
-            holds=True,
-            data={},
-        ),
-        ClaimResult(
-            "witness-real", "conj(eta) = eta exactly", holds=True, data={}
-        ),
+        ClaimResult("witness-product", "B * conj(B) = eta * beta^p exactly", True, {}),
+        ClaimResult("witness-real", "conj(eta) = eta exactly", True, {}),
     ]
-
-    ref3 = "sigma(B') * B'^(-mu) is a local p-th power to depth p+1, B' = B^2/eta"
-    ref4 = "v(B'^(p-1) - 1) = 2m+1 when B' is not primary"
-    Bq = bundle.B.reduce(ctx, K)
-    etaq = bundle.eta.reduce(ctx, K)
+    Bq = bundle.B.reduce(bundle.ctx, bundle.K)
+    etaq = bundle.eta.reduce(bundle.ctx, bundle.K)
     if valuation(Bq) != 0 or valuation(etaq) != 0:
         raise WitnessInvalidError(
             "adjusted element undefined: B or eta is not a unit at the ramified prime"
         )
-    Bp = Bq * Bq * etaq.invert()
-    twisted = Bp.galois_apply(ctx.u) * (Bp**mu).invert()
+    return claims, Bq * Bq * etaq.invert()
+
+
+@dataclass(frozen=True)
+class _ClaimSpec:
+    """One verify path: the element X it derives and the claims made on X.
+
+    derive returns the leading claims and X, or None for X when X is
+    undefined.  name is X in the "X is primary" skip reason; power says
+    whether the valuation and expansion claims read X^(p-1) rather than X.
+    Claims are (id, ref) pairs; a path without the expansion claim has None.
+    """
+
+    op: str
+    parity: str
+    derive: Callable[[CandidateBundle], tuple[list[ClaimResult], RingElement | None]]
+    name: str
+    power: bool
+    local: tuple[str, str]
+    valuation: tuple[str, str]
+    expansion: tuple[str, str] | None
+
+
+# The table: (op, parity, derive, name of X, power, local, valuation, expansion).
+_SPECS = {spec.op: spec for spec in (
+    _ClaimSpec(
+        "verify_negative_candidate", "negative", _derive_ratio, "C", False,
+        ("twist-local-pth-power",
+         "sigma(C) * C^(-mu) is a local p-th power to depth p+1, C = B/conj(B)"),
+        ("twist-valuation", "v(C - 1) = 2m+1 when C is not primary"),
+        ("eigen-expansion",
+         "C = 1 - delta*e_mu mod lam^(p-1), delta nonzero when C is not primary"),
+    ),
+    _ClaimSpec(
+        "verify_b_prime", "negative", _derive_adjusted, "B'", True,
+        ("adjusted-local-pth-power",
+         "sigma(B') * B'^(-mu) is a local p-th power to depth p+1, B' = B^2/eta"),
+        ("adjusted-valuation", "v(B'^(p-1) - 1) = 2m+1 when B' is not primary"),
+        None,
+    ),
+    _ClaimSpec(
+        "verify_positive_candidate", "positive", _leading_claims, "B", True,
+        ("twist-local-pth-power", "sigma(B) * B^(-mu) is a local p-th power to depth p+1"),
+        ("power-valuation", "v(B^(p-1) - 1) = 2m when B is not primary"),
+        ("eigen-expansion",
+         "B^(p-1) = 1 - delta*e_mu mod lam^(p-1), delta nonzero when B is not primary"),
+    ),
+)}
+
+
+def _verify(bundle: CandidateBundle, spec: _ClaimSpec) -> VerdictReport:
+    """Run one verify path: preconditions, derive X, then the claims on X."""
+    if bundle.parity != spec.parity:
+        raise PreconditionError(
+            f"{spec.op}: bundle has parity {bundle.parity!r}, needs {spec.parity!r}"
+        )
+    if bundle.K < 2:
+        raise PreconditionError(
+            f"{spec.op}: verification needs K >= 2 (congruence depth p+1), got K={bundle.K}"
+        )
+    claims, X = spec.derive(bundle)
+    if X is None:
+        reason = "B is not a unit at the ramified prime; quotient checks undefined"
+        on_x = (spec.local, spec.valuation, spec.expansion)
+        return _verdict(claims + [_skip(*c, reason) for c in on_x if c])
+
+    ctx, K, p = bundle.ctx, bundle.K, bundle.ctx.p
+    s, mu = bundle.index_s, bundle.mu
+    twisted = _twisted_quotient(X, mu)
     claims.append(
-        ClaimResult(
-            "adjusted-local-pth-power",
-            ref3,
-            holds=is_locally_pth_power(twisted, p + 1),
-            data={},
-        )
+        ClaimResult(*spec.local, holds=is_locally_pth_power(twisted, p + 1), data={})
     )
-    prim = is_primary(Bp)
+    prim = is_primary(X)
+    expand = spec.expansion is not None and s > (p - 1) // 2
+    # the power is formed only when a claim reads it
+    Y = X ** (p - 1) if spec.power and (expand or not prim) else X
     if prim:
-        claims.append(_skip("adjusted-valuation", ref4, "B' is primary"))
+        claims.append(_skip(*spec.valuation, f"{spec.name} is primary"))
     else:
-        v = valuation(Bp ** (p - 1) - from_integer(ctx, K, 1))
-        claims.append(
-            ClaimResult(
-                "adjusted-valuation",
-                ref4,
-                holds=v == s,
-                data={"expected": s, "measured": _val_json(v)},
-            )
-        )
+        v = valuation(Y - from_integer(ctx, K, 1))
+        data = {"expected": s, "measured": _val_json(v)}
+        claims.append(ClaimResult(*spec.valuation, holds=v == s, data=data))
+    if expand:
+        matched, delta = expansion_matches(Y, mu, p - 1)
+        holds = matched and (prim or (delta is not None and delta % p != 0))
+        data = {"matched": matched, "delta": delta, "primary": prim}
+        claims.append(ClaimResult(*spec.expansion, holds=holds, data=data))
+    elif spec.expansion:
+        reason = "index within the low range; expansion form not asserted"
+        claims.append(_skip(*spec.expansion, reason))
     return _verdict(claims)
+
+
+def verify_negative_candidate(bundle: CandidateBundle) -> VerdictReport:
+    """Necessary-condition checks for an odd-index candidate, on C = B/conj(B)."""
+    return _verify(bundle, _SPECS["verify_negative_candidate"])
+
+
+def verify_b_prime(bundle: CandidateBundle) -> VerdictReport:
+    """Witness-backed checks for the adjusted element B' = B^2 / eta."""
+    return _verify(bundle, _SPECS["verify_b_prime"])
 
 
 def verify_positive_candidate(bundle: CandidateBundle) -> VerdictReport:
-    """Necessary-condition checks for an even-index candidate."""
-    _check_verify_preconditions(bundle, "positive", "verify_positive_candidate")
-    ctx, K, p = bundle.ctx, bundle.K, bundle.ctx.p
-    s = bundle.index_s
-    mu = bundle.mu
-    Bq = bundle.B.reduce(ctx, K)
-    claims = [_semi_primary_claim(Bq), _norm_claim(bundle)]
-
-    ref3 = "sigma(B) * B^(-mu) is a local p-th power to depth p+1"
-    ref4 = "v(B^(p-1) - 1) = 2m when B is not primary"
-    ref5 = "B^(p-1) = 1 - delta*e_mu mod lam^(p-1), delta nonzero when B is not primary"
-    if valuation(Bq) != 0:
-        reason = "B is not a unit at the ramified prime; quotient checks undefined"
-        claims += [
-            _skip("twist-local-pth-power", ref3, reason),
-            _skip("power-valuation", ref4, reason),
-            _skip("eigen-expansion", ref5, reason),
-        ]
-        return _verdict(claims)
-
-    twisted = Bq.galois_apply(ctx.u) * (Bq**mu).invert()
-    claims.append(
-        ClaimResult(
-            "twist-local-pth-power",
-            ref3,
-            holds=is_locally_pth_power(twisted, p + 1),
-            data={},
-        )
-    )
-    prim = is_primary(Bq)
-    power = Bq ** (p - 1)
-    if prim:
-        claims.append(_skip("power-valuation", ref4, "B is primary"))
-    else:
-        v = valuation(power - from_integer(ctx, K, 1))
-        claims.append(
-            ClaimResult(
-                "power-valuation",
-                ref4,
-                holds=v == s,
-                data={"expected": s, "measured": _val_json(v)},
-            )
-        )
-    if s > (p - 1) // 2:
-        matched, delta = expansion_matches(power, mu, p - 1)
-        holds = matched and (prim or (delta is not None and delta % p != 0))
-        claims.append(
-            ClaimResult(
-                "eigen-expansion",
-                ref5,
-                holds=holds,
-                data={"matched": matched, "delta": delta, "primary": prim},
-            )
-        )
-    else:
-        claims.append(
-            _skip("eigen-expansion", ref5, "index within the low range; expansion form not asserted")
-        )
-    return _verdict(claims)
+    """Necessary-condition checks for an even-index candidate, on B."""
+    return _verify(bundle, _SPECS["verify_positive_candidate"])

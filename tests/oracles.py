@@ -4,10 +4,11 @@ Each function here is the search, elimination or schoolbook route the
 package used before its closed form or its faster method: Gauss-Jordan
 inversion over the local ring, the p^j candidate loop for rational p-th
 powers, the p-candidate digit scan, the F_p nullspace of the Galois
-permutation matrix, the Bareiss determinant for exact norms, the
-np.convolve fold that multiplied object-dtype coefficient vectors, and the
-per-conjugate power loop of the unit projection.  Nothing at runtime needs
-them; the property tests compare the package against them.
+permutation matrix and the cycle count that read its dimension off, the
+Bareiss determinant for exact norms, the np.convolve fold that multiplied
+object-dtype coefficient vectors, and the per-conjugate power loop of the
+unit projection.  Nothing at runtime needs them; the property tests
+compare the package against them.
 """
 from __future__ import annotations
 
@@ -168,6 +169,29 @@ def nullspace_mod_p(M: np.ndarray, p: int) -> list[np.ndarray]:
             v[pc] = (-A[pr, c]) % p
         basis.append(v)
     return basis
+
+
+def _eigenspace_dimension(p: int, u: int, mu: int) -> int:
+    """Dimension over F_p of the mu-eigenspace of the permutation j -> u*j mod p.
+
+    A permutation matrix splits into one block per cycle.  An L-cycle has
+    eigenvalue mu iff mu^L = 1, with a one-dimensional eigenspace, since
+    L < p makes x^L - 1 separable mod p.
+    """
+    seen = [False] * p
+    dimension = 0
+    for start in range(1, p):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = j * u % p
+            length += 1
+        if pow(mu, length, p) == 1:
+            dimension += 1
+    return dimension
 
 
 def _bareiss_det(M: list[list[int]]) -> int:

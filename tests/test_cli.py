@@ -282,6 +282,20 @@ def test_verify_norm_over_limit_exits_2(tmp_path):
     assert elapsed < 2, f"refusal took {elapsed:.1f}s"
 
 
+def test_verify_p_past_the_limit_exits_2(tmp_path):
+    # Refused at load time (exit 2), before any table of size p^2 is built.
+    p = 1000003
+    doc = {"p": p, "K": 2, "parity": "positive", "mu": 4, "B": ["1"] * (p - 1)}
+    path = write_bundle(tmp_path, doc)
+    start = time.perf_counter()
+    r = run_cli("verify", "--json", "--file", path)
+    elapsed = time.perf_counter() - start
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: bundle field 'p': must be below 2049")
+    assert r.stdout == ""
+    assert elapsed < 2, f"refusal took {elapsed:.1f}s"
+
+
 def test_usage_errors_exit_2():
     assert run_cli().returncode == 2
     assert run_cli("nonsense").returncode == 2

@@ -26,7 +26,7 @@ from pisingular import (
 )
 
 from pisingular import CAP
-from pisingular.ring import _norm_bound
+from pisingular.ring import _P_LIMIT, _norm_bound
 from pisingular.verifier import (
     _COEFF_MAX_BITS,
     _COEFF_MAX_DIGITS,
@@ -145,6 +145,22 @@ def test_load_bundle_field_validation():
     for over, msg in cases:
         with pytest.raises(BundleError, match=msg):
             load_bundle(good_doc(**over))
+
+
+@pytest.mark.parametrize("p", [2053, 1000003])
+def test_load_bundle_refuses_p_past_the_norm_limit(p):
+    # 2053 is the first prime past the limit.  The refusal comes before the
+    # context tables are built and before any coefficient is read.
+    doc = good_doc(p=p, B=["1"] * (p - 1))
+    with pytest.raises(BundleError, match=f"'p': must be below 2049.*got {p}"):
+        load_bundle(doc)
+
+
+def test_load_bundle_accepts_the_largest_prime_below_the_limit():
+    assert _P_LIMIT == 2049
+    ctx = new_context(2039)
+    b = load_bundle(good_doc(p=2039, mu=ctx.upow[2], B=["1"] * 2038))
+    assert b.ctx.p == 2039
 
 
 def test_load_bundle_witnesses_must_pair():
