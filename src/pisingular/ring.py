@@ -22,11 +22,14 @@ that bound in absolute value, so after a bias of 2^(8w-1) per slot each
 one sits in its own slot with no carry into the next: the slots read back
 exactly, signs included, and are then folded by z^p = 1 and Phi_p.
 
-norm_exact computes N(B) by evaluation at primes q = 1 (mod p) below 2^26,
-where Phi_p splits, and CRT up to the Parseval and AM-GM bound
-N(B) <= ((p*sum b_i^2 - (sum b_i)^2)/(p-1))^((p-1)/2).  It refuses, with
-ValueError, p >= 2049 (int64 residues) and bounds of more than
-min(2^18, 2^25/(p-1)) bits.
+norm_exact computes N(B) from residues at primes q = 1 (mod p) below 2^26,
+where Phi_p splits, in three steps: a segmented sieve over m finds the
+primes q = 2pm + 1, largest first, and takes the shortest run whose product
+M passes the Parseval and AM-GM bound
+N(B) <= ((p*sum b_i^2 - (sum b_i)^2)/(p-1))^((p-1)/2); numpy computes
+N(B) mod q for a block of primes per pass; a CRT over the product tree of
+the run recombines the residues.  It refuses, with ValueError, p >= 2049
+(int64 residues) and bounds of more than min(2^18, 2^25/(p-1)) bits.
 
 Conversion is one-way: ExactElement.reduce(ctx, K) projects into the
 truncated ring.  There is deliberately no inverse (a truncated element does
@@ -40,7 +43,7 @@ import math
 
 import numpy as np
 
-from .context import PrimeContext, is_prime
+from .context import PrimeContext
 
 __all__ = [
     "RingElement",
@@ -378,14 +381,14 @@ class ExactElement:
 
 
 _Q_LIMIT = 2**26  # residue primes for norm_exact lie below this
-# norm_exact needs p below this, 2049: its int64 mat-vec sums are below
+# norm_exact needs p below this, 2049: its int64 evaluation sums are below
 # (p-1) * _Q_LIMIT^2, which must stay below 2^63.  Bundles are checked
 # against it when they are loaded.
 _P_LIMIT = 2**63 // _Q_LIMIT**2 + 1
 # Bits of the norm bound that norm_exact accepts at prime p.  2^25/(p-1) is
 # about a third of what the primes q = 1 (mod p) below 2^26 supply (their
 # log2 sum is close to 2^26/(ln 2 * (p-1))), and 2^18 keeps a norm at the cap,
-# whose CRT is quadratic in the bit count, to one or two seconds.
+# whose remainder tree is quadratic in the bit count, to about a second.
 _NORM_MAX_BITS = 2**18
 
 
@@ -393,60 +396,207 @@ def _norm_bit_cap(p: int) -> int:
     return min(_NORM_MAX_BITS, 2**25 // (p - 1))
 
 
-_PRIME_BLOCK = 256  # candidates q = 2pm + 1 per cached block
+_SEGMENT = 1 << 14  # multipliers m per sieve segment of the candidates q = 2pm + 1
+_BLOCK_BYTES = 1 << 18  # about 256 KB per int64 temporary of the residue blocks
 
 
-@functools.lru_cache(maxsize=1024)
-def _split_prime_block(p: int, k: int) -> tuple[tuple[int, int], ...]:
-    """(q, r) for the primes among the k-th block of candidates q = 2pm + 1
-    below 2^26, largest first, with r of order p mod q."""
-    top = (_Q_LIMIT - 2) // (2 * p) - k * _PRIME_BLOCK
-    out = []
-    for m in range(top, max(top - _PRIME_BLOCK, 0), -1):
-        q = 2 * p * m + 1
-        if is_prime(q):
-            g = 2
-            while (r := pow(g, (q - 1) // p, q)) == 1:
-                g += 1
-            out.append((q, r))
-    return tuple(out)
+def _powmod(base, exp, mod) -> np.ndarray:
+    """base^exp mod mod elementwise on int64 arrays, by square and multiply
+    over the bits of exp.  mod < 2^26, so each product is below 2^52."""
+    base = np.asarray(base, dtype=np.int64) % mod
+    exp = np.asarray(exp, dtype=np.int64)
+    out = np.ones(np.broadcast_shapes(base.shape, exp.shape, np.shape(mod)), dtype=np.int64)
+    for bit in range(int(exp.max(initial=0)).bit_length()):
+        out = np.where((exp >> bit) & 1 == 1, out * base % mod, out)
+        base = base * base % mod
+    return out
 
 
-def _split_primes(p: int):
-    """Yield (q, r) for the primes q = 1 (mod p) below 2^26, largest first."""
-    blocks = -(-((_Q_LIMIT - 2) // (2 * p)) // _PRIME_BLOCK)
-    for k in range(blocks):
-        yield from _split_prime_block(p, k)
+@functools.lru_cache(maxsize=1)
+def _sieving_primes() -> np.ndarray:
+    """The odd primes up to sqrt(2^26) = 8192."""
+    n = math.isqrt(_Q_LIMIT) + 1
+    flags = np.ones(n, dtype=bool)
+    flags[:2] = False
+    for i in range(2, math.isqrt(n) + 1):
+        if flags[i]:
+            flags[i * i :: i] = False
+    return np.flatnonzero(flags)[1:]
 
 
-@functools.lru_cache(maxsize=4)
-def _exponent_table(p: int) -> np.ndarray:
-    """(i * j) mod p for rows j = 1 .. p-1 and columns i = 0 .. p-2."""
-    j = np.arange(1, p, dtype=np.intp)[:, None]
-    i = np.arange(p - 1, dtype=np.intp)[None, :]
-    table = i * j % p
-    table.setflags(write=False)
-    return table
+def _segment_count(p: int) -> int:
+    return -(-((_Q_LIMIT - 2) // (2 * p)) // _SEGMENT)
 
 
-def _norm_mod(coeffs, p: int, q: int, r: int) -> int:
-    """N(B) mod q as the product of B(r^j) over j = 1 .. p-1."""
-    powers = np.ones(p, dtype=np.int64)  # r^k mod q, by doubling the prefix
-    k, step = 1, r
-    while k < p:
-        n = min(k, p - k)
-        powers[k : k + n] = powers[:n] * step % q
+@functools.lru_cache(maxsize=32)
+def _split_prime_segment(p: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q, r) for the primes q = 2pm + 1 < 2^26 whose m lies in segment s,
+    largest first, with r of order p mod q.
+
+    Segment s holds m in (hi - 2^14, hi] for hi = floor((2^26 - 2)/(2p)) - s*2^14.
+    A sieve over m: an odd prime l != p divides 2pm + 1 exactly when
+    m = -(2p)^(-1) (mod l), and a composite q < 2^26 has such a factor
+    l <= 8192.  Each l strikes those m from the first one with q > l, so a q
+    that is itself a sieving prime stays.  r = g^((q-1)/p) for the least
+    g >= 2 with r != 1.
+    """
+    hi = (_Q_LIMIT - 2) // (2 * p) - s * _SEGMENT
+    lo = max(hi - _SEGMENT, 0)
+    ell = _sieving_primes()
+    ell = ell[ell != p]
+    m0 = -_powmod(2 * p, ell - 2, ell) % ell
+    start = np.maximum(lo + 1, (ell - 1) // (2 * p) + 1)
+    first = start + (m0 - start) % ell
+    keep = np.ones(max(hi - lo, 0), dtype=bool)
+    for prime, f in zip(ell.tolist(), (first - lo - 1).tolist()):
+        keep[f::prime] = False
+    m = lo + 1 + np.flatnonzero(keep)[::-1]
+    q = 2 * p * m + 1
+    r = np.ones_like(q)
+    g = 2
+    while np.any(todo := r == 1):
+        r[todo] = _powmod(g, 2 * m[todo], q[todo])
+        g += 1
+    q.setflags(write=False)
+    r.setflags(write=False)
+    return q, r
+
+
+def _product_tree(q: np.ndarray) -> list:
+    """Levels of the product tree over the primes q, leaves first.
+
+    Level 0 is q itself; level 1 holds the products of pairs (below 2^52,
+    formed in int64); the levels above are Python ints up to the root [M].
+    A node without a sibling is carried up unchanged.
+    """
+    even = q.size // 2 * 2
+    level = q[:even].reshape(-1, 2).prod(axis=1).tolist() + q[even:].tolist()
+    tree = [q, level]
+    while len(level) > 1:
+        level = [x * y for x, y in zip(level[::2], level[1::2])] + level[len(level) // 2 * 2 :]
+        tree.append(level)
+    return tree
+
+
+def _crt_primes(p: int, bound: int) -> tuple[np.ndarray, list]:
+    """r and the product tree for the shortest run of split primes, largest
+    first, whose product M exceeds bound >= 1.
+
+    Summed log2 q pick the length; exact integers confirm M > bound and
+    M/q_last <= bound, so the run is the shortest.
+    """
+    target = math.log2(bound)
+    qs, rs, bits = [], [], 0.0
+    for s in range(_segment_count(p)):
+        q, r = _split_prime_segment(p, s)
+        qs.append(q)
+        rs.append(r)
+        bits += float(np.log2(q).sum())
+        if bits > target + 1:
+            break
+    q, r = np.concatenate(qs), np.concatenate(rs)
+    k = int(np.searchsorted(np.cumsum(np.log2(q)), target, side="right")) + 1
+    while k <= q.size:
+        tree = _product_tree(q[:k])
+        M = tree[-1][0]
+        if M <= bound:
+            k += 1
+        elif M // int(q[k - 1]) > bound:
+            k -= 1
+        else:
+            return r[:k], tree
+    raise ValueError(
+        f"norm_exact: the primes q = 1 (mod {p}) below 2^26 do not cover "
+        f"the norm bound of {bound.bit_length()} bits"
+    )
+
+
+def _powers(q: np.ndarray, base: np.ndarray, n: int) -> np.ndarray:
+    """(len(q), n) int64: base^k mod q for k = 0 .. n-1, by doubling the
+    filled prefix."""
+    out = np.empty((q.size, n), dtype=np.int64)
+    out[:, 0] = 1
+    k, step = 1, base % q
+    while k < n:
+        m = min(k, n - k)
+        out[:, k : k + m] = out[:, :m] * step[:, None] % q[:, None]
         step = step * step % q
-        k += n
-    b = np.array([c % q for c in coeffs], dtype=np.int64)
-    # each entry is a sum of p-1 products below q^2: the int64 guard
-    values = powers[_exponent_table(p)] @ b % q
-    prod = np.ones(1 << (p - 2).bit_length(), dtype=np.int64)
-    prod[: p - 1] = values
-    while prod.size > 1:
-        half = prod.size // 2
-        prod = prod[:half] * prod[half:] % q
-    return int(prod[0])
+        k += m
+    return out
+
+
+def _norm_residues(coeffs, p: int, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """N(B) mod q for every prime q, as the product of B(r^j), j = 1 .. p-1.
+
+    Blocks of primes share each numpy call; a block's (rows, p) and
+    (rows, limbs) arrays, and each (rows, p-1, p-1) gather of its
+    sub-blocks, stay within _BLOCK_BYTES.  Per block:
+      * B mod q from 16-bit limbs: b = sum_t l_t (2^(16t) mod q).  Terms are
+        below 2^42 and a coefficient has at most about 2^17 bits (it fits
+        the norm bound), so the sums stay far below 2^63.
+      * r^k for k = 0 .. p-1 by doubling, and B(r^j) for all j as one gather
+        of r^((i*j) mod p) contracted with b: p-1 products below q^2 each,
+        below 2^63 as p < 2049.
+      * the product of the p-1 values mod q, halving each row.
+    """
+    n = p - 1
+    T = max(1, -(-max(abs(c).bit_length() for c in coeffs) // 16))
+    raw = b"".join(abs(c).to_bytes(2 * T, "little") for c in coeffs)
+    limbs = np.frombuffer(raw, dtype="<u2").reshape(n, T).T.astype(np.int64)
+    limbs *= np.array([-1 if c < 0 else 1 for c in coeffs], dtype=np.int64)  # signed like c
+    rows = max(1, _BLOCK_BYTES // (8 * max(p, T)))
+    sub = max(1, _BLOCK_BYTES // (8 * n * n))
+    width = 1 << (n - 1).bit_length()
+    table = np.arange(n) * np.arange(1, p)[:, None] % p  # (i*j) mod p at [j-1, i]
+    gathered = np.empty((min(sub, q.size), n, n), dtype=np.int64)
+    out = np.empty(q.size, dtype=np.int64)
+    for a in range(0, q.size, rows):
+        qb, rb = q[a : a + rows], r[a : a + rows]
+        qc = qb[:, None]
+        b = _powers(qb, np.full(qb.size, 1 << 16), T) @ limbs % qc
+        powers = _powers(qb, rb, p)
+        prod = np.ones((qb.size, width), dtype=np.int64)
+        for c in range(0, qb.size, sub):
+            block = powers[c : c + sub]
+            g = np.take(block, table, axis=1, out=gathered[: block.shape[0]], mode="clip")
+            prod[c : c + sub, :n] = np.einsum("tji,ti->tj", g, b[c : c + sub])
+        prod[:, :n] %= qc
+        while prod.shape[1] > 1:
+            h = prod.shape[1] // 2
+            prod = prod[:, :h] * prod[:, h:] % qc
+        out[a : a + rows] = prod[:, 0]
+    return out
+
+
+def _crt(x: np.ndarray, tree: list) -> int:
+    """The integer in [0, M) that is x_i mod each prime q_i of tree.
+
+    x = sum_i c_i M/q_i with c_i = x_i (M/q_i)^(-1) mod q_i.  The cofactors
+    M/q_i mod q_i come from a remainder tree: the product of the primes
+    outside a node, reduced mod the node's product, descends from the root
+    (1) to the pairs; the last step, and the inverses by Fermat, run in
+    int64 for all primes at once.  The sum is then formed up the product
+    tree, a node's value being v_L * P_R + v_R * P_L.
+    """
+    q = tree[0]
+    outside = [1]
+    for level in reversed(tree[1:-1]):
+        outside = [
+            outside[i // 2] * level[i ^ 1] % level[i] if i ^ 1 < len(level) else outside[i // 2]
+            for i in range(len(level))
+        ]
+    even = q.size // 2 * 2
+    sibling = np.ones_like(q)
+    sibling[:even] = q[:even].reshape(-1, 2)[:, ::-1].ravel()
+    cofactor = np.array(outside, dtype=np.int64)[np.arange(q.size) // 2] % q * sibling % q
+    c = x * _powmod(cofactor, q - 2, q) % q
+    values = (c[:even:2] * q[1:even:2] + c[1:even:2] * q[:even:2]).tolist() + c[even:].tolist()
+    for level in tree[1:-1]:
+        values = [
+            u * pv + v * pu
+            for u, v, pu, pv in zip(values[::2], values[1::2], level[::2], level[1::2])
+        ] + values[len(values) // 2 * 2 :]
+    return values[0] % tree[-1][0]
 
 
 def _norm_bound(a: ExactElement) -> int:
@@ -480,16 +630,24 @@ def _norm_bound(a: ExactElement) -> int:
 def norm_exact(a: ExactElement) -> int:
     """Field norm down to Q, the resultant of Phi_p and a's polynomial.
 
-    Computed by evaluation at split primes and CRT.  For each prime
-    q = 1 (mod p) below 2^26, descending, N(a) mod q is the product of
-    a(r^j) over j = 1 .. p-1 with r of order p mod q: one int64 mat-vec with
-    the table r^((i*j) mod p) and a product mod q.  The residues are folded
-    in by incremental CRT until the modulus M exceeds the bound of
-    _norm_bound, so the result is exact.  The field is totally complex, so
-    N(a) = prod over conjugate pairs of |a(z^j)|^2 >= 0 and the residue is
-    read in [0, M).
+    Computed from residues at split primes q = 1 (mod p) below 2^26, where
+    N(a) mod q is the product of a(r^j) over j = 1 .. p-1 for r of order p
+    mod q:
+      * sieve: the primes q = 2pm + 1 come from a segmented sieve over m,
+        largest first, built on first use and cached per segment; the run
+        used is the shortest whose product M exceeds the bound of
+        _norm_bound, checked with exact integers;
+      * block residues: each numpy pass takes a block of primes, reduces the
+        coefficients from 16-bit limbs, builds the powers of r by doubling,
+        evaluates a at all r^j by one gather-and-contract, and multiplies
+        the p-1 values by halving;
+      * CRT: the cofactors M/q mod q come from a remainder tree and are
+        inverted in int64 for all primes at once, and sum c_q M/q is formed
+        up the product tree.
+    The field is totally complex, so N(a) = prod over conjugate pairs of
+    |a(z^j)|^2 >= 0 and the result is read in [0, M).
 
-    Limits (ValueError): an odd prime p < 2049, so that the mat-vec sums
+    Limits (ValueError): an odd prime p < 2049, so that the evaluation sums
     (p-1)*q^2 stay below 2^63; and the bound must fit in min(2^18, 2^25/(p-1)) bits, so
     that the primes suffice and the CRT stays short.
     Only exact elements have norms; truncated elements lose the integer.
@@ -505,20 +663,10 @@ def norm_exact(a: ExactElement) -> int:
             f"so that int64 residues keep (p-1) * (2^26)^2 < 2^63"
         )
     bound = _norm_bound(a)
-    x, M = 0, 1
-    primes = _split_primes(p)
-    while M <= bound:
-        prime = next(primes, None)
-        if prime is None:
-            raise ValueError(
-                f"norm_exact: the primes q = 1 (mod {p}) below 2^26 do not cover "
-                f"the norm bound of {bound.bit_length()} bits"
-            )
-        q, r = prime
-        residue = _norm_mod(a.coeffs, p, q, r)
-        x += M * ((residue - x) * pow(M % q, -1, q) % q)
-        M *= q
-    return x
+    if bound == 0:  # 0 only for the zero element, whose norm is 0
+        return 0
+    r, tree = _crt_primes(p, bound)
+    return _crt(_norm_residues(a.coeffs, p, tree[0], r), tree)
 
 
 def from_integer(ctx: PrimeContext, K: int, n: int) -> RingElement:

@@ -26,6 +26,7 @@ Three failure modes are kept distinct:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -140,6 +141,12 @@ class CandidateBundle:
     def index_s(self) -> int:
         return self.ctx.index_of(self.mu)
 
+    @functools.cached_property
+    def _B_reduced(self) -> tuple[RingElement, int | float]:
+        """B mod p^K and its valuation, shared by the verify paths."""
+        Bq = self.B.reduce(self.ctx, self.K)
+        return Bq, valuation(Bq)
+
 
 # Coefficients may have at most 2^17 + 1 bits.  Any B that the norm accepts
 # fits: its coefficients are b_i = (1/p) sum_{j>=1} B(z^j) (z^(-ij) - z^j),
@@ -148,6 +155,11 @@ class CandidateBundle:
 _COEFF_MAX_BITS = _NORM_MAX_BITS // 2 + 1
 _COEFF_MAX_DIGITS = math.floor(_COEFF_MAX_BITS * math.log10(2)) + 1  # digits of 2^bits
 _INT_STR_CHUNK = 4000  # digits int() and str() convert under CPython's 4300 limit
+# A bundle's truncation K may have K*(p-1), its precision in powers of lam,
+# up to 2^14.  verify at that precision takes under a second up to p=257
+# (p=23: K=744; p=101: K=163), against 5 s at p=23, K=5000; past p=1000 the
+# cost is mostly p itself (p=2039: 2 s at K=2, 4 s at K=8).
+_PRECISION_LIMIT = 2**14
 
 
 def _digits_to_int(d: str) -> int:
@@ -274,6 +286,11 @@ def load_bundle(source) -> CandidateBundle:
     K = doc["K"]
     if not isinstance(K, int) or isinstance(K, bool) or K < 1:
         raise BundleError("bundle field 'K': must be an integer >= 1")
+    if K * (p - 1) > _PRECISION_LIMIT:
+        raise BundleError(
+            f"bundle field 'K': must be at most {_PRECISION_LIMIT // (p - 1)} at p={p}, "
+            f"so that K*(p-1) <= {_PRECISION_LIMIT}, got {_echo(K)}"
+        )
 
     parity = doc["parity"]
     if parity not in ("negative", "positive"):
@@ -448,17 +465,17 @@ def _leading_claims(bundle: CandidateBundle):
 
     This is also the derive of the positive path, whose X is B itself.
     """
-    Bq = bundle.B.reduce(bundle.ctx, bundle.K)
+    Bq, v = bundle._B_reduced
     claims = [
         ClaimResult(
             "semi-primary",
             "B is semi-primary in the truncated ring",
             holds=is_semi_primary(Bq),
-            data={"valuation": _val_json(valuation(Bq))},
+            data={"valuation": _val_json(v)},
         ),
         _norm_claim(bundle),
     ]
-    return claims, (Bq if valuation(Bq) == 0 else None)
+    return claims, (Bq if v == 0 else None)
 
 
 def _derive_ratio(bundle: CandidateBundle):
@@ -486,9 +503,9 @@ def _derive_adjusted(bundle: CandidateBundle):
         ClaimResult("witness-product", "B * conj(B) = eta * beta^p exactly", True, {}),
         ClaimResult("witness-real", "conj(eta) = eta exactly", True, {}),
     ]
-    Bq = bundle.B.reduce(bundle.ctx, bundle.K)
+    Bq, v = bundle._B_reduced
     etaq = bundle.eta.reduce(bundle.ctx, bundle.K)
-    if valuation(Bq) != 0 or valuation(etaq) != 0:
+    if v != 0 or valuation(etaq) != 0:
         raise WitnessInvalidError(
             "adjusted element undefined: B or eta is not a unit at the ramified prime"
         )

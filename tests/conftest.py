@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from pisingular import RingElement, new_context
+from pisingular.ring import _segment_count, _split_prime_segment
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +36,13 @@ def random_unit(ctx, K, rng):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def split_primes(p):
+    """(q, r) for the sieved primes q = 1 (mod p) below 2^26, largest first."""
+    for s in range(_segment_count(p)):
+        q, r = _split_prime_segment(p, s)
+        yield from zip(q.tolist(), r.tolist())
 
 
 def bernoulli_fraction_table(nmax):

@@ -296,6 +296,22 @@ def test_verify_p_past_the_limit_exits_2(tmp_path):
     assert elapsed < 2, f"refusal took {elapsed:.1f}s"
 
 
+@pytest.mark.parametrize("K, code", [(744, 0), (745, 2), (5000, 2), (20000, 2)])
+def test_verify_precision_limit(tmp_path, K, code):
+    # K*(p-1) <= 2^14: at p=23, K=744 verifies and K=745 is refused at load
+    # time.  Unrefused, K=5000 took about 5 s and K=20000 over 40 s.
+    doc = bundle_to_json(synthetic_unit_bundle(new_context(23), a=3, two_m=4, c=3))
+    path = write_bundle(tmp_path, dict(doc, K=K))
+    start = time.perf_counter()
+    r = run_cli("verify", "--json", "--file", path)
+    elapsed = time.perf_counter() - start
+    assert r.returncode == code, r.stderr
+    if code == 2:
+        assert r.stderr.startswith("error: bundle field 'K': must be at most 744 at p=23")
+        assert r.stdout == ""
+    assert elapsed < 10, f"verify at K={K} took {elapsed:.1f}s"
+
+
 def test_usage_errors_exit_2():
     assert run_cli().returncode == 2
     assert run_cli("nonsense").returncode == 2

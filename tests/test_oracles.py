@@ -5,7 +5,8 @@ uniformly random unit is almost never a local p-th power past depth p-1,
 so without the lean the True branch of the p-th power test would hardly
 be reached.  The multimodular norm is checked against the Bareiss
 determinant and sympy resultants on the kinds of element the verifier
-sees, and at the edge of each CRT modulus.  The bucketed unit projection
+sees, at the edges of the 16-bit limbs its residues are read from, and
+at the edge of each CRT modulus.  The bucketed unit projection
 is checked against the per-conjugate power loop, and the big-integer
 product kernel against the np.convolve fold on signed exact coefficients
 and on wide moduli.
@@ -34,11 +35,11 @@ from pisingular import (
     sigma_matrix,
 )
 from pisingular.padic import _pth_power_to_depth
-from pisingular.ring import _dtype_for, _fold_mul, _norm_bound, _split_primes
+from pisingular.ring import _dtype_for, _fold_mul, _norm_bound
 
 import oracles
 from oracles import _eigenspace_dimension
-from conftest import random_unit, seeded
+from conftest import random_unit, seeded, split_primes
 
 PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
 
@@ -236,6 +237,28 @@ def test_norm_matches_bareiss(p, data):
     assert norm_exact(a) == oracles.norm_bareiss(a)
 
 
+# 2^(16k) + d with d in {-1, 0, 1} sits on an edge of the 16-bit limbs the
+# residues are read from; k up to 260 makes the limb arrays, not the
+# evaluations, set the size of a block of primes.
+LIMB_EDGE = st.builds(
+    lambda k, d, sign: sign * (2 ** (16 * k) + d),
+    st.integers(0, 12) | st.integers(230, 260),
+    st.sampled_from([-1, 0, 1]),
+    st.sampled_from([1, -1]),
+)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@NORM_PROPERTY
+@given(data=st.data())
+def test_norm_matches_bareiss_at_limb_edges(p, data):
+    zero = ExactElement(p, [0] * (p - 1))
+    assert norm_exact(zero) == oracles.norm_bareiss(zero) == 0
+    coeffs = data.draw(st.lists(LIMB_EDGE | st.just(0), min_size=p - 1, max_size=p - 1))
+    a = ExactElement(p, coeffs)
+    assert norm_exact(a) == oracles.norm_bareiss(a)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 @NORM_PROPERTY
 @given(data=st.data())
@@ -276,7 +299,7 @@ def test_norm_just_below_each_crt_modulus(p):
     # n^(p-1) in (M_k/2, M_k) for the product M_k of the first k split
     # primes: the CRT needs all k primes (the bound equals the norm), and
     # the residue lies past M_k/2, so only the range [0, M_k) reads it back.
-    primes = _split_primes(p)
+    primes = split_primes(p)
     M = 1
     for k in range(1, 5):
         M *= next(primes)[0]

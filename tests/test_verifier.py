@@ -1,8 +1,11 @@
 """Bundle loading, claim checking, and the error taxonomy."""
 
+import functools
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pisingular import (
     BundleError,
@@ -12,6 +15,7 @@ from pisingular import (
     WitnessInvalidError,
     bundle_to_json,
     check_ppower_congruence,
+    cyclotomic_unit_exact,
     eigen_project_unit_exact,
     eigenvector_span_coords,
     lam,
@@ -30,6 +34,7 @@ from pisingular.ring import _P_LIMIT, _norm_bound
 from pisingular.verifier import (
     _COEFF_MAX_BITS,
     _COEFF_MAX_DIGITS,
+    _PRECISION_LIMIT,
     _decimal_int,
     _decimal_str,
 )
@@ -161,6 +166,42 @@ def test_load_bundle_accepts_the_largest_prime_below_the_limit():
     ctx = new_context(2039)
     b = load_bundle(good_doc(p=2039, mu=ctx.upow[2], B=["1"] * 2038))
     assert b.ctx.p == 2039
+
+
+@pytest.mark.parametrize("p", [7, 23, 101, 2039])
+def test_load_bundle_precision_limit(p):
+    # K*(p-1) may reach 2^14 and no further: K=2731 at p=7, 744 at p=23,
+    # 163 at p=101, 8 at p=2039.
+    assert _PRECISION_LIMIT == 2**14
+    kmax = _PRECISION_LIMIT // (p - 1)
+    ctx = new_context(p)
+    doc = good_doc(p=p, mu=ctx.upow[2], B=["1"] * (p - 1))
+    assert load_bundle(dict(doc, K=kmax)).K == kmax
+    for K in (kmax + 1, 5000, 20000, 10**40):
+        with pytest.raises(BundleError, match=f"'K': must be at most {kmax} at p={p}"):
+            load_bundle(dict(doc, K=K))
+
+
+def negative_bundle() -> CandidateBundle:
+    """A passing p=13 negative bundle with exact witnesses:
+    B = gamma * beta^7, eta = gamma^2 * beta, gamma real."""
+    ctx = new_context(13)
+    gamma = eigen_project_unit_exact(ctx, 2, 4) * 2**13
+    beta = cyclotomic_unit_exact(13, 2)
+    return CandidateBundle(
+        ctx=ctx, K=2, parity="negative", mu=ctx.upow[3], B=gamma * beta**7,
+        eta=gamma * gamma * beta, beta=beta,
+    )
+
+
+def test_negative_paths_share_the_reduction_of_B():
+    # verify_negative_candidate and verify_b_prime reduce B once between them
+    bundle = negative_bundle()
+    assert verify_negative_candidate(bundle).overall
+    Bq, v = bundle._B_reduced
+    assert Bq == bundle.B.reduce(bundle.ctx, 2) and v == valuation(Bq) == 0
+    assert verify_b_prime(bundle).overall
+    assert bundle._B_reduced[0] is Bq
 
 
 def test_load_bundle_witnesses_must_pair():
@@ -505,3 +546,64 @@ def test_norm_claim_prints_roots_past_4300_digits():
     norm = next(c for c in report.claims if c.claim_id == "norm-shape")
     assert norm.data["root"] == _decimal_str(c**6)
     assert norm.data["p_free_part_digits"] == 42 * 800 + 1
+
+
+# -- load_bundle on fuzzed JSON objects ------------------------------------
+
+_ODD_STRINGS = [
+    "12x", "0x1f", "1e5", "1.5", "", "-", "+-3", "NaN", "Infinity", "1 2",
+    "\u0663", "\u00b2", "9" * 50000, "-" + "9" * 40000,
+]
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.floats()
+    | st.text(max_size=8)
+    | st.integers(-(2**80), 2**80)
+    | st.sampled_from(_ODD_STRINGS)
+    | st.sampled_from([0, 1, 2, 3, 13, 2039, 2049, 2053, 10**30, -7, 2**14, 2**63, 2**14000])
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=7) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=10,
+)
+_FIELDS = ("p", "K", "parity", "mu", "B", "eta", "beta", "label", "extra")
+
+
+@functools.cache
+def _fuzz_bases() -> tuple[dict, dict]:
+    return good_doc(), bundle_to_json(negative_bundle())
+
+
+@st.composite
+def fuzzed_bundles(draw):
+    """A valid bundle with up to four fields deleted, replaced, or with one
+    list entry replaced, by arbitrary JSON values."""
+    doc = dict(draw(st.sampled_from(_fuzz_bases())))
+    for name in draw(st.lists(st.sampled_from(_FIELDS), max_size=4, unique=True)):
+        action = draw(st.sampled_from(["delete", "replace", "entry"]))
+        if action == "delete":
+            doc.pop(name, None)
+        elif action == "entry" and isinstance(doc.get(name), list) and doc[name]:
+            doc[name] = list(doc[name])
+            doc[name][draw(st.integers(0, len(doc[name]) - 1))] = draw(_JSON)
+        else:
+            doc[name] = draw(_JSON)
+    return doc
+
+
+@settings(
+    max_examples=400,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(doc=fuzzed_bundles(), as_text=st.booleans())
+def test_load_bundle_fuzz_raises_only_bundle_error(doc, as_text):
+    try:
+        bundle = load_bundle(json.dumps(doc) if as_text else doc)
+    except BundleError:
+        return
+    assert isinstance(bundle, CandidateBundle)
