@@ -14,13 +14,14 @@ and the formula is exact below the truncation cap K*(p-1).
 Valuations at or beyond the cap are reported as the sentinel CAP
 (math.inf), which is exactly the "element is 0 mod p^K" case.
 
-The unit predicates and the digit expansion are read off the same
-coefficients.  A rational integer changes only l_0, so a unit a is a p-th
-power c^p mod lam^depth iff every l_i with i >= 1 passes the minimum rule
-at depth, and, once depth > p-1, also l_0^(p-1) = 1 mod p^2 (the p-th
-powers among the 1-units of Z_p are 1 + p^2 Z_p).  Since p = -lam^(p-1)
-mod lam^p, the digit at position q*(p-1) + k of an element of exactly that
-valuation is (-1)^q * l_k / p^q mod p.
+The unit predicates are read off the same coefficients.  A rational
+integer changes only l_0, so a unit a is a p-th power c^p mod lam^depth iff
+every l_i with i >= 1 passes the minimum rule at depth, and, once
+depth > p-1, also l_0^(p-1) = 1 mod p^2 (the p-th powers among the 1-units
+of Z_p are 1 + p^2 Z_p).
+
+The digits need no lam-basis: since z = 1 mod lam, the next digit of r is
+r(1) mod p, and r minus it divides exactly by lam = z - 1 (see digits).
 """
 
 from __future__ import annotations
@@ -28,11 +29,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 from .context import PrimeContext
-from .ring import RingElement, _dtype_for, from_integer, lam, zeta
+from .ring import RingElement, _dtype_for, zeta
 
 __all__ = [
     "CAP",
@@ -60,16 +62,17 @@ def _pascal_pair(p: int, modulus: int):
     lam^i = (z - 1)^i; both are unit triangular, so the pair is exact.
     """
     n = p - 1
-    dtype = _dtype_for(modulus, p)
-    T = np.zeros((n, n), dtype=dtype)
-    U = np.zeros((n, n), dtype=dtype)
-    comb = [1]  # row C(j, .) built additively
+    T = np.zeros((n, n), dtype=_dtype_for(modulus, p))
+    row = np.zeros(n, dtype=T.dtype)  # C(j, .), one Pascal row per column
+    row[0] = 1
     for j in range(n):
-        for i in range(j + 1):
-            T[i, j] = comb[i]
-            # U[i, j] = (-1)^(j-i) C(j, i): z-coeffs = U @ lam-coeffs
-            U[i, j] = comb[i] if (j - i) % 2 == 0 else (-comb[i]) % modulus
-        comb = [1] + [(comb[k] + comb[k + 1]) % modulus for k in range(j)] + [1]
+        T[:, j] = row
+        row[1:] = (row[1:] + row[:-1]) % modulus
+    # U[i, j] = (-1)^(j-i) C(j, i): z-coeffs = U @ lam-coeffs
+    U = T.copy()
+    for odd in (U[1::2, ::2], U[::2, 1::2]):  # views on the entries with i+j odd
+        np.negative(odd, out=odd)
+        np.remainder(odd, modulus, out=odd)
     T.setflags(write=False)
     U.setflags(write=False)
     return T, U
@@ -133,40 +136,32 @@ class LambdaExpansion:
 
 
 def digits(a: RingElement, N: int) -> LambdaExpansion:
-    """N digits of a along powers of lam, each read off the lam-basis.
+    """N digits of a along powers of lam, each by one exact division by lam.
 
-    While the remainder r has valuation exactly i = q*(p-1) + k, its
-    coefficient l_k is p^q times a unit w, and the digit is (-1)^q * w mod p
-    (from p = -lam^(p-1) mod lam^p).  One valuation probe per nonzero digit
-    certifies that subtracting it clears position i.
+    Since z = 1 mod lam, the remainder r is r(1) mod lam, so its digit is
+    d = r(1) mod p.  With t = (r(1) - d)/p, the polynomial
+    r - d - t*Phi_p (one more slot, for z^(p-1)) equals r in the ring and
+    vanishes at 1 mod p^K, so it is (z - 1) r' with r' its negated prefix
+    sums: r = d + lam*r' exactly.  t is known only mod p^(K-1), so r' is
+    known only to one power of lam less than r, which is why N is capped
+    at K*(p-1).
     """
-    ctx, K, p = a.ctx, a.K, a.ctx.p
+    p, K, m = a.ctx.p, a.K, a.modulus
     nmax = K * (p - 1)
     if not (1 <= N <= nmax):
         raise ValueError(f"precision must lie in [1, {nmax}], got {N}")
-    v0 = valuation(a)
-    r = a
-    lam1 = lam(ctx, K)
-    lam_pow = from_integer(ctx, K, 1)
+    c = a.coeff_list()
     out = []
-    vcur = v0
-    for i in range(N):
-        if vcur >= i + 1:
-            out.append(0)
-        else:
-            q, k = divmod(i, p - 1)
-            d = (-1) ** q * (to_lambda_basis(r)[k] // p**q) % p
-            r = r - lam_pow * d
-            vcur = valuation(r)
-            if vcur < i + 1:
-                raise AssertionError(f"digit {d} did not clear position {i}")
-            out.append(d)
-        lam_pow = lam_pow * lam1
-    return LambdaExpansion(
-        digits=tuple(out),
-        valuation=v0 if v0 < N else CAP,
-        precision=N,
-    )
+    for _ in range(N):
+        s = sum(c) % m
+        d = s % p
+        t = (s - d) // p
+        c[0] -= d
+        # the slot for z^(p-1) holds -t and drops out of the quotient
+        c = [-x % m for x in accumulate(x - t for x in c)]
+        out.append(d)
+    first = next((i for i, d in enumerate(out) if d), CAP)
+    return LambdaExpansion(digits=tuple(out), valuation=first, precision=N)
 
 
 def _first_two_digits(a: RingElement) -> tuple[int, int]:

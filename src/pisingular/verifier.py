@@ -172,10 +172,11 @@ def _digits_to_int(d: str) -> int:
 def _decimal_int(s: str) -> int:
     """int(s) for decimal strings of up to _COEFF_MAX_DIGITS digits.
 
-    int() refuses more than 4300 digits (a process-wide limit, left alone
-    here), so longer strings of the form [+-]digits are converted in halves.
-    Raises BundleError over the digit cap and ValueError on a malformed
-    string.  It is also the json.loads parse_int hook of load_bundle.
+    Only [+-]?[0-9]+ in ASCII passes (int() also takes "1_000" and
+    non-ASCII digits), after strip().  int() refuses more than 4300 digits (a
+    process-wide limit, left alone here), so longer strings are converted in
+    halves.  Raises BundleError over the digit cap and ValueError on a
+    malformed string.  It is also the json.loads parse_int hook of load_bundle.
     """
     t = s.strip()
     digits = t[1:] if t[:1] in ("+", "-") else t
@@ -184,10 +185,10 @@ def _decimal_int(s: str) -> int:
             f"a decimal integer of {len(digits)} digits is over the limit of "
             f"{_COEFF_MAX_DIGITS} digits (2^{_COEFF_MAX_BITS} has that many)"
         )
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {_echo(s)}")
     if len(t) <= _INT_STR_CHUNK:
         return int(t)
-    if not digits.isdecimal():
-        raise ValueError(f"not a decimal integer: {_echo(s)}")
     return (-1 if t[0] == "-" else 1) * _digits_to_int(digits)
 
 

@@ -387,6 +387,8 @@ def test_verify_coefficients_past_4300_digits(tmp_path):
 def test_verify_malformed_and_oversized_coefficients_exit_2(tmp_path):
     for name, literal, message in (
         ("bad.json", '"' + "7" * 4999 + 'x"', "not a decimal integer"),
+        ("underscore.json", '"1_000"', "not a decimal integer"),
+        ("arabic.json", '"\\u0663"', "not a decimal integer"),
         ("over.json", '"' + "9" * (_COEFF_MAX_DIGITS + 1) + '"', "over the limit"),
         ("overlit.json", "9" * (_COEFF_MAX_DIGITS + 1), "over the limit"),
     ):

@@ -103,8 +103,9 @@ def test_pth_power_read_off_matches_candidate_loop(p, K, data):
 @given(data=st.data())
 def test_digits_read_off_matches_digit_scan(p, K, data):
     a = data.draw(lam_elements(p, K))
-    N = data.draw(st.integers(1, K * (p - 1)))
-    assert digits(a, N) == oracles.digits(a, N)
+    nmax = K * (p - 1)
+    for N in (data.draw(st.integers(1, nmax)), nmax):
+        assert digits(a, N) == oracles.digits(a, N), N
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
@@ -142,8 +143,10 @@ def test_object_dtype_invert_and_digits():
     inv = a.invert()
     assert inv == oracles.invert(a)
     assert (a * inv).coeff_list() == [1] + [0] * 101
-    N = ctx.p + 1  # reaches digit positions p-1 and p, where q = 1
-    assert digits(a, N) == oracles.digits(a, N)
+    # p+1 reaches positions p-1 and p, where q = 1; K(p-1) is the whole
+    # precision budget
+    for N in (ctx.p + 1, K * (ctx.p - 1)):
+        assert digits(a, N) == oracles.digits(a, N), N
 
 
 def _permutation_matrix(p: int, u: int) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Valuation, digit expansion, and the unit predicates at the ramified prime."""
 
 import itertools
+import math
 
+import numpy as np
 import pytest
 
 from pisingular import (
@@ -20,6 +22,8 @@ from pisingular import (
     valuation,
     zeta,
 )
+from pisingular.padic import _pascal_pair
+from pisingular.ring import _dtype_for
 
 from conftest import random_element, random_unit, seeded
 
@@ -29,6 +33,25 @@ def test_lambda_basis_examples(ctx5):
     assert to_lambda_basis(zeta(ctx5, K)) == [1, 1, 0, 0]  # z = 1 + lam
     assert to_lambda_basis(from_integer(ctx5, K, 7)) == [7, 0, 0, 0]
     assert to_lambda_basis(zeta(ctx5, K, 2)) == [1, 2, 1, 0]  # (1+lam)^2
+
+
+@pytest.mark.parametrize("p, K", [(5, 2), (37, 2), (103, 4), (257, 1)])
+def test_pascal_pair_matches_binomials(p, K):
+    m = p**K
+    T, U = _pascal_pair(p, m)
+    dtype = _dtype_for(m, p)
+    assert T.dtype == U.dtype == dtype
+    assert not T.flags.writeable and not U.flags.writeable
+    n = p - 1
+    want_T = np.array(
+        [[math.comb(j, i) % m for j in range(n)] for i in range(n)], dtype=dtype
+    )
+    want_U = np.array(
+        [[(-1) ** (i + j) * math.comb(j, i) % m for j in range(n)] for i in range(n)],
+        dtype=dtype,
+    )
+    assert (T == want_T).all() and (U == want_U).all()
+    assert ((T @ U) % m == np.eye(n, dtype=np.int64)).all()
 
 
 def test_lambda_round_trip_random():

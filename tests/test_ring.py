@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pisingular import (
     ExactElement,
@@ -216,6 +218,25 @@ def test_exact_reduce_commutes_with_mul():
             bc = [rng.randrange(-1000, 1000) for _ in range(p - 1)]
             xa, xb = ExactElement(p, ac), ExactElement(p, bc)
             assert (xa * xb).reduce(ctx, 2) == xa.reduce(ctx, 2) * xb.reduce(ctx, 2)
+
+
+@pytest.mark.parametrize(
+    "p, K, dtype", [(5, 2, np.int64), (5, 12, np.int64), (5, 13, object), (7, 11, object)]
+)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_exact_reduce_commutes_with_ring_ops(p, K, dtype, data):
+    # (5, 12) is the widest int64 modulus at p=5 and (5, 13) the first object one
+    ctx = new_context(p)
+    coeffs = st.lists(st.integers(-(2**40), 2**40), min_size=p - 1, max_size=p - 1)
+    xa, xb = ExactElement(p, data.draw(coeffs)), ExactElement(p, data.draw(coeffs))
+    a, b = xa.reduce(ctx, K), xb.reduce(ctx, K)
+    assert a.coeffs.dtype == dtype
+    e = data.draw(st.integers(0, 6))
+    j = data.draw(st.integers(1, p - 1))
+    assert (xa * xb).reduce(ctx, K) == a * b
+    assert (xa**e).reduce(ctx, K) == a**e
+    assert xa.galois_apply(j).reduce(ctx, K) == a.galois_apply(j)
 
 
 def test_norm_examples():

@@ -145,6 +145,8 @@ def test_load_bundle_field_validation():
         ({"B": "111111"}, "expected a list"),
         ({"B": [True] + ["1"] * 5}, "entry 0 must be an integer"),
         ({"B": ["12x"] + ["1"] * 5}, "not a decimal integer"),
+        ({"B": ["1_000"] + ["1"] * 5}, "not a decimal integer"),
+        ({"B": ["\u0663"] + ["1"] * 5}, "not a decimal integer"),
         ({"label": 7}, "'label': must be a string"),
     ]
     for over, msg in cases:
