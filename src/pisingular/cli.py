@@ -16,9 +16,10 @@ import sys
 from .context import is_prime, new_context
 from .eigen import canonical_eigenvector
 from .padic import digits
-from .ring import RingElement
+from .ring import _P_LIMIT, RingElement
 from .units import eigen_project_unit, verify_unit_relation
 from .verifier import (
+    _PRECISION_LIMIT,
     BundleError,
     PreconditionError,
     VerdictReport,
@@ -55,8 +56,28 @@ def _resolve_seed(arg_seed: int | None) -> int:
     return 1
 
 
+def _below_p_limit(flag: str, value: int) -> None:
+    if value >= _P_LIMIT:
+        raise PreconditionError(
+            f"{flag} must be below {_P_LIMIT}, the limit of bundles and of the exact norm, "
+            f"got {value}"
+        )
+
+
+def _context(p: int, u: int | None = None, K: int | None = None):
+    """new_context(p, u), after the size limits on p and on K*(p-1)."""
+    _below_p_limit("--p", p)
+    ctx = new_context(p, u)
+    if K is not None and K * (p - 1) > _PRECISION_LIMIT:
+        raise PreconditionError(
+            f"--K must be at most {_PRECISION_LIMIT // (p - 1)} at p={p}, "
+            f"so that K*(p-1) <= {_PRECISION_LIMIT}, got {K}"
+        )
+    return ctx
+
+
 def _cmd_ctx(args) -> int:
-    ctx = new_context(args.p, args.u)
+    ctx = _context(args.p, args.u)
     uindex = [None if i < 0 else i for i in ctx.uindex]
     payload = {
         "p": ctx.p,
@@ -80,6 +101,7 @@ def _cmd_ctx(args) -> int:
 
 
 def _cmd_irregular(args) -> int:
+    _below_p_limit("--max", args.max)
     pairs = []
     scanned = []
     for p in range(3, args.max + 1, 2):
@@ -100,7 +122,7 @@ def _cmd_irregular(args) -> int:
 
 
 def _cmd_eigen(args) -> int:
-    ctx = new_context(args.p)
+    ctx = _context(args.p)
     mus = list(range(2, ctx.p)) if args.all else [args.mu]
     reports = [canonical_eigenvector(ctx, mu) for mu in mus]
     ok = all(r.matches_closed_form for r in reports)
@@ -116,7 +138,7 @@ def _cmd_eigen(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    ctx = new_context(args.p)
+    ctx = _context(args.p, K=args.K)
     parts = [s.strip() for s in args.coeffs.split(",")]
     if len(parts) != ctx.p - 1:
         raise PreconditionError(
@@ -142,7 +164,7 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_ppower(args) -> int:
-    ctx = new_context(args.p)
+    ctx = _context(args.p, K=args.K)
     seed = _resolve_seed(args.seed)
     report = check_ppower_congruence(ctx, K=args.K, trials=args.trials, seed=seed)
     payload = report.to_json_dict()
@@ -158,7 +180,7 @@ def _cmd_ppower(args) -> int:
 
 
 def _cmd_units(args) -> int:
-    ctx = new_context(args.p)
+    ctx = _context(args.p, K=args.K)
     if args.all:
         two_ms = list(range(2, ctx.p - 2, 2))
     else:

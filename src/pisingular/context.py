@@ -5,12 +5,16 @@ with a fixed primitive root u mod p.  The context precomputes the power
 table u_i = u^i mod p and its inverse (a discrete-log table), which realize
 the automorphism group of the degree p-1 cyclotomic extension as exponent
 arithmetic mod p-1.  It also computes Bernoulli numbers mod p for the even
-indices 2 <= 2m <= p-3 and reports the irregular index pairs B_{2m} == 0.
+indices 2 <= 2m <= p-3, from sum_{a=1}^{p-1} a^(2m) = p*B_{2m} (mod p^2)
+(Ireland & Rosen, ch. 15), and reports the irregular pairs B_{2m} == 0.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
+
+import numpy as np
 
 __all__ = [
     "PrimeContext",
@@ -22,6 +26,10 @@ __all__ = [
 # Fixed witness set: Miller-Rabin with these bases is deterministic for all
 # n < 3_317_044_064_679_887_385_961_981, far above the supported range.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# The Bernoulli table multiplies int64 residues mod p^2, so it needs p^4 < 2^63:
+# p < 55109.  No command goes past p = 2049 (ring._P_LIMIT).
+_BERNOULLI_P_LIMIT = math.isqrt(math.isqrt(2**63 - 1)) + 1
 
 
 def is_prime(n: int) -> bool:
@@ -144,27 +152,17 @@ class PrimeContext:
 
     @cached_property
     def _bernoulli_table(self) -> tuple[int, ...]:
-        # B_m mod p for 0 <= m <= p-3 via the standard recurrence
-        # sum_{j=0}^{m} C(m+1, j) B_j = 0.  Every inverse taken is of
-        # m+1 <= p-2, a unit mod p, so the classical denominators at the
-        # von Staudt-Clausen poles are never touched.
+        # B_k mod p at index k/2 - 1: the power sum mod p^2 is p * B_k, and
+        # a^k advances by a^2 for all a at once, each product below p^4
         p = self.p
-        nmax = p - 3
-        table = [0] * (nmax + 1)
-        if nmax >= 0:
-            table[0] = 1
-        row = [1]  # Pascal row C(k, .) mod p, advanced as needed
-        for m in range(1, nmax + 1):
-            while len(row) < m + 2:
-                row = (
-                    [1]
-                    + [(row[i] + row[i + 1]) % p for i in range(len(row) - 1)]
-                    + [1]
-                )
-            acc = 0
-            for j in range(m):
-                acc = (acc + row[j] * table[j]) % p
-            table[m] = -acc * pow(m + 1, -1, p) % p
+        if p >= _BERNOULLI_P_LIMIT:
+            raise ValueError(f"Bernoulli numbers mod p need p < {_BERNOULLI_P_LIMIT}, got {p}")
+        m = p * p
+        power = a2 = np.arange(1, p, dtype=np.int64) ** 2 % m
+        table = []
+        for _ in range(2, p - 2, 2):
+            table.append(int(power.sum()) % m // p)
+            power = power * a2 % m
         return tuple(table)
 
     def bernoulli_mod_p(self, two_m: int) -> int:
@@ -174,15 +172,11 @@ class PrimeContext:
                 f"bernoulli_mod_p: index must be even in [2, {self.p - 3}], "
                 f"got {two_m}"
             )
-        return self._bernoulli_table[two_m]
+        return self._bernoulli_table[two_m // 2 - 1]
 
     def irregular_pairs(self) -> list[int]:
         """Even indices 2m in [2, p-3] with B_{2m} == 0 mod p."""
-        return [
-            m
-            for m in range(2, self.p - 2, 2)
-            if self._bernoulli_table[m] == 0
-        ]
+        return [2 * i + 2 for i, b in enumerate(self._bernoulli_table) if b == 0]
 
 
 def new_context(p: int, u: int | None = None) -> PrimeContext:

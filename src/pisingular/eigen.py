@@ -11,7 +11,7 @@ one-dimensional eigenspace spanned by the closed-form vector
 This module builds those eigenvectors from the closed form, solves the
 first-order recurrence the eigen equation imposes on the coefficient list,
 and exposes the digit-expansion matcher that recognizes elements congruent
-to 1 - delta * e_mu to a requested depth.
+to 1 - delta * e_mu to a requested depth by one linear solve mod p.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import PrimeContext
-from .padic import valuation
+from .padic import _require_unit, to_lambda_basis, valuation
 from .ring import RingElement, from_integer, zeta
 
 __all__ = [
@@ -189,27 +189,23 @@ def expansion_matches(
 ) -> tuple[bool, int | None]:
     """Test a = 1 - delta * e_mu mod lam^depth; return (matched, delta).
 
-    delta is solved from the z^1 coordinate of a - 1 (the e_mu coordinate
-    there is 1), then certified by a valuation probe.  At full depth p-1
-    that candidate is the only possible one; at smaller depths the
-    remaining residues are scanned before reporting a mismatch.
+    With w, e the lam-coefficients of a - 1 and e_mu at K=1 (the digits),
+    it is w_i + delta * e_i = 0 mod p for i < depth: delta is solved at the
+    first i with e_i != 0 and checked on the rest.  If e vanishes below
+    depth, any delta matches (0 is reported) when w does.  v(e_mu) < p-1,
+    so at depth p-1 a matching delta is unique.
     """
     ctx, p = a.ctx, a.ctx.p
-    v = valuation(a)
-    if v != 0:
-        raise ValueError(f"expansion_matches: element must be a unit, valuation is {v}")
+    _require_unit(a, "expansion_matches")
     if depth is None:
         depth = p - 1
     if not (1 <= depth <= p - 1):
         raise ValueError(f"depth must lie in [1, {p - 1}], got {depth}")
-    a1 = a.truncate(1)
-    e1 = eigenvector_element(ctx, 1, mu % p)
-    w = a1 - from_integer(ctx, 1, 1)
-    delta0 = (-span_coords(w)[0]) % p
-    cands = [delta0]
-    if depth < p - 1:
-        cands += [d for d in range(p) if d != delta0]
-    for d in cands:
-        if valuation(w + e1 * d) >= depth:
-            return True, d
+    w = to_lambda_basis(a.truncate(1))[:depth]
+    w[0] -= 1
+    e = to_lambda_basis(eigenvector_element(ctx, 1, mu % p))[:depth]
+    s = next((i for i, x in enumerate(e) if x), None)
+    delta = 0 if s is None else -w[s] * pow(e[s], -1, p) % p
+    if all((x + delta * y) % p == 0 for x, y in zip(w, e)):
+        return True, delta
     return False, None

@@ -171,18 +171,18 @@ def _first_two_digits(a: RingElement) -> tuple[int, int]:
     return l[0] % a.ctx.p, l[1] % a.ctx.p
 
 
+def _is_unit(a: RingElement) -> bool:
+    return int(a.coeffs.sum()) % a.ctx.p != 0  # l_0 = a(1): row 0 of T is all ones
+
+
 def is_semi_primary(a: RingElement) -> bool:
     """True iff a is a unit congruent to a rational integer mod lam^2."""
-    if valuation(a) != 0:
-        return False
-    _, d1 = _first_two_digits(a)
-    return d1 == 0
+    return _is_unit(a) and to_lambda_basis(a)[1] % a.ctx.p == 0
 
 
 def _require_unit(a: RingElement, opname: str) -> None:
-    v = valuation(a)
-    if v != 0:
-        raise ValueError(f"{opname}: element must be a unit, valuation is {v}")
+    if not _is_unit(a):
+        raise ValueError(f"{opname}: element must be a unit, valuation is {valuation(a)}")
 
 
 def _pth_power_to_depth(a: RingElement, depth: int) -> bool:

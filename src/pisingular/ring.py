@@ -529,8 +529,9 @@ def _norm_residues(coeffs, p: int, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     """N(B) mod q for every prime q, as the product of B(r^j), j = 1 .. p-1.
 
     Blocks of primes share each numpy call; a block's (rows, p) and
-    (rows, limbs) arrays, and each (rows, p-1, p-1) gather of its
-    sub-blocks, stay within _BLOCK_BYTES.  Per block:
+    (rows, limbs) arrays, each gather and each slice of the exponent table
+    stay within _BLOCK_BYTES.  Up to p = 181 a gather takes every j for a
+    sub-block of primes; past it, one prime's j in chunks.  Per block:
       * B mod q from 16-bit limbs: b = sum_t l_t (2^(16t) mod q).  Terms are
         below 2^42 and a coefficient has at most about 2^17 bits (it fits
         the norm bound), so the sums stay far below 2^63.
@@ -545,10 +546,11 @@ def _norm_residues(coeffs, p: int, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     limbs = np.frombuffer(raw, dtype="<u2").reshape(n, T).T.astype(np.int64)
     limbs *= np.array([-1 if c < 0 else 1 for c in coeffs], dtype=np.int64)  # signed like c
     rows = max(1, _BLOCK_BYTES // (8 * max(p, T)))
-    sub = max(1, _BLOCK_BYTES // (8 * n * n))
+    chunk = min(n, max(1, _BLOCK_BYTES // (8 * n)))  # j per gather
+    sub = max(1, _BLOCK_BYTES // (8 * chunk * n))  # primes per gather
     width = 1 << (n - 1).bit_length()
-    table = np.arange(n) * np.arange(1, p)[:, None] % p  # (i*j) mod p at [j-1, i]
-    gathered = np.empty((min(sub, q.size), n, n), dtype=np.int64)
+    i = np.arange(n)
+    gathered = np.empty((min(sub, q.size), chunk, n), dtype=np.int64)
     out = np.empty(q.size, dtype=np.int64)
     for a in range(0, q.size, rows):
         qb, rb = q[a : a + rows], r[a : a + rows]
@@ -556,10 +558,15 @@ def _norm_residues(coeffs, p: int, q: np.ndarray, r: np.ndarray) -> np.ndarray:
         b = _powers(qb, np.full(qb.size, 1 << 16), T) @ limbs % qc
         powers = _powers(qb, rb, p)
         prod = np.ones((qb.size, width), dtype=np.int64)
-        for c in range(0, qb.size, sub):
-            block = powers[c : c + sub]
-            g = np.take(block, table, axis=1, out=gathered[: block.shape[0]], mode="clip")
-            prod[c : c + sub, :n] = np.einsum("tji,ti->tj", g, b[c : c + sub])
+        for j in range(0, n, chunk):
+            js = np.arange(j + 1, min(j + chunk, n) + 1)
+            table = np.multiply.outer(js, i)
+            table %= p  # (i*j) mod p at [j, i]
+            for c in range(0, qb.size, sub):
+                block = powers[c : c + sub]
+                g = gathered[: block.shape[0], : js.size]
+                np.take(block, table, axis=1, out=g, mode="clip")
+                prod[c : c + sub, j : j + js.size] = np.einsum("tji,ti->tj", g, b[c : c + sub])
         prod[:, :n] %= qc
         while prod.shape[1] > 1:
             h = prod.shape[1] // 2

@@ -160,6 +160,10 @@ _INT_STR_CHUNK = 4000  # digits int() and str() convert under CPython's 4300 lim
 # (p=23: K=744; p=101: K=163), against 5 s at p=23, K=5000; past p=1000 the
 # cost is mostly p itself (p=2039: 2 s at K=2, 4 s at K=8).
 _PRECISION_LIMIT = 2**14
+# The p-th power campaign may have up to 10^4 trials.  A trial costs 0.17 ms
+# at p=7, 0.55 ms at p=101 and 1.9 ms at p=257 (K=2), so a campaign at the
+# cap takes 2 s, 6 s and 19 s; the default is 1000.
+_TRIALS_LIMIT = 10**4
 
 
 def _digits_to_int(d: str) -> int:
@@ -411,6 +415,10 @@ def check_ppower_congruence(
     p = ctx.p
     if trials < 1:
         raise PreconditionError(f"check needs at least one trial, got {trials}")
+    if trials > _TRIALS_LIMIT:
+        raise PreconditionError(
+            f"check takes at most {_TRIALS_LIMIT} trials, got {trials}"
+        )
     if K * (p - 1) < p + 1:
         raise PreconditionError(
             f"check needs depth {p + 1}; K={K} caps at {K * (p - 1)}"

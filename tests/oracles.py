@@ -1,7 +1,8 @@
 """Brute-force routes kept as test oracles for the closed forms in src/.
 
 Each function here is the search, elimination or schoolbook route the
-package used before its closed form or its faster method: Gauss-Jordan
+package used before its closed form or its faster method: the mod-p
+Bernoulli recurrence sum_j C(m+1, j) B_j = 0 over Pascal rows, Gauss-Jordan
 inversion over the local ring, the p^j candidate loop for rational p-th
 powers, the p-candidate digit scan, the F_p nullspace of the Galois
 permutation matrix and the cycle count that read its dimension off, the
@@ -29,6 +30,27 @@ from pisingular import (
 from pisingular.padic import _first_two_digits, to_lambda_basis
 from pisingular.ring import _dtype_for
 from pisingular.units import _projection_exponents
+
+
+def bernoulli_table(p: int) -> list[int]:
+    """B_m mod p for 0 <= m <= p-3 by the recurrence sum_{j<=m} C(m+1, j) B_j = 0.
+
+    Every inverse taken is of m+1 <= p-2, a unit mod p, so the classical
+    denominators at the von Staudt-Clausen poles are never touched.
+    """
+    nmax = p - 3
+    table = [0] * (nmax + 1)
+    if nmax >= 0:
+        table[0] = 1
+    row = [1]  # Pascal row C(k, .) mod p, advanced as needed
+    for m in range(1, nmax + 1):
+        while len(row) < m + 2:
+            row = [1] + [(row[i] + row[i + 1]) % p for i in range(len(row) - 1)] + [1]
+        acc = 0
+        for j in range(m):
+            acc = (acc + row[j] * table[j]) % p
+        table[m] = -acc * pow(m + 1, -1, p) % p
+    return table
 
 
 def _mult_matrix_mod(coeffs, p: int, modulus: int):

@@ -312,6 +312,40 @@ def test_verify_precision_limit(tmp_path, K, code):
     assert elapsed < 10, f"verify at K={K} took {elapsed:.1f}s"
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("ctx", "--p", "20011"), "--p must be below 2049"),
+        (("eigen", "--p", "20011", "--mu", "2"), "--p must be below 2049"),
+        (("irregular", "--max", "100000"), "--max must be below 2049"),
+        (("irregular", "--max", "2049"), "--max must be below 2049"),
+        (("ppower", "--p", "7", "--K", "100000"), "--K must be at most 2730 at p=7, so that K*(p-1) <= 16384"),
+        (("ppower", "--p", "7", "--K", "2731", "--trials", "1"), "--K must be at most 2730"),
+        (("ppower", "--p", "7", "--trials", "1000000000"), "check takes at most 10000 trials"),
+        (("ppower", "--p", "7", "--trials", "10001"), "check takes at most 10000 trials"),
+        (("units", "--p", "13", "--two-m", "2", "--K", "1366"), "--K must be at most 1365 at p=13"),
+        (("expand", "--p", "5", "--coeffs", "1,2,3,4", "--K", "4097"), "--K must be at most 4096 at p=5"),
+    ],
+)
+def test_size_limits_exit_2_at_once(args, message):
+    # Unrefused, ctx and eigen at p=20011 and irregular --max 100000 ran
+    # past 10 s; ppower would run for its whole trial count.
+    start = time.perf_counter()
+    r = run_cli(*args)
+    elapsed = time.perf_counter() - start
+    assert r.returncode == 2
+    assert r.stderr.startswith(f"error: {message}"), r.stderr
+    assert r.stdout == ""
+    assert elapsed < 2, f"refusal took {elapsed:.1f}s"
+
+
+def test_size_limits_admit_their_edge():
+    assert run_cli("ppower", "--p", "7", "--K", "2730", "--trials", "1").returncode == 0
+    assert run_cli("ppower", "--p", "3", "--trials", "10000").returncode == 0
+    r = run_cli("expand", "--p", "5", "--coeffs", "1,2,3,4", "--K", "4096", "--precision", "16384")
+    assert r.returncode == 0
+
+
 def test_usage_errors_exit_2():
     assert run_cli().returncode == 2
     assert run_cli("nonsense").returncode == 2

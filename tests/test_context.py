@@ -6,7 +6,9 @@ import pytest
 import sympy
 
 from pisingular import is_prime, new_context, smallest_primitive_root
+from pisingular.context import _BERNOULLI_P_LIMIT
 
+import oracles
 from conftest import bernoulli_fraction_table
 
 
@@ -120,6 +122,40 @@ def test_bernoulli_against_sympy():
             frac = Fraction(sympy.Rational(sympy.bernoulli(two_m)))
             expected = (frac.numerator * pow(frac.denominator, -1, p)) % p
             assert ctx.bernoulli_mod_p(two_m) == expected
+
+
+@pytest.mark.parametrize(
+    "p", [p for p in range(3, 500) if is_prime(p)] + [997, 2039]
+)
+def test_bernoulli_power_sums_match_recurrence_oracle(p):
+    ctx = new_context(p)
+    table = oracles.bernoulli_table(p)
+    got = [ctx.bernoulli_mod_p(k) for k in range(2, p - 2, 2)]
+    assert got == table[2 : p - 2 : 2]
+    assert ctx.irregular_pairs() == [k for k in range(2, p - 2, 2) if table[k] == 0]
+
+
+def test_irregular_pairs_below_300_match_the_classical_table():
+    pairs = [
+        (p, k) for p in range(3, 300) if is_prime(p) for k in new_context(p).irregular_pairs()
+    ]
+    assert pairs == [
+        (37, 32), (59, 44), (67, 58), (101, 68), (103, 24), (131, 22), (149, 130),
+        (157, 62), (157, 110), (233, 84), (257, 164), (263, 100), (271, 84),
+        (283, 20), (293, 156),
+    ]
+
+
+def test_bernoulli_refused_past_the_int64_limit():
+    # the running products a^k * a^2 mod p^2 stay below p^4
+    assert (_BERNOULLI_P_LIMIT - 1) ** 4 < 2**63 <= _BERNOULLI_P_LIMIT**4
+    p = next(n for n in range(55109, 55200) if is_prime(n))
+    assert p == _BERNOULLI_P_LIMIT == 55109
+    ctx = new_context(p)
+    with pytest.raises(ValueError, match="p < 55109"):
+        ctx.bernoulli_mod_p(2)
+    with pytest.raises(ValueError, match="p < 55109"):
+        ctx.irregular_pairs()
 
 
 def test_bernoulli_rejects_bad_index():

@@ -176,27 +176,40 @@ def test_expansion_matches_negative_case(ctx5):
 
 
 def test_expansion_matches_enumeration_oracle():
-    """Compare against trying every residue delta directly."""
+    """Compare against trying every residue delta directly, at every depth.
+
+    Half the inputs are 1 - d * e_mu + lam^k * x, which match to depth k,
+    so the matched branch is reached at every depth and not only at 1; k is
+    p-1, an exact match, half the time.
+    """
     rng = seeded(79)
-    for p in (5, 7):
+    for p in (5, 7, 11, 13):
         ctx = new_context(p)
         one = from_integer(ctx, 1, 1)
+        full_matches = 0
         for _ in range(20):
-            a = random_unit(ctx, 1, rng)
             mu = rng.randrange(2, p)
-            depth = rng.randrange(1, p)
             e = eigenvector_element(ctx, 1, mu)
-            witness = set()
-            for d in range(p):
-                v = valuation(a - one + e * d)
-                if v is CAP or v >= depth:
-                    witness.add(d)
-            matched, delta = expansion_matches(a, mu, depth)
-            assert matched == bool(witness), (p, mu, depth)
-            if matched:
-                assert delta in witness
+            if rng.randrange(2):
+                a = random_unit(ctx, 1, rng)
             else:
-                assert delta is None
+                k = rng.choice((rng.randrange(1, p), p - 1))  # lam^(p-1) = 0 mod p
+                x = random_unit(ctx, 1, rng)
+                a = one - e * rng.randrange(p) + lam(ctx, 1) ** k * x
+            vals = [valuation(a - one + e * d) for d in range(p)]
+            for depth in range(1, p):
+                witness = {d for d, v in enumerate(vals) if v is CAP or v >= depth}
+                matched, delta = expansion_matches(a, mu, depth)
+                assert matched == bool(witness), (p, mu, depth)
+                if matched:
+                    assert delta in witness
+                else:
+                    assert delta is None
+            matched, delta = expansion_matches(a, mu)
+            if matched:  # full depth: the match is unique
+                assert witness == {delta}
+                full_matches += 1
+        assert full_matches, p
 
 
 def test_expansion_matches_shallow_depth_scan(ctx5):

@@ -9,7 +9,8 @@ sees, at the edges of the 16-bit limbs its residues are read from, and
 at the edge of each CRT modulus.  The bucketed unit projection
 is checked against the per-conjugate power loop, and the big-integer
 product kernel against the np.convolve fold on signed exact coefficients
-and on wide moduli.
+and on wide moduli.  The unit test by the coefficient sum a(1) is checked
+against the valuation.
 """
 
 import math
@@ -30,11 +31,16 @@ from pisingular import (
     eigen_project_unit_exact,
     from_lambda_basis,
     is_locally_pth_power,
+    is_semi_primary,
+    lam,
     new_context,
     norm_exact,
+    semi_primary_normalize,
     sigma_matrix,
+    valuation,
 )
-from pisingular.padic import _pth_power_to_depth
+from pisingular import padic
+from pisingular.padic import _first_two_digits, _pth_power_to_depth
 from pisingular.ring import _dtype_for, _fold_mul, _norm_bound
 
 import oracles
@@ -106,6 +112,21 @@ def test_digits_read_off_matches_digit_scan(p, K, data):
     nmax = K * (p - 1)
     for N in (data.draw(st.integers(1, nmax)), nmax):
         assert digits(a, N) == oracles.digits(a, N), N
+
+
+@pytest.mark.parametrize("p, K", GRID)
+@PROPERTY
+@given(data=st.data())
+def test_unit_by_coefficient_sum_matches_valuation(p, K, data):
+    a = data.draw(lam_elements(p, K))
+    if data.draw(st.booleans()):
+        a = a * lam(a.ctx, K)
+    v = valuation(a)
+    assert padic._is_unit(a) == (v == 0)
+    assert is_semi_primary(a) == (v == 0 and _first_two_digits(a)[1] == 0)
+    if v != 0:
+        with pytest.raises(ValueError, match=f"must be a unit, valuation is {v}$"):
+            semi_primary_normalize(a)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])

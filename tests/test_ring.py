@@ -1,6 +1,7 @@
 """Ring arithmetic mod p^K and exact, cross-checked against sympy."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,6 +271,31 @@ def test_norm_multiplicative():
             a = ExactElement(p, [rng.randrange(-5, 6) for _ in range(p - 1)])
             b = ExactElement(p, [rng.randrange(-5, 6) for _ in range(p - 1)])
             assert norm_exact(a * b) == norm_exact(a) * norm_exact(b)
+
+
+@pytest.mark.parametrize("p", [191, 263])
+def test_norm_of_binomials_past_the_whole_gather(p):
+    # N(a + b z) = (a^p + b^p)/(a + b) for odd p.  From p = 191 on a prime's
+    # evaluations are gathered in chunks of j; at p = 263 the last chunk is
+    # partial.
+    for a, b in ((3, 1), (2**40 + 1, -(3**20)), (-7, 2**33)):
+        x = ExactElement(p, [a, b] + [0] * (p - 3))
+        assert norm_exact(x) == (a**p + b**p) // (a + b)
+
+
+def test_norm_memory_stays_bounded_at_p2039():
+    # one prime's (p-1)^2 gather and the (i*j) mod p table used to take
+    # 2 * 33 MB here; chunks of j keep each temporary within 256 KB
+    p = 2039
+    x = ExactElement(p, [3, 1] + [0] * (p - 3))
+    tracemalloc.start()
+    try:
+        N = norm_exact(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert N == (3**p + 1) // 4
+    assert peak < 4 * 2**20
 
 
 def test_norm_rejects_truncated(ctx5):
