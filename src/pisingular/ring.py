@@ -12,15 +12,29 @@ Two element types:
   * ExactElement -- coefficients are arbitrary Python integers; no
                     truncation ever happens.  Norms are only defined here.
 
-Products of int64 vectors (moduli with 8 * p * (p^K - 1)^2 < 2^63) use
-np.convolve.  Products of object-dtype vectors -- wider moduli and exact
-coefficients -- use one big-integer multiplication (Kronecker
-substitution): each vector becomes one Python int with a slot of w bytes
-per coefficient, where w is the least width with
-(p-1) * max|a| * max|b| < 2^(8w-1).  Every product coefficient is below
-that bound in absolute value, so after a bias of 2^(8w-1) per slot each
-one sits in its own slot with no carry into the next: the slots read back
-exactly, signs included, and are then folded by z^p = 1 and Phi_p.
+Products mod p^K take one of three routes, fixed once per (p, p^K) by
+_route.  With m = p^K, every coefficient of the folded product of two
+reduced vectors is a sum of at most p-1 products a_i * b_j in [0, (m-1)^2],
+so it is at most (p-1) * (m-1)^2:
+
+  * "int64"  -- (p-1) * (m-1)^2 < 2^63: np.convolve on int64 vectors, with
+                no overflow anywhere.
+  * "float"  -- (p-1) * (m-1)^2 < 2^53 and p at or past the measured
+                crossover: np.convolve on float64 copies (a BLAS dot product
+                per output).  Every product and every partial sum is an
+                integer below 2^53, so each is exact in float64 in any
+                summation order, with or without FMA, and the result casts
+                back to int64 unchanged.
+  * "object" -- wider moduli, and exact coefficients: one big-integer
+                multiplication (Kronecker substitution).  Each vector
+                becomes one Python int with a slot of w bytes per
+                coefficient, where w is the least width with
+                (p-1) * max|a| * max|b| < 2^(8w-1).  Every product
+                coefficient is below that bound in absolute value, so after
+                a bias of 2^(8w-1) per slot each one sits in its own slot
+                with no carry into the next: the slots read back exactly,
+                signs included.
+The full product is then folded by z^p = 1 and Phi_p.
 
 norm_exact computes N(B) from residues at primes q = 1 (mod p) below 2^26,
 where Phi_p splits, in three steps: a segmented sieve over m finds the
@@ -55,11 +69,40 @@ __all__ = [
 ]
 
 
+# The float64 convolution beats the int64 one from about this p on; see _fold_mul.
+_FLOAT_MIN_P = 80
+
+
+@functools.lru_cache(maxsize=1024)
+def _route(modulus: int, p: int) -> str:
+    """How products mod modulus at prime p are formed: "float", "int64" or
+    "object" (see _fold_mul).  Chosen once per (modulus, p).
+
+    With m = modulus, the int64 arithmetic on reduced coefficients is exact
+    iff (p-1) * (m-1)^2 < 2^63:
+      * each convolution coefficient is a sum of at most p-1 products
+        a_i * b_j, each in [0, (m-1)^2];
+      * after z^p = 1, each folded slot ext[k] is still such a sum of at
+        most p-1 products: each i meets at most one j with i+j = k (mod p);
+      * ext[:p-1] - ext[p-1] is a difference of two values in [0, 2^63), so
+        it stays inside +-2^63.
+    The same bound covers every other int64 product of residues: T @ coeffs
+    in padic.to_lambda_basis and from_lambda_basis (p-1 products of
+    binomials mod m by coefficients), coeffs * c % m, and _fold_galois
+    (which only permutes and subtracts coefficients).  Below 2^53 the same
+    sums are exact in float64, which _fold_mul uses at or past _FLOAT_MIN_P.
+    (Brent and Zimmermann, Modern Computer Arithmetic, ch. 1-2, treat such
+    exact products of bounded integers.)
+    """
+    top = (p - 1) * (modulus - 1) ** 2
+    if top < 2**53 and p >= _FLOAT_MIN_P:
+        return "float"
+    return "int64" if top < 2**63 else "object"
+
+
 def _dtype_for(modulus: int, p: int):
-    # Fold sums reach a few times p * (modulus-1)^2; keep 8x headroom.
-    if 8 * p * (modulus - 1) ** 2 < 2**63:
-        return np.int64
-    return object
+    """np.int64 on the "int64" and "float" routes, object otherwise."""
+    return object if _route(modulus, p) == "object" else np.int64
 
 
 def _as_coeff_array(values, n: int, modulus: int | None, dtype):
@@ -112,15 +155,29 @@ def _kronecker_conv(a, b) -> list[int]:
 def _fold_mul(a, b, p: int, modulus: int | None, dtype):
     """Multiply two coefficient vectors of length p-1, reduce by Phi_p.
 
-    int64 vectors (moduli with 8 * p * (modulus-1)^2 < 2^63) go through
-    np.convolve.  Object-dtype vectors -- wide moduli and exact coefficients
-    -- go through _kronecker_conv, one big-integer product whose slots of w
-    bytes hold (p-1) * max|a| * max|b| below the bias 2^(8w-1), so the
-    product coefficients come back exactly.  The full product of degree
-    2p-4 is then folded by z^p = 1 and z^(p-1) = -(1 + ... + z^(p-2)).
+    The full product of degree 2p-4 comes from one of three routes, then is
+    folded by z^p = 1 and z^(p-1) = -(1 + ... + z^(p-2)):
+      * object dtype (wide moduli, and exact coefficients with modulus
+        None): _kronecker_conv, exact for any width (module docstring);
+      * "float" (_route): np.convolve on float64 copies, cast straight back
+        to int64.  (p-1) * (modulus-1)^2 < 2^53 makes every product and
+        every partial sum an integer below 2^53, exact in float64;
+      * "int64" (_route): np.convolve on int64, exact below 2^63.
+    numpy computes a float64 convolution as one BLAS dot product per output
+    and an int64 one in a scalar loop, so the float route pays for its two
+    casts once p is large enough.  Time of a float64 product over an int64
+    one (np.convolve plus casts on random residues mod p^2; median of three
+    best-of-7 runs on a shared 2-CPU x86-64 Linux host):
+
+        p      37    53    67    71    79    89    97   101   127   257  1031
+        ratio 1.61  1.34  1.18  1.08  0.98  0.90  0.85  0.78  0.65  0.35  0.24
+
+    Hence _FLOAT_MIN_P = 80: below it the int64 route is kept.
     """
     if dtype is object:
         conv = np.array(_kronecker_conv(a, b), dtype=object)
+    elif _route(modulus, p) == "float":
+        conv = np.convolve(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
     else:
         conv = np.convolve(a, b)  # degrees 0 .. 2p-4
     ext = np.zeros(p, dtype=dtype)  # exponents 0 .. p-1 after z^p = 1

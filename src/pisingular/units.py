@@ -16,9 +16,10 @@ all the congruence verification downstream.
 The product prod_j sigma^j(xi_a)^(c_j) is evaluated by the bucket method
 for multi-exponentiation: the conjugates that share an exponent c are
 multiplied into one bucket B_c, and prod_c B_c^c is formed by a running
-product from the largest exponent down to 1.  That is about 3(p-1) ring
-products in place of one square-and-multiply power per conjugate, and in a
-commutative ring it is the same element, coefficient for coefficient.
+product from the largest exponent down, raised once per gap between
+occupied exponents.  That is at most about 3(p-1) ring products in place of
+one square-and-multiply power per conjugate, and in a commutative ring it
+is the same element, coefficient for coefficient.
 """
 
 from __future__ import annotations
@@ -94,24 +95,39 @@ def _projection_exponents(ctx: PrimeContext, two_m: int) -> list[int]:
     return exps
 
 
+def _power(x, e: int):
+    """x^e for e >= 1, left to right: bit_length(e) - 1 squarings and
+    popcount(e) - 1 products, which is at most e - 1 products."""
+    out = x
+    for bit in bin(e)[3:]:
+        out = out * out
+        if bit == "1":
+            out = out * x
+    return out
+
+
 def _bucketed_projection(xi, upow, exps):
     """prod_j sigma_j(xi)^(exps[j]) with sigma_j: z -> z^(upow[j]), exps >= 1.
 
-    Bucket B_c is the product of the conjugates with exponent c.  Walking c
-    from the largest exponent down to 1, running = prod_{c' >= c} B_c' and
-    total gains one factor of running per step, so B_c' ends up raised to
-    exactly c'.  Works for RingElement and ExactElement alike.
+    Bucket B_c is the product of the conjugates with exponent c.  Walking
+    the occupied exponents c from the largest down, running =
+    prod_{c' >= c} B_c' and total gains running^(c - c_next), where c_next
+    is the next occupied exponent (0 after the last), so B_c' ends up
+    raised to exactly c'.  A gap g costs at most g products (the power
+    takes at most g - 1, one more multiplies it into total), the same as
+    one product per integer step for g <= 3 and fewer from g = 4 on.
+    Works for RingElement and ExactElement alike.
     """
     buckets = {}
     for j, c in enumerate(exps):
         conj = xi.galois_apply(upow[j])
         buckets[c] = buckets[c] * conj if c in buckets else conj
-    top = max(buckets)
-    running = total = buckets[top]
-    for c in range(top - 1, 0, -1):
-        if c in buckets:
-            running = running * buckets[c]
-        total = total * running
+    order = sorted(buckets, reverse=True)
+    running = total = None
+    for c, nxt in zip(order, order[1:] + [0]):
+        running = buckets[c] if running is None else running * buckets[c]
+        step = _power(running, c - nxt)
+        total = step if total is None else total * step
     return total
 
 
@@ -123,7 +139,8 @@ def eigen_project_unit(
     Returns (eta, exponent vector); eta satisfies the twisted relation
     sigma(eta) = eta^mu * (unit)^p exactly.  eta = prod_j sigma^j(xi_a)^(c_j)
     is evaluated by the bucket method (module docstring): one bucket per
-    distinct exponent c_j, then a running product from the largest c down.
+    distinct exponent c_j, then a running product from the largest c down,
+    raised to the gap before the next occupied exponent.
     """
     _check_unit_index(ctx.p, a)
     _check_even_index(ctx.p, two_m)

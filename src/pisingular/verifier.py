@@ -160,9 +160,9 @@ _INT_STR_CHUNK = 4000  # digits int() and str() convert under CPython's 4300 lim
 # (p=23: K=744; p=101: K=163), against 5 s at p=23, K=5000; past p=1000 the
 # cost is mostly p itself (p=2039: 2 s at K=2, 4 s at K=8).
 _PRECISION_LIMIT = 2**14
-# The p-th power campaign may have up to 10^4 trials.  A trial costs 0.17 ms
-# at p=7, 0.55 ms at p=101 and 1.9 ms at p=257 (K=2), so a campaign at the
-# cap takes 2 s, 6 s and 19 s; the default is 1000.
+# The p-th power campaign may have up to 10^4 trials.  A trial costs 0.12 ms
+# at p=7, 0.45 ms at p=101, 0.94 ms at p=257 and 7.2 ms at p=1031 (K=2), so
+# a campaign at the cap takes 1 s, 4.5 s, 9 s and 72 s; the default is 1000.
 _TRIALS_LIMIT = 10**4
 
 

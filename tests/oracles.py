@@ -9,7 +9,11 @@ permutation matrix and the cycle count that read its dimension off, the
 Bareiss determinant for exact norms, the np.convolve fold that multiplied
 object-dtype coefficient vectors, and the per-conjugate power loop of the
 unit projection.  Nothing at runtime needs them; the property tests
-compare the package against them.
+compare the package against them.  The ring oracles compute with Python
+ints (object dtype) at every modulus, so a wrong machine-word bound in the
+package cannot pass on both sides; mul_mod, lambda_coeffs and
+digits_remainder_valuation are plain Python-int routes for the product, the lam-basis and the digit
+expansion at the edges of those bounds.
 """
 from __future__ import annotations
 
@@ -28,7 +32,6 @@ from pisingular import (
     valuation,
 )
 from pisingular.padic import _first_two_digits, to_lambda_basis
-from pisingular.ring import _dtype_for
 from pisingular.units import _projection_exponents
 
 
@@ -54,12 +57,15 @@ def bernoulli_table(p: int) -> list[int]:
 
 
 def _mult_matrix_mod(coeffs, p: int, modulus: int):
-    """Matrix of multiplication by the element, columns a * z^j."""
-    dtype = _dtype_for(modulus, p)
-    cols = [np.array(coeffs, dtype=dtype)]
+    """Matrix of multiplication by the element, columns a * z^j.
+
+    Python ints (object dtype) whatever the modulus, so that the oracle does
+    not share the package's choice of machine words.
+    """
+    cols = [np.array([int(c) for c in coeffs], dtype=object)]
     for _ in range(p - 2):
         prev = cols[-1]
-        ext = np.zeros(p, dtype=dtype)
+        ext = np.zeros(p, dtype=object)
         ext[1:p] = prev
         nxt = (ext[: p - 1] - ext[p - 1]) % modulus
         cols.append(nxt)
@@ -254,7 +260,10 @@ def norm_bareiss(a: ExactElement) -> int:
 
 
 def fold_mul(a, b, p: int, modulus: int | None, dtype):
-    """Multiply two coefficient vectors of length p-1, reduce by Phi_p."""
+    """Multiply two coefficient vectors of length p-1, reduce by Phi_p.
+
+    With object-dtype vectors every sum is a Python int, whatever the width.
+    """
     conv = np.convolve(a, b)  # degrees 0 .. 2p-4
     ext = np.zeros(p, dtype=dtype)  # exponents 0 .. p-1 after z^p = 1
     ext[: min(p, conv.size)] += conv[:p]
@@ -264,6 +273,59 @@ def fold_mul(a, b, p: int, modulus: int | None, dtype):
     if modulus is not None:
         out = out % modulus
     return out
+
+
+def mul_mod(a, b, p: int, modulus: int) -> list[int]:
+    """Product of two coefficient lists mod Phi_p and modulus, in Python ints."""
+    obj = [np.array([int(v) for v in x], dtype=object) for x in (a, b)]
+    return [int(v) for v in fold_mul(obj[0], obj[1], p, modulus, object)]
+
+
+def lambda_coeffs(coeffs, modulus: int) -> list[int]:
+    """Coefficients over lam^0, lam^1, ... of a(z) = a(1 + lam), mod modulus.
+
+    The Taylor shift of a by 1, by Horner's rule in Python ints:
+    acc <- acc * (x + 1) + c from the top coefficient down.  It keeps the
+    degree, so no reduction by Phi_p is needed.
+    """
+    acc: list[int] = []
+    for c in reversed([int(v) for v in coeffs]):
+        acc = [(x + y) % modulus for x, y in zip([c] + acc, acc + [0])]
+    return acc
+
+
+def lambda_valuation(coeffs, p: int, modulus: int) -> int | float:
+    """min(i + (p-1) v_p(l_i)) over the nonzero lam-coefficients; CAP if none."""
+    best = CAP
+    for i, li in enumerate(lambda_coeffs(coeffs, modulus)):
+        if li:
+            v = 0
+            while li % p == 0:
+                li //= p
+                v += 1
+            best = min(best, i + (p - 1) * v)
+    return best
+
+
+def from_digits(ds, p: int, modulus: int) -> list[int]:
+    """sum_i ds[i] * lam^i in the power basis, by Horner's rule in Python ints.
+
+    acc * lam = acc * z - acc, where acc * z shifts the coefficients up and
+    rewrites z^(p-1) = -(1 + z + ... + z^(p-2)).
+    """
+    acc = [0] * (p - 1)
+    for d in reversed(ds):
+        top = acc[-1]
+        shifted = [-top] + [x - top for x in acc[:-1]]
+        acc = [(s - x) % modulus for s, x in zip(shifted, acc)]
+        acc[0] = (acc[0] + d) % modulus
+    return acc
+
+
+def digits_remainder_valuation(coeffs, ds, p: int, modulus: int) -> int | float:
+    """v(a - sum_i ds[i] * lam^i): at least len(ds) when ds are a's digits."""
+    rest = [(c - e) % modulus for c, e in zip(coeffs, from_digits(ds, p, modulus))]
+    return lambda_valuation(rest, p, modulus)
 
 
 def eigen_project_unit(ctx: PrimeContext, K: int, a: int, two_m: int) -> RingElement:

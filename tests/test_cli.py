@@ -384,7 +384,7 @@ def test_byte_identical_reruns(args):
 
 
 def test_units_p257_k4_within_budget():
-    # K=4 at p=257 keeps object-dtype coefficients (8 * p * (p^4)^2 > 2^63);
+    # K=4 at p=257 keeps object-dtype coefficients ((p-1) * (p^4-1)^2 >= 2^63);
     # the bucketed projection and the big-integer product make it practical.
     start = time.perf_counter()
     code, doc = run_json("units", "--p", "257", "--K", "4", "--two-m", "6")

@@ -9,8 +9,8 @@ sees, at the edges of the 16-bit limbs its residues are read from, and
 at the edge of each CRT modulus.  The bucketed unit projection
 is checked against the per-conjugate power loop, and the big-integer
 product kernel against the np.convolve fold on signed exact coefficients
-and on wide moduli.  The unit test by the coefficient sum a(1) is checked
-against the valuation.
+and on moduli either side of the int64 bound.  The unit test by the
+coefficient sum a(1) is checked against the valuation.
 """
 
 import math
@@ -156,18 +156,29 @@ def test_pth_power_known_thresholds(p):
                 assert oracles.pth_power_to_depth(a, depth) == want, (i, e, depth)
 
 
-def test_object_dtype_invert_and_digits():
+def _check_invert_and_digits(K, dtype):
     ctx = new_context(103)
-    K = 4
     a = random_unit(ctx, K, seeded(103))
-    assert a.coeffs.dtype == object
+    assert a.coeffs.dtype == dtype
     inv = a.invert()
     assert inv == oracles.invert(a)
     assert (a * inv).coeff_list() == [1] + [0] * 101
-    # p+1 reaches positions p-1 and p, where q = 1; K(p-1) is the whole
-    # precision budget
-    for N in (ctx.p + 1, K * (ctx.p - 1)):
-        assert digits(a, N) == oracles.digits(a, N), N
+    # p+1 reaches positions p-1 and p, where q = 1, against the digit scan;
+    # K(p-1), the whole precision budget, against the Python-int Horner sum
+    p, m, N = ctx.p, ctx.p**K, K * (ctx.p - 1)
+    assert digits(a, p + 1) == oracles.digits(a, p + 1)
+    ds = digits(a, N).digits
+    assert oracles.digits_remainder_valuation(a.coeff_list(), ds, p, m) >= N
+
+
+def test_object_dtype_invert_and_digits():
+    # 103^5 is past the int64 bound (p-1)(m-1)^2 < 2^63
+    _check_invert_and_digits(5, object)
+
+
+def test_int64_edge_invert_and_digits():
+    # 103^4 is the widest int64 modulus at p=103
+    _check_invert_and_digits(4, np.int64)
 
 
 def _permutation_matrix(p: int, u: int) -> np.ndarray:
@@ -435,12 +446,15 @@ def test_exact_kernel_matches_convolve_fold(p, data):
     assert (x * x).coeffs == tuple(oracles.fold_mul(_obj(a), _obj(a), p, None, object))
 
 
-@pytest.mark.parametrize("p, K", [(5, 13), (103, 4), (257, 4)])
+@pytest.mark.parametrize("p, K", [(5, 13), (5, 14), (103, 4), (103, 5), (257, 4)])
 @settings(PROPERTY, max_examples=8)
 @given(data=st.data())
 def test_wide_modulus_kernel_matches_convolve_fold(p, K, data):
+    # 5^13 and 103^4 are the widest int64 moduli at their p; the others
+    # take the big-integer kernel
     m = p**K
-    assert _dtype_for(m, p) is object
+    dtype = np.int64 if (p - 1) * (m - 1) ** 2 < 2**63 else object
+    assert _dtype_for(m, p) is dtype
     n = p - 1
     if data.draw(st.booleans()):
         a = data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
@@ -451,7 +465,7 @@ def test_wide_modulus_kernel_matches_convolve_fold(p, K, data):
     ctx = new_context(p)
     x = RingElement(ctx, K, a)
     prod = x * RingElement(ctx, K, b)
-    assert prod.coeffs.dtype == object
+    assert prod.coeffs.dtype == dtype
     assert prod.coeff_list() == list(want)
     assert (x * x).coeff_list() == list(oracles.fold_mul(_obj(a), _obj(a), p, m, object))
 
@@ -467,7 +481,5 @@ def test_int64_path_unchanged_at_101_4():
         b = [rng.randrange(m) for _ in range(p - 1)]
         prod = RingElement(ctx, K, a) * RingElement(ctx, K, b)
         assert prod.coeffs.dtype == np.int64
-        want = oracles.fold_mul(
-            np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p, m, np.int64
-        )
+        want = oracles.fold_mul(_obj(a), _obj(b), p, m, object)
         assert prod.coeff_list() == [int(x) for x in want]

@@ -178,15 +178,24 @@ def test_invert_rejects_nonunit(ctx5):
         from_integer(ctx5, 2, 5).invert()
 
 
-def test_object_dtype_path_large_modulus():
-    # 5^13 overflows the int64 product bound; ops fall back to object dtype
+def _check_large_modulus_ops(K, dtype):
     ctx = new_context(5)
-    K = 13
-    a = RingElement(ctx, K, [5**12 + 3, 1, 2, 5**11])
-    assert a.coeffs.dtype == object
+    a = RingElement(ctx, K, [5 ** (K - 1) + 3, 1, 2, 5 ** (K - 2)])
+    assert a.coeffs.dtype == dtype
     assert a * a.invert() == from_integer(ctx, K, 1)
     b = a * a - a * a
     assert b.is_zero()
+
+
+def test_object_dtype_path_large_modulus():
+    # 5^14 overflows the int64 product bound (p-1)(m-1)^2 < 2^63; ops fall
+    # back to object dtype
+    _check_large_modulus_ops(14, object)
+
+
+def test_int64_path_widest_modulus_at_p5():
+    # 5^13 is the widest modulus at p=5 inside the int64 bound
+    _check_large_modulus_ops(13, np.int64)
 
 
 def test_truncate(ctx5):
@@ -222,12 +231,13 @@ def test_exact_reduce_commutes_with_mul():
 
 
 @pytest.mark.parametrize(
-    "p, K, dtype", [(5, 2, np.int64), (5, 12, np.int64), (5, 13, object), (7, 11, object)]
+    "p, K, dtype",
+    [(5, 2, np.int64), (5, 12, np.int64), (5, 13, np.int64), (5, 14, object), (7, 11, object)],
 )
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_exact_reduce_commutes_with_ring_ops(p, K, dtype, data):
-    # (5, 12) is the widest int64 modulus at p=5 and (5, 13) the first object one
+    # (5, 13) is the widest int64 modulus at p=5 and (5, 14) the first object one
     ctx = new_context(p)
     coeffs = st.lists(st.integers(-(2**40), 2**40), min_size=p - 1, max_size=p - 1)
     xa, xb = ExactElement(p, data.draw(coeffs)), ExactElement(p, data.draw(coeffs))

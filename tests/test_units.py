@@ -3,6 +3,7 @@
 import pytest
 
 from pisingular import (
+    RingElement,
     cyclotomic_unit,
     cyclotomic_unit_exact,
     eigen_project_unit,
@@ -14,6 +15,9 @@ from pisingular import (
     verify_unit_relation,
 )
 
+from pisingular.units import _projection_exponents
+
+import oracles
 from conftest import seeded
 
 
@@ -190,3 +194,34 @@ def test_adjustment_clears_planted_contamination(ctx7):
     assert rho == t
     X_fixed = X * (W**rho).invert()
     assert is_locally_pth_power(twisted(X_fixed), p + 1)
+
+
+def _count_products(monkeypatch, ctx, K, a, two_m):
+    calls = [0]
+    mul = RingElement.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(RingElement, "__mul__", counting)
+    eta, _ = eigen_project_unit(ctx, K, a, two_m)
+    monkeypatch.setattr(RingElement, "__mul__", mul)
+    return eta, calls[0]
+
+
+def test_projection_raises_running_once_per_gap(monkeypatch):
+    # One product per integer exponent step, as the projection walked before,
+    # costs 1 (xi_a) + (p-1-d) (buckets) + (top-1) + (d-1) for d occupied
+    # exponents up to top.  One power per gap never costs more, and far less
+    # when few exponents occur: 2m=50 at p=101 has exponents {1, 100}.
+    p, K = 101, 2
+    ctx = new_context(p)
+    for two_m in range(2, p - 2, 2):
+        exps = set(_projection_exponents(ctx, two_m))
+        stepwise = 1 + (p - 1 - len(exps)) + (max(exps) - 1) + (len(exps) - 1)
+        eta, count = _count_products(monkeypatch, ctx, K, 3, two_m)
+        assert count <= stepwise, two_m
+        if two_m == 50:
+            assert (stepwise, count) == (199, 110)
+            assert eta == oracles.eigen_project_unit(ctx, K, 3, two_m)
