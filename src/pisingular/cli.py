@@ -24,6 +24,7 @@ from .verifier import (
     PreconditionError,
     VerdictReport,
     WitnessInvalidError,
+    _decimal_int,
     check_ppower_congruence,
     load_bundle,
     verify_b_prime,
@@ -145,7 +146,7 @@ def _cmd_expand(args) -> int:
             f"--coeffs needs {ctx.p - 1} comma-separated integers, got {len(parts)}"
         )
     try:
-        vals = [int(s) for s in parts]
+        vals = [_decimal_int(s) for s in parts]
     except ValueError:
         raise PreconditionError(
             f"--coeffs entries must be decimal integers: {args.coeffs!r}"

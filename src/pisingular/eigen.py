@@ -68,18 +68,21 @@ def _span_to_element(ctx: PrimeContext, K: int, coords) -> RingElement:
     return RingElement(ctx, K, coeffs)
 
 
+def _inverse_powers(ctx: PrimeContext, mu: int) -> list[int]:
+    """mu^(-i) mod p for i = 0 .. p-2, as u^(-s*i) with mu = u^s."""
+    s, n = ctx.uindex[mu % ctx.p], ctx.p - 1
+    return [ctx.upow[-s * i % n] for i in range(n)]
+
+
 def eigenvector_span_coords(ctx: PrimeContext, mu: int) -> tuple[int, ...]:
     """Coordinates of e_mu on z^1, ..., z^(p-1), normalized so z^1 has 1."""
     p = ctx.p
     mu = mu % p
     if mu in (0, 1):
         raise ValueError(f"eigenvalue must lie in 2..p-1, got {mu}")
-    minv = pow(mu, -1, p)
     coords = [0] * (p - 1)
-    cur = 1
-    for i in range(p - 1):
-        coords[ctx.upow[i] - 1] = cur
-        cur = cur * minv % p
+    for i, c in enumerate(_inverse_powers(ctx, mu)):
+        coords[ctx.upow[i] - 1] = c
     return tuple(coords)
 
 

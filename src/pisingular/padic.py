@@ -3,7 +3,9 @@
 The prime p is totally ramified: (p) = (z - 1)^(p-1) up to units, so the
 element lam = z - 1 is a uniformizer.  Writing an element over the basis
 lam^0, ..., lam^(p-2) (an invertible binomial change of basis from the
-power basis in z) makes the valuation computable by a minimum formula:
+power basis in z, by the Pascal matrix T[i, j] = C(j, i); its inverse is
+S T S with S = diag((-1)^i), so T is the one matrix cached) makes the
+valuation computable by a minimum formula:
 
     v(a) = min_i ( i + (p-1) * v_p(l_i) )
 
@@ -54,12 +56,13 @@ CAP = math.inf
 
 
 @lru_cache(maxsize=None)
-def _pascal_pair(p: int, modulus: int):
-    """Change-of-basis matrices between z-powers and lam-powers mod modulus.
+def _pascal(p: int, modulus: int):
+    """The change of basis from z-powers to lam-powers mod modulus.
 
     T[i, j] = C(j, i): lam-coefficients = T @ z-coefficients, from the
-    expansion z^j = (1 + lam)^j.  U is the inverse, from
-    lam^i = (z - 1)^i; both are unit triangular, so the pair is exact.
+    expansion z^j = (1 + lam)^j.  Its inverse, from lam^i = (z - 1)^i, is
+    S @ T @ S with S = diag((-1)^i), which from_lambda_basis applies as
+    signs on either side of T.
     """
     n = p - 1
     T = np.zeros((n, n), dtype=_dtype_for(modulus, p))
@@ -68,31 +71,27 @@ def _pascal_pair(p: int, modulus: int):
     for j in range(n):
         T[:, j] = row
         row[1:] = (row[1:] + row[:-1]) % modulus
-    # U[i, j] = (-1)^(j-i) C(j, i): z-coeffs = U @ lam-coeffs
-    U = T.copy()
-    for odd in (U[1::2, ::2], U[::2, 1::2]):  # views on the entries with i+j odd
-        np.negative(odd, out=odd)
-        np.remainder(odd, modulus, out=odd)
     T.setflags(write=False)
-    U.setflags(write=False)
-    return T, U
+    return T
 
 
 def to_lambda_basis(a: RingElement) -> list[int]:
     """Coefficients of a over lam^0, ..., lam^(p-2), reduced mod p^K."""
-    T, _ = _pascal_pair(a.ctx.p, a.modulus)
-    out = (T @ a.coeffs) % a.modulus
+    out = (_pascal(a.ctx.p, a.modulus) @ a.coeffs) % a.modulus
     return [int(x) for x in out]
 
 
 def from_lambda_basis(ctx: PrimeContext, K: int, values) -> RingElement:
-    """Inverse of to_lambda_basis."""
+    """Inverse of to_lambda_basis: S @ T @ S, the signs taken mod p^K."""
     modulus = ctx.p**K
-    _, U = _pascal_pair(ctx.p, modulus)
-    vals = np.array([int(v) % modulus for v in values], dtype=U.dtype)
+    T = _pascal(ctx.p, modulus)
+    vals = np.array([int(v) % modulus for v in values], dtype=T.dtype)
     if vals.shape != (ctx.p - 1,):
         raise ValueError(f"expected {ctx.p - 1} coefficients, got {vals.size}")
-    return RingElement(ctx, K, [int(x) for x in (U @ vals) % modulus])
+    vals[1::2] = -vals[1::2] % modulus
+    out = (T @ vals) % modulus
+    out[1::2] = -out[1::2] % modulus
+    return RingElement(ctx, K, [int(x) for x in out])
 
 
 def _vp(x: int, p: int) -> int:

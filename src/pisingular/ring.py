@@ -34,7 +34,10 @@ so it is at most (p-1) * (m-1)^2:
                 a bias of 2^(8w-1) per slot each one sits in its own slot
                 with no carry into the next: the slots read back exactly,
                 signs included.
-The full product is then folded by z^p = 1 and Phi_p.
+The full product is then folded in place, by z^p = 1 and then Phi_p.  A
+Galois map z -> z^j permutes the coefficients (i -> i*j mod p is one-to-one)
+and folds by Phi_p alike.  Powers of either element type take one
+left-to-right square-and-multiply routine, _power.
 
 norm_exact computes N(B) from residues at primes q = 1 (mod p) below 2^26,
 where Phi_p splits, in three steps: a segmented sieve over m finds the
@@ -82,10 +85,10 @@ def _route(modulus: int, p: int) -> str:
     iff (p-1) * (m-1)^2 < 2^63:
       * each convolution coefficient is a sum of at most p-1 products
         a_i * b_j, each in [0, (m-1)^2];
-      * after z^p = 1, each folded slot ext[k] is still such a sum of at
+      * after z^p = 1, each folded slot conv[k] is still such a sum of at
         most p-1 products: each i meets at most one j with i+j = k (mod p);
-      * ext[:p-1] - ext[p-1] is a difference of two values in [0, 2^63), so
-        it stays inside +-2^63.
+      * conv[:p-1] - conv[p-1] is a difference of two values in [0, 2^63),
+        so it stays inside +-2^63.
     The same bound covers every other int64 product of residues: T @ coeffs
     in padic.to_lambda_basis and from_lambda_basis (p-1 products of
     binomials mod m by coefficients), coeffs * c % m, and _fold_galois
@@ -180,24 +183,37 @@ def _fold_mul(a, b, p: int, modulus: int | None, dtype):
         conv = np.convolve(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
     else:
         conv = np.convolve(a, b)  # degrees 0 .. 2p-4
-    ext = np.zeros(p, dtype=dtype)  # exponents 0 .. p-1 after z^p = 1
-    ext[: min(p, conv.size)] += conv[:p]
-    if conv.size > p:
-        ext[: conv.size - p] += conv[p:]
-    out = ext[: p - 1] - ext[p - 1]
+    conv[: p - 3] += conv[p:]  # z^p = 1, in place: exponents 0 .. p-1 remain
+    out = conv[: p - 1] - conv[p - 1]
     if modulus is not None:
         out = out % modulus
     return out
 
 
 def _fold_galois(coeffs, j: int, p: int, modulus: int | None, dtype):
-    """Apply z -> z^j to a coefficient vector of length p-1."""
+    """Apply z -> z^j to a coefficient vector of length p-1.
+
+    i -> i*j mod p is one-to-one, so the coefficients are only permuted into
+    the p slots of exponents 0 .. p-1 (slot p-j stays 0) before the fold.
+    """
     ext = np.zeros(p, dtype=dtype)
-    idx = (np.arange(p - 1, dtype=np.int64) * j) % p
-    np.add.at(ext, idx, coeffs)
+    ext[np.arange(p - 1, dtype=np.int64) * j % p] = coeffs
     out = ext[: p - 1] - ext[p - 1]
     if modulus is not None:
         out = out % modulus
+    return out
+
+
+def _power(x, e: int):
+    """x^e for e >= 1, left to right over the bits of e: bit_length(e) - 1
+    squarings and popcount(e) - 1 products, which is at most e - 1 products.
+    The one power routine of RingElement, ExactElement and the unit
+    projection."""
+    out = x
+    for bit in bin(e)[3:]:
+        out = out * out
+        if bit == "1":
+            out = out * x
     return out
 
 
@@ -231,8 +247,6 @@ class RingElement:
         out.ctx = self.ctx
         out.K = self.K
         out.modulus = self.modulus
-        if not isinstance(coeffs, np.ndarray):
-            coeffs = np.array(coeffs, dtype=_dtype_for(self.modulus, self.ctx.p))
         coeffs.setflags(write=False)
         out.coeffs = coeffs
         return out
@@ -291,15 +305,8 @@ class RingElement:
 
     def __pow__(self, e: int) -> "RingElement":
         if e < 0:
-            return self.invert() ** (-e)
-        base = self
-        acc = from_integer(self.ctx, self.K, 1)
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+            return _power(self.invert(), -e)
+        return _power(self, e) if e else from_integer(self.ctx, self.K, 1)
 
     def galois_apply(self, j: int) -> "RingElement":
         """Apply the automorphism z -> z^j; j must be nonzero mod p."""
@@ -409,14 +416,7 @@ class ExactElement:
     def __pow__(self, e: int) -> "ExactElement":
         if e < 0:
             raise ValueError("negative powers are not defined exactly")
-        base = self
-        acc = ExactElement.from_integer(self.p, 1)
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        return _power(self, e) if e else ExactElement.from_integer(self.p, 1)
 
     def galois_apply(self, j: int) -> "ExactElement":
         p = self.p

@@ -3,10 +3,11 @@
 The unit attached to an index a (2 <= a <= (p-1)/2) is
 
     xi_a = z^((1-a)/2) * (z^a - 1)/(z - 1)
-         = z^((1-a)/2) * (1 + z + ... + z^(a-1)),
+         = z^e + z^(e+1) + ... + z^(e+a-1),      e = (1-a)/2 mod p,
 
-a real unit of the cyclotomic integers.  Raising its Galois orbit to the
-exponent pattern c_j = u^(-2m*j) mod p produces a projected unit eta with
+a real unit of the cyclotomic integers, written down in closed form with
+no ring product.  Raising its Galois orbit to the exponent pattern
+c_j = u^(-2m*j) mod p produces a projected unit eta with
 
     sigma(eta) = eta^mu * eps^p,      mu = u^(2m),
 
@@ -17,9 +18,9 @@ The product prod_j sigma^j(xi_a)^(c_j) is evaluated by the bucket method
 for multi-exponentiation: the conjugates that share an exponent c are
 multiplied into one bucket B_c, and prod_c B_c^c is formed by a running
 product from the largest exponent down, raised once per gap between
-occupied exponents.  That is at most about 3(p-1) ring products in place of
-one square-and-multiply power per conjugate, and in a commutative ring it
-is the same element, coefficient for coefficient.
+occupied exponents by ring._power.  That is at most about 3(p-1) ring
+products in place of one square-and-multiply power per conjugate, and in a
+commutative ring it is the same element, coefficient for coefficient.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .context import PrimeContext
-from .eigen import expansion_matches
+from .eigen import _inverse_powers, expansion_matches
 from .padic import CAP, is_locally_pth_power, valuation
-from .ring import ExactElement, RingElement, from_integer, zeta
+from .ring import ExactElement, RingElement, _power, from_integer
 
 __all__ = [
     "UnitExponentVector",
@@ -55,26 +56,26 @@ def _check_even_index(p: int, two_m: int) -> None:
         )
 
 
+def _xi_coeffs(p: int, a: int) -> list[int]:
+    """Power-basis coefficients of xi_a = z^e + z^(e+1) + ... + z^(e+a-1),
+    e = (1-a)/2 mod p: the exponents are read mod p, and a z^(p-1) term is
+    folded by Phi_p into -1 in every slot."""
+    _check_unit_index(p, a)
+    e = (1 - a) * pow(2, -1, p) % p
+    slots = [0] * p
+    for k in range(e, e + a):
+        slots[k % p] = 1
+    return [c - slots[p - 1] for c in slots[: p - 1]]
+
+
 def cyclotomic_unit(ctx: PrimeContext, K: int, a: int) -> RingElement:
     """The real unit xi_a, truncated mod p^K."""
-    _check_unit_index(ctx.p, a)
-    e = (1 - a) * pow(2, -1, ctx.p) % ctx.p
-    geom = [1] * a + [0] * (ctx.p - 1 - a)
-    return zeta(ctx, K, e) * RingElement(ctx, K, geom)
+    return RingElement(ctx, K, _xi_coeffs(ctx.p, a))
 
 
 def cyclotomic_unit_exact(p: int, a: int) -> ExactElement:
     """xi_a with exact integer coefficients."""
-    _check_unit_index(p, a)
-    e = (1 - a) * pow(2, -1, p) % p
-    geom = ExactElement(p, [1] * a + [0] * (p - 1 - a))
-    if e <= p - 2:
-        coeffs = [0] * (p - 1)
-        coeffs[e] = 1
-        zpow = ExactElement(p, coeffs)
-    else:
-        zpow = ExactElement(p, [-1] * (p - 1))
-    return zpow * geom
+    return ExactElement(p, _xi_coeffs(p, a))
 
 
 @dataclass(frozen=True)
@@ -86,24 +87,7 @@ class UnitExponentVector:
 
 
 def _projection_exponents(ctx: PrimeContext, two_m: int) -> list[int]:
-    p = ctx.p
-    mu = ctx.upow[two_m]
-    minv = pow(mu, -1, p)
-    exps = [1]
-    for _ in range(1, p - 1):
-        exps.append(exps[-1] * minv % p)
-    return exps
-
-
-def _power(x, e: int):
-    """x^e for e >= 1, left to right: bit_length(e) - 1 squarings and
-    popcount(e) - 1 products, which is at most e - 1 products."""
-    out = x
-    for bit in bin(e)[3:]:
-        out = out * out
-        if bit == "1":
-            out = out * x
-    return out
+    return _inverse_powers(ctx, ctx.upow[two_m])
 
 
 def _bucketed_projection(xi, upow, exps):

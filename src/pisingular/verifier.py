@@ -158,11 +158,11 @@ _INT_STR_CHUNK = 4000  # digits int() and str() convert under CPython's 4300 lim
 # A bundle's truncation K may have K*(p-1), its precision in powers of lam,
 # up to 2^14.  verify at that precision takes under a second up to p=257
 # (p=23: K=744; p=101: K=163), against 5 s at p=23, K=5000; past p=1000 the
-# cost is mostly p itself (p=2039: 2 s at K=2, 4 s at K=8).
+# cost is mostly p itself (p=2039: 0.7 s at K=2, 2.0-2.4 s at K=8).
 _PRECISION_LIMIT = 2**14
-# The p-th power campaign may have up to 10^4 trials.  A trial costs 0.12 ms
-# at p=7, 0.45 ms at p=101, 0.94 ms at p=257 and 7.2 ms at p=1031 (K=2), so
-# a campaign at the cap takes 1 s, 4.5 s, 9 s and 72 s; the default is 1000.
+# The p-th power campaign may have up to 10^4 trials.  A trial costs about
+# 0.1 ms at p=7, 0.5 ms at p=101, 1.2 ms at p=257 and 6-9 ms at p=1031 (K=2),
+# so a campaign at the cap takes 1 s, 5 s, 12 s and 60-90 s (default 1000).
 _TRIALS_LIMIT = 10**4
 
 
@@ -425,11 +425,12 @@ def check_ppower_congruence(
         )
     rng = random.Random(seed)
     modulus = ctx.p**K
+    lam_K = lam(ctx, K)
     failures = []
     for t in range(trials):
         x = _random_unit(ctx, K, rng)
         g = RingElement(ctx, K, [rng.randrange(modulus) for _ in range(p - 1)])
-        y = x + lam(ctx, K) * g
+        y = x + lam_K * g
         v = valuation(x**p - y**p)
         if not v >= p + 1:
             failures.append({"trial": t, "valuation": _val_json(v)})

@@ -7,8 +7,10 @@ inversion over the local ring, the p^j candidate loop for rational p-th
 powers, the p-candidate digit scan, the F_p nullspace of the Galois
 permutation matrix and the cycle count that read its dimension off, the
 Bareiss determinant for exact norms, the np.convolve fold that multiplied
-object-dtype coefficient vectors, and the per-conjugate power loop of the
-unit projection.  Nothing at runtime needs them; the property tests
+object-dtype coefficient vectors, the per-conjugate power loop of the
+unit projection, the right-to-left power from the constant 1, the np.add.at
+scatter of the Galois maps, xi_a as a product of z^e by the geometric sum,
+and the inverse Pascal matrix U.  Nothing at runtime needs them; the property tests
 compare the package against them.  The ring oracles compute with Python
 ints (object dtype) at every modulus, so a wrong machine-word bound in the
 package cannot pass on both sides; mul_mod, lambda_coeffs and
@@ -25,11 +27,10 @@ from pisingular import (
     LambdaExpansion,
     PrimeContext,
     RingElement,
-    cyclotomic_unit,
-    cyclotomic_unit_exact,
     from_integer,
     lam,
     valuation,
+    zeta,
 )
 from pisingular.padic import _first_two_digits, to_lambda_basis
 from pisingular.units import _projection_exponents
@@ -328,13 +329,73 @@ def digits_remainder_valuation(coeffs, ds, p: int, modulus: int) -> int | float:
     return lambda_valuation(rest, p, modulus)
 
 
+def fold_galois(coeffs, j: int, p: int, modulus: int | None, dtype):
+    """Apply z -> z^j by scattering the coefficients with np.add.at, which
+    would also sum two terms sent to one slot."""
+    ext = np.zeros(p, dtype=dtype)
+    idx = (np.arange(p - 1, dtype=np.int64) * j) % p
+    np.add.at(ext, idx, coeffs)
+    out = ext[: p - 1] - ext[p - 1]
+    if modulus is not None:
+        out = out % modulus
+    return out
+
+
+def power(x, e: int):
+    """x^e for e >= 0, right to left over the bits of e from the constant 1."""
+    if isinstance(x, ExactElement):
+        acc = ExactElement.from_integer(x.p, 1)
+    else:
+        acc = from_integer(x.ctx, x.K, 1)
+    while e:
+        if e & 1:
+            acc = acc * x
+        x = x * x
+        e >>= 1
+    return acc
+
+
+def _xi_parts(p: int, a: int) -> tuple[int, list[int]]:
+    """The exponent e = (1-a)/2 mod p and the geometric sum 1 + ... + z^(a-1)."""
+    return (1 - a) * pow(2, -1, p) % p, [1] * a + [0] * (p - 1 - a)
+
+
+def cyclotomic_unit(ctx: PrimeContext, K: int, a: int) -> RingElement:
+    """xi_a = z^e * (1 + z + ... + z^(a-1)) by one ring product."""
+    e, geom = _xi_parts(ctx.p, a)
+    return zeta(ctx, K, e) * RingElement(ctx, K, geom)
+
+
+def cyclotomic_unit_exact(p: int, a: int) -> ExactElement:
+    """xi_a by one exact product of z^e and the geometric sum."""
+    e, geom = _xi_parts(p, a)
+    zpow = [0] * (p - 1)
+    if e <= p - 2:
+        zpow[e] = 1
+    else:  # z^(p-1) = -(1 + z + ... + z^(p-2))
+        zpow = [-1] * (p - 1)
+    return ExactElement(p, zpow) * ExactElement(p, geom)
+
+
+def pascal_inverse(p: int, modulus: int) -> np.ndarray:
+    """U[i, j] = (-1)^(i+j) C(j, i) mod modulus, from lam^i = (z - 1)^i, in
+    Python ints: z-coefficients = U @ lam-coefficients."""
+    n = p - 1
+    U = np.zeros((n, n), dtype=object)
+    row = [1] + [0] * (n - 1)  # C(j, .)
+    for j in range(n):
+        U[:, j] = [(-1) ** (i + j) * c % modulus for i, c in enumerate(row)]
+        row = [1] + [row[i] + row[i - 1] for i in range(1, n)]
+    return U
+
+
 def eigen_project_unit(ctx: PrimeContext, K: int, a: int, two_m: int) -> RingElement:
     """eta = prod_j sigma^j(xi_a)^(c_j), one power per conjugate."""
     xi = cyclotomic_unit(ctx, K, a)
     exps = _projection_exponents(ctx, two_m)
     eta = from_integer(ctx, K, 1)
     for j, c in enumerate(exps):
-        eta = eta * xi.galois_apply(ctx.upow[j]) ** c
+        eta = eta * power(xi.galois_apply(ctx.upow[j]), c)
     return eta
 
 
@@ -344,5 +405,5 @@ def eigen_project_unit_exact(ctx: PrimeContext, a: int, two_m: int) -> ExactElem
     exps = _projection_exponents(ctx, two_m)
     eta = ExactElement.from_integer(ctx.p, 1)
     for j, c in enumerate(exps):
-        eta = eta * xi.galois_apply(ctx.upow[j]) ** c
+        eta = eta * power(xi.galois_apply(ctx.upow[j]), c)
     return eta

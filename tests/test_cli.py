@@ -118,8 +118,11 @@ def test_expand_zero_reports_cap():
 def test_expand_usage_errors():
     r = run_cli("expand", "--p", "5", "--coeffs", "1,2,3")
     assert r.returncode == 2 and "4 comma-separated" in r.stderr
-    r = run_cli("expand", "--p", "5", "--coeffs", "1,2,3,x")
-    assert r.returncode == 2 and "decimal integers" in r.stderr
+    # int() also reads "1_0" as 10 and the Arabic-Indic digit three as 3
+    for coeffs in ("1,2,3,x", "1_0,0,0,3", "1,0,0,\u0663"):
+        r = run_cli("expand", "--p", "5", "--coeffs", coeffs)
+        assert r.returncode == 2 and "decimal integers" in r.stderr, coeffs
+        assert r.stdout == "", coeffs
 
 
 def test_ppower_pass_and_seed_echo():

@@ -212,16 +212,17 @@ def _count_products(monkeypatch, ctx, K, a, two_m):
 
 def test_projection_raises_running_once_per_gap(monkeypatch):
     # One product per integer exponent step, as the projection walked before,
-    # costs 1 (xi_a) + (p-1-d) (buckets) + (top-1) + (d-1) for d occupied
-    # exponents up to top.  One power per gap never costs more, and far less
-    # when few exponents occur: 2m=50 at p=101 has exponents {1, 100}.
+    # costs (p-1-d) (buckets) + (top-1) + (d-1) for d occupied exponents up
+    # to top; xi_a itself is written down with no product.  One power per
+    # gap never costs more, and far less when few exponents occur: 2m=50 at
+    # p=101 has exponents {1, 100}.
     p, K = 101, 2
     ctx = new_context(p)
     for two_m in range(2, p - 2, 2):
         exps = set(_projection_exponents(ctx, two_m))
-        stepwise = 1 + (p - 1 - len(exps)) + (max(exps) - 1) + (len(exps) - 1)
+        stepwise = (p - 1 - len(exps)) + (max(exps) - 1) + (len(exps) - 1)
         eta, count = _count_products(monkeypatch, ctx, K, 3, two_m)
         assert count <= stepwise, two_m
         if two_m == 50:
-            assert (stepwise, count) == (199, 110)
+            assert (stepwise, count) == (198, 109)
             assert eta == oracles.eigen_project_unit(ctx, K, 3, two_m)

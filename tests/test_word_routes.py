@@ -28,7 +28,7 @@ from pisingular import (
     new_context,
     to_lambda_basis,
 )
-from pisingular.padic import _pascal_pair
+from pisingular.padic import _pascal
 from pisingular.ring import _route
 
 import oracles
@@ -156,12 +156,19 @@ def test_all_top_residues_match_python_ints(p, K):
 
 @pytest.mark.parametrize("p, K", [(5, 13), (101, 3), (103, 4), (257, 2), (257, 3), (5, 14)])
 def test_pascal_pair_is_inverse_at_the_edges(p, K):
-    # T @ U sums p-1 products of residues, the same bound as a ring product.
-    # p = 1031 and 2039 are left to the vector round trips above: an int64
-    # (p-1)^3 matrix product takes seconds there.
+    # The inverse of T is S @ T @ S with S = diag((-1)^i); S T S T sums p-1
+    # products of residues, the same bound as a ring product.  p = 1031 and
+    # 2039 are left to the vector round trips above: an int64 (p-1)^3 matrix
+    # product takes seconds there.
     m = p**K
-    T, U = _pascal_pair(p, m)
-    assert ((T @ U) % m == np.eye(p - 1, dtype=np.int64)).all()
+    T = _pascal(p, m)
+    sign = np.array([(-1) ** i for i in range(p - 1)], dtype=T.dtype)
+    U = T * sign[:, None] * sign[None, :] % m
+    assert ((U @ T) % m == np.eye(p - 1, dtype=np.int64)).all()
+    ctx = new_context(p)
     rng = random.Random(p * K)
+    for a in ([rng.randrange(m) for _ in range(p - 1)], [m - 1] * (p - 1)):
+        x = RingElement(ctx, K, a)
+        assert from_lambda_basis(ctx, K, to_lambda_basis(x)) == x
     j = rng.randrange(p - 1)
     assert [int(v) for v in T[:, j]] == oracles.lambda_coeffs([0] * j + [1] + [0] * (p - 2 - j), m)
