@@ -1,109 +1,22 @@
 """Exact pi-adic arithmetic, Galois eigentheory, and congruence verification
 in prime cyclotomic rings Z[z]/(Phi_p), both exactly and modulo p^K."""
 
-from .context import PrimeContext, is_prime, new_context, smallest_primitive_root
-from .eigen import (
-    EigenReport,
-    RecurrenceSolution,
-    canonical_eigenvector,
-    eigenvector_element,
-    eigenvector_span_coords,
-    expansion_matches,
-    recurrence_solve,
-    sigma_matrix,
-    span_coords,
-)
-from .padic import (
-    CAP,
-    LambdaExpansion,
-    digits,
-    from_lambda_basis,
-    is_locally_pth_power,
-    is_primary,
-    is_semi_primary,
-    semi_primary_normalize,
-    to_lambda_basis,
-    valuation,
-)
-from .ring import ExactElement, RingElement, from_integer, lam, norm_exact, zeta
-from .units import (
-    UnitExponentVector,
-    UnitReport,
-    cyclotomic_unit,
-    cyclotomic_unit_exact,
-    eigen_project_unit,
-    eigen_project_unit_exact,
-    solve_unit_adjustment,
-    verify_unit_relation,
-)
-from .verifier import (
-    BundleError,
-    CandidateBundle,
-    ClaimResult,
-    PreconditionError,
-    VerdictReport,
-    WitnessInvalidError,
-    bundle_to_json,
-    check_ppower_congruence,
-    load_bundle,
-    synthetic_unit_bundle,
-    verify_b_prime,
-    verify_negative_candidate,
-    verify_positive_candidate,
-)
+from . import context, eigen, padic, ring, units, verifier
+from .context import *  # noqa: F401,F403
+from .eigen import *  # noqa: F401,F403
+from .padic import *  # noqa: F401,F403
+from .ring import *  # noqa: F401,F403
+from .units import *  # noqa: F401,F403
+from .verifier import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "PrimeContext",
-    "new_context",
-    "is_prime",
-    "smallest_primitive_root",
-    "RingElement",
-    "ExactElement",
-    "from_integer",
-    "zeta",
-    "lam",
-    "norm_exact",
-    "CAP",
-    "LambdaExpansion",
-    "to_lambda_basis",
-    "from_lambda_basis",
-    "valuation",
-    "digits",
-    "is_semi_primary",
-    "is_primary",
-    "is_locally_pth_power",
-    "semi_primary_normalize",
-    "EigenReport",
-    "RecurrenceSolution",
-    "sigma_matrix",
-    "eigenvector_span_coords",
-    "eigenvector_element",
-    "span_coords",
-    "canonical_eigenvector",
-    "recurrence_solve",
-    "expansion_matches",
-    "UnitExponentVector",
-    "UnitReport",
-    "cyclotomic_unit",
-    "cyclotomic_unit_exact",
-    "eigen_project_unit",
-    "eigen_project_unit_exact",
-    "verify_unit_relation",
-    "solve_unit_adjustment",
-    "BundleError",
-    "PreconditionError",
-    "WitnessInvalidError",
-    "ClaimResult",
-    "VerdictReport",
-    "CandidateBundle",
-    "load_bundle",
-    "bundle_to_json",
-    "synthetic_unit_bundle",
-    "check_ppower_congruence",
-    "verify_negative_candidate",
-    "verify_b_prime",
-    "verify_positive_candidate",
+    *context.__all__,
+    *ring.__all__,
+    *padic.__all__,
+    *eigen.__all__,
+    *units.__all__,
+    *verifier.__all__,
     "__version__",
 ]

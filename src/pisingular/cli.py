@@ -16,14 +16,14 @@ import sys
 from .context import is_prime, new_context
 from .eigen import canonical_eigenvector
 from .padic import digits
-from .ring import _P_LIMIT, RingElement
+from .ring import RingElement
 from .units import eigen_project_unit, verify_unit_relation
 from .verifier import (
-    _PRECISION_LIMIT,
-    BundleError,
     PreconditionError,
     VerdictReport,
     WitnessInvalidError,
+    _check_K,
+    _check_p,
     _decimal_int,
     check_ppower_congruence,
     load_bundle,
@@ -57,23 +57,12 @@ def _resolve_seed(arg_seed: int | None) -> int:
     return 1
 
 
-def _below_p_limit(flag: str, value: int) -> None:
-    if value >= _P_LIMIT:
-        raise PreconditionError(
-            f"{flag} must be below {_P_LIMIT}, the limit of bundles and of the exact norm, "
-            f"got {value}"
-        )
-
-
 def _context(p: int, u: int | None = None, K: int | None = None):
     """new_context(p, u), after the size limits on p and on K*(p-1)."""
-    _below_p_limit("--p", p)
+    _check_p("--p", p)
     ctx = new_context(p, u)
-    if K is not None and K * (p - 1) > _PRECISION_LIMIT:
-        raise PreconditionError(
-            f"--K must be at most {_PRECISION_LIMIT // (p - 1)} at p={p}, "
-            f"so that K*(p-1) <= {_PRECISION_LIMIT}, got {K}"
-        )
+    if K is not None:
+        _check_K("--K", p, K)
     return ctx
 
 
@@ -102,7 +91,7 @@ def _cmd_ctx(args) -> int:
 
 
 def _cmd_irregular(args) -> int:
-    _below_p_limit("--max", args.max)
+    _check_p("--max", args.max)
     pairs = []
     scanned = []
     for p in range(3, args.max + 1, 2):
@@ -309,10 +298,7 @@ def main(argv=None) -> int:
     except WitnessInvalidError as e:
         print(f"witness invalid: {e}", file=sys.stderr)
         return 3
-    except (BundleError, PreconditionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except ValueError as e:  # BundleError and PreconditionError too
         print(f"error: {e}", file=sys.stderr)
         return 2
 

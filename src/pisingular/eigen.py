@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import PrimeContext
-from .padic import _require_unit, to_lambda_basis, valuation
+from .padic import _require_unit, to_lambda_basis
 from .ring import RingElement, from_integer, zeta
 
 __all__ = [
@@ -93,6 +93,13 @@ def eigenvector_element(ctx: PrimeContext, K: int, mu: int) -> RingElement:
 
 @dataclass(frozen=True)
 class EigenReport:
+    """The closed-form eigenvector e_mu of sigma, mu = u^index_s.
+
+    dimension (always 1) and valuation (always index_s, by the valuation
+    law v(e_mu) = s) are read off invariants; matches_closed_form is the
+    one computed check.
+    """
+
     p: int
     mu: int
     index_s: int
@@ -118,26 +125,24 @@ def canonical_eigenvector(ctx: PrimeContext, mu: int) -> EigenReport:
 
     dimension is 1 for every mu: a PrimeContext admits only a primitive
     root u, so j -> u*j is a single (p-1)-cycle and each mu-eigenspace of
-    sigma is one-dimensional.  matches_closed_form records that applying
-    the automorphism in the ring reproduces mu times the nonzero closed
-    form, which therefore spans it.
+    sigma is one-dimensional.  valuation is the index s of mu = u^s: the
+    lam-adic valuation of e_mu equals s (the valuation law, which the
+    tests check against the lam-basis route).  matches_closed_form records
+    that applying the automorphism in the ring reproduces mu times the
+    nonzero closed form, which therefore spans it.
     """
-    p = ctx.p
-    mu = mu % p
-    if mu in (0, 1):
-        raise ValueError(f"eigenvalue must lie in 2..p-1, got {mu}")
-    coords = eigenvector_span_coords(ctx, mu)
+    mu = mu % ctx.p
+    coords = eigenvector_span_coords(ctx, mu)  # refuses mu = 0, 1
     elem = _span_to_element(ctx, 1, coords)
-    sigma_ok = elem.galois_apply(ctx.u) == elem * mu
-    val = valuation(elem)  # < p-1 always: some coordinate is a unit
+    s = ctx.index_of(mu)
     return EigenReport(
-        p=p,
+        p=ctx.p,
         mu=mu,
-        index_s=ctx.index_of(mu),
+        index_s=s,
         dimension=1,
         vector=coords,
-        valuation=int(val),
-        matches_closed_form=sigma_ok,
+        valuation=s,
+        matches_closed_form=elem.galois_apply(ctx.u) == elem * mu,
     )
 
 

@@ -55,14 +55,20 @@ __all__ = [
 CAP = math.inf
 
 
-@lru_cache(maxsize=None)
+def _val_json(v) -> int | str:
+    """A valuation as JSON writes it: "cap" for CAP, else the integer."""
+    return "cap" if v is CAP else int(v)
+
+
+@lru_cache(maxsize=2)
 def _pascal(p: int, modulus: int):
     """The change of basis from z-powers to lam-powers mod modulus.
 
     T[i, j] = C(j, i): lam-coefficients = T @ z-coefficients, from the
     expansion z^j = (1 + lam)^j.  Its inverse, from lam^i = (z - 1)^i, is
     S @ T @ S with S = diag((-1)^i), which from_lambda_basis applies as
-    signs on either side of T.
+    signs on either side of T.  The cache keeps the two moduli one call
+    alternates between, p^K and p (an object matrix is 30 MB at p=1031).
     """
     n = p - 1
     T = np.zeros((n, n), dtype=_dtype_for(modulus, p))
@@ -126,9 +132,8 @@ class LambdaExpansion:
     precision: int
 
     def to_json_dict(self) -> dict:
-        v = "cap" if self.valuation is CAP else int(self.valuation)
         return {
-            "valuation": v,
+            "valuation": _val_json(self.valuation),
             "digits": list(self.digits),
             "precision": self.precision,
         }

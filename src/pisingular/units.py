@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .context import PrimeContext
 from .eigen import _inverse_powers, expansion_matches
-from .padic import CAP, is_locally_pth_power, valuation
+from .padic import _val_json, is_locally_pth_power, valuation
 from .ring import ExactElement, RingElement, _power, from_integer
 
 __all__ = [
@@ -171,13 +171,12 @@ class UnitReport:
         return self.local_pth_power or self.valuation_of_eta_pm1 == self.two_m
 
     def to_json_dict(self) -> dict:
-        v = self.valuation_of_eta_pm1
         return {
             "two_m": self.two_m,
             "mu": self.mu,
             "relation_holds": self.relation_holds,
             "local_pth_power": self.local_pth_power,
-            "valuation_of_eta_pm1": "cap" if v is CAP else int(v),
+            "valuation_of_eta_pm1": _val_json(self.valuation_of_eta_pm1),
             "expansion_delta": self.expansion_delta,
             "dichotomy_holds": self.dichotomy_holds,
         }

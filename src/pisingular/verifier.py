@@ -37,7 +37,7 @@ from typing import Callable
 from .context import PrimeContext, new_context
 from .eigen import expansion_matches
 from .padic import (
-    CAP,
+    _val_json,
     is_locally_pth_power,
     is_primary,
     is_semi_primary,
@@ -120,10 +120,6 @@ def _skip(claim_id: str, ref: str, reason: str) -> ClaimResult:
     return ClaimResult(claim_id, ref, None, {"skipped": reason})
 
 
-def _val_json(v) -> int | str:
-    return "cap" if v is CAP else int(v)
-
-
 @dataclass(frozen=True)
 class CandidateBundle:
     """One candidate: exact element, eigenvalue, parity, optional witnesses."""
@@ -164,6 +160,25 @@ _PRECISION_LIMIT = 2**14
 # 0.1 ms at p=7, 0.5 ms at p=101, 1.2 ms at p=257 and 6-9 ms at p=1031 (K=2),
 # so a campaign at the cap takes 1 s, 5 s, 12 s and 60-90 s (default 1000).
 _TRIALS_LIMIT = 10**4
+
+
+def _check_p(name: str, p: int, error: type[ValueError] = PreconditionError) -> None:
+    """Refuse p at or past _P_LIMIT; callers run it before new_context
+    builds any table.  name leads the message: "--p", "bundle field 'p':"."""
+    if p >= _P_LIMIT:
+        raise error(
+            f"{name} must be below {_P_LIMIT}, the limit of bundles and of the "
+            f"exact norm, got {_echo(p)}"
+        )
+
+
+def _check_K(name: str, p: int, K: int, error: type[ValueError] = PreconditionError) -> None:
+    """Refuse a truncation K past K*(p-1) <= _PRECISION_LIMIT."""
+    if K * (p - 1) > _PRECISION_LIMIT:
+        raise error(
+            f"{name} must be at most {_PRECISION_LIMIT // (p - 1)} at p={p}, "
+            f"so that K*(p-1) <= {_PRECISION_LIMIT}, got {_echo(K)}"
+        )
 
 
 def _digits_to_int(d: str) -> int:
@@ -278,11 +293,7 @@ def load_bundle(source) -> CandidateBundle:
     p = doc["p"]
     if not isinstance(p, int) or isinstance(p, bool):
         raise BundleError("bundle field 'p': must be an integer")
-    if p >= _P_LIMIT:  # before new_context builds its tables
-        raise BundleError(
-            f"bundle field 'p': must be below {_P_LIMIT}, the exact norm's limit, "
-            f"got {_echo(p)}"
-        )
+    _check_p("bundle field 'p':", p, BundleError)
     try:
         ctx = new_context(p)
     except ValueError as e:
@@ -291,11 +302,7 @@ def load_bundle(source) -> CandidateBundle:
     K = doc["K"]
     if not isinstance(K, int) or isinstance(K, bool) or K < 1:
         raise BundleError("bundle field 'K': must be an integer >= 1")
-    if K * (p - 1) > _PRECISION_LIMIT:
-        raise BundleError(
-            f"bundle field 'K': must be at most {_PRECISION_LIMIT // (p - 1)} at p={p}, "
-            f"so that K*(p-1) <= {_PRECISION_LIMIT}, got {_echo(K)}"
-        )
+    _check_K("bundle field 'K':", p, K, BundleError)
 
     parity = doc["parity"]
     if parity not in ("negative", "positive"):

@@ -10,7 +10,8 @@ Bareiss determinant for exact norms, the np.convolve fold that multiplied
 object-dtype coefficient vectors, the per-conjugate power loop of the
 unit projection, the right-to-left power from the constant 1, the np.add.at
 scatter of the Galois maps, xi_a as a product of z^e by the geometric sum,
-and the inverse Pascal matrix U.  Nothing at runtime needs them; the property tests
+the inverse Pascal matrix U, and the lam-basis valuation of e_mu that the
+eigen report once measured.  Nothing at runtime needs them; the property tests
 compare the package against them.  The ring oracles compute with Python
 ints (object dtype) at every modulus, so a wrong machine-word bound in the
 package cannot pass on both sides; mul_mod, lambda_coeffs and
@@ -27,6 +28,7 @@ from pisingular import (
     LambdaExpansion,
     PrimeContext,
     RingElement,
+    eigenvector_element,
     from_integer,
     lam,
     valuation,
@@ -407,3 +409,8 @@ def eigen_project_unit_exact(ctx: PrimeContext, a: int, two_m: int) -> ExactElem
     for j, c in enumerate(exps):
         eta = eta * power(xi.galois_apply(ctx.upow[j]), c)
     return eta
+
+
+def eigenvector_valuation(ctx: PrimeContext, mu: int) -> int | float:
+    """v(e_mu) measured over the lam-basis, at K=1."""
+    return valuation(eigenvector_element(ctx, 1, mu))

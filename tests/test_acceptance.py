@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from pisingular import (
     CandidateBundle,
@@ -302,6 +303,8 @@ def test_criterion_9_cli_determinism(tmp_path):
             ("verify", "--file", str(bundle)),
         ]
         env = {k: v for k, v in os.environ.items() if k != "PI_SINGULAR_SEED"}
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         for args in sweeps:
             runs = [
                 subprocess.run(

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,8 +20,12 @@ from pisingular import (
 from pisingular.verifier import _COEFF_MAX_DIGITS
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def run_cli(*args, env_extra=None):
     env = {k: v for k, v in os.environ.items() if k != "PI_SINGULAR_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -328,6 +333,7 @@ def test_verify_precision_limit(tmp_path, K, code):
         (("ppower", "--p", "7", "--trials", "10001"), "check takes at most 10000 trials"),
         (("units", "--p", "13", "--two-m", "2", "--K", "1366"), "--K must be at most 1365 at p=13"),
         (("expand", "--p", "5", "--coeffs", "1,2,3,4", "--K", "4097"), "--K must be at most 4096 at p=5"),
+        (("ctx", "--p", "2053"), "--p must be below 2049, the limit of bundles and of the exact norm, got 2053"),
     ],
 )
 def test_size_limits_exit_2_at_once(args, message):
@@ -343,6 +349,7 @@ def test_size_limits_exit_2_at_once(args, message):
 
 
 def test_size_limits_admit_their_edge():
+    assert run_cli("ctx", "--p", "2039").returncode == 0  # the largest prime below 2049
     assert run_cli("ppower", "--p", "7", "--K", "2730", "--trials", "1").returncode == 0
     assert run_cli("ppower", "--p", "3", "--trials", "10000").returncode == 0
     r = run_cli("expand", "--p", "5", "--coeffs", "1,2,3,4", "--K", "4096", "--precision", "16384")

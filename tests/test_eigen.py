@@ -18,6 +18,7 @@ from pisingular import (
     zeta,
 )
 
+import oracles
 from conftest import random_unit, seeded
 
 SMALL_PRIMES = (3, 5, 7, 11, 13)
@@ -110,7 +111,8 @@ def test_eigenreport_sweep():
             rep = canonical_eigenvector(ctx, mu)
             assert rep.dimension == 1
             assert rep.matches_closed_form
-            assert rep.valuation == rep.index_s == ctx.index_of(mu)
+            assert rep.index_s == ctx.index_of(mu)
+            assert rep.valuation == oracles.eigenvector_valuation(ctx, mu)
             assert rep.to_json_dict()["vector"] == list(rep.vector)
 
 

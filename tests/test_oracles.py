@@ -31,6 +31,7 @@ from pisingular import (
     eigen_project_unit_exact,
     from_lambda_basis,
     is_locally_pth_power,
+    is_prime,
     is_semi_primary,
     lam,
     new_context,
@@ -205,6 +206,16 @@ def test_eigen_dimension_matches_nullspace(p):
             scaled = basis[0] * pow(int(basis[0][0]), -1, p) % p
             closed = tuple(int(x) for x in scaled) == report.vector
         assert report.matches_closed_form == closed, mu
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 272) if is_prime(p)])
+def test_eigen_valuation_law(p):
+    # The report reads v(e_mu) = s off the index of mu = u^s; the oracle
+    # measures it over the lam-basis.
+    ctx = new_context(p)
+    for mu in range(2, p):
+        report = canonical_eigenvector(ctx, mu)
+        assert report.valuation == oracles.eigenvector_valuation(ctx, mu), mu
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])

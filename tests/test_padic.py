@@ -55,6 +55,17 @@ def test_pascal_pair_matches_binomials(p, K):
     assert ((T @ U) % m == np.eye(n, dtype=np.int64)).all()
 
 
+def test_pascal_cache_is_bounded():
+    # Valuations at K = 1..8 build one matrix per modulus p^K; the cache
+    # keeps the last two (it once kept all eight, 30 MB each at p=1031).
+    ctx = new_context(101)
+    for K in range(1, 9):
+        assert valuation(zeta(ctx, K, 3) + from_integer(ctx, K, 2)) == 0
+        info = _pascal.cache_info()
+        assert info.currsize <= info.maxsize == 2
+    assert _pascal.cache_info().currsize == 2
+
+
 def test_lambda_round_trip_random():
     rng = seeded(41)
     for p, K in ((3, 1), (5, 2), (7, 2), (11, 3)):
