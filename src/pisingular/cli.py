@@ -17,7 +17,7 @@ from .context import is_prime, new_context
 from .eigen import canonical_eigenvector
 from .padic import digits
 from .ring import RingElement
-from .units import eigen_project_unit, verify_unit_relation
+from .units import unit_reports
 from .verifier import (
     PreconditionError,
     VerdictReport,
@@ -176,9 +176,7 @@ def _cmd_units(args) -> int:
     else:
         two_ms = [args.two_m]
     reports = []
-    for two_m in two_ms:
-        eta, vec = eigen_project_unit(ctx, args.K, args.a, two_m)
-        rep = verify_unit_relation(eta, two_m)
+    for rep, vec in unit_reports(ctx, args.K, args.a, two_ms):
         doc = rep.to_json_dict()
         doc["exponents"] = list(vec.exponents)
         reports.append((rep, doc))

@@ -21,16 +21,49 @@ product from the largest exponent down, raised once per gap between
 occupied exponents by ring._power.  That is at most about 3(p-1) ring
 products in place of one square-and-multiply power per conjugate, and in a
 commutative ring it is the same element, coefficient for coefficient.
+
+unit_reports, which the CLI runs, builds no eta.  Every field of a
+UnitReport is read off one p-adic logarithm
+
+    Lambda = log(eta^(p-1)) = sum_j c_j sigma^j(L),   L = log(xi_a^(p-1)).
+
+xi_a and eta are real units, so each is a rational integer mod lam^2 and
+its (p-1)-th power lies in U_2 = 1 + lam^2 O.  For n > e/(p-1) = 1 the
+logarithm maps U_n isometrically onto lam^n O and is a homomorphism
+(Washington, Introduction to Cyclotomic Fields, ch. 5), so the sum above is
+exact and v(Lambda) = v(eta^(p-1) - 1).  Hence, with sigma(Lambda) - mu*Lambda
+the logarithm of the (p-1)-th power of sigma(eta) * eta^(-mu):
+
+  * valuation_of_eta_pm1 is v(Lambda), CAP at K*(p-1) as before;
+  * local_pth_power is v(Lambda) >= p+1: a real unit y is congruent to a
+    rational p-th power mod lam^(p+1) iff y / t, with t the Teichmueller
+    lift of y mod lam (a rational p-th power), lies in U_(p+1), iff its
+    logarithm, log(y^(p-1)) / (p-1), has valuation at least p+1;
+  * relation_holds is v(sigma(Lambda) - mu*Lambda) >= p+1, by the same
+    argument for the real unit sigma(eta) * eta^(-mu);
+  * expansion_delta reads eta^(p-1) mod lam^(p-1) = exp(Lambda) mod p,
+    which is 1 + Lambda once v(Lambda) >= (p-1)/2.
+
+In the normal basis z^(u^i), i = 0..p-2, sigma is the cyclic shift
+i -> i+1, so Lambda's coordinates are one cyclic convolution of length p-1
+of the exponents c_j with L's coordinates.  L itself is computed once per
+(p, a, K) by argument reduction (_unit_log, which carries the precision
+argument).  The bucket route stays for the projected unit itself, which
+the synthetic bundles need, and for verify_unit_relation; the tests use the
+two together as the oracle for unit_reports.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .context import PrimeContext
 from .eigen import _inverse_powers, expansion_matches
-from .padic import _val_json, is_locally_pth_power, valuation
-from .ring import ExactElement, RingElement, _power, from_integer
+from .padic import CAP, _pascal, _val_json, _vp, is_locally_pth_power, valuation
+from .ring import _FLOAT_MIN_P, ExactElement, RingElement, _power, from_integer
 
 __all__ = [
     "UnitExponentVector",
@@ -40,6 +73,7 @@ __all__ = [
     "eigen_project_unit",
     "eigen_project_unit_exact",
     "verify_unit_relation",
+    "unit_reports",
     "solve_unit_adjustment",
 ]
 
@@ -54,6 +88,11 @@ def _check_even_index(p: int, two_m: int) -> None:
         raise ValueError(
             f"projection index must be even in [2, {p - 3}], got {two_m}"
         )
+
+
+def _check_depth(p: int, K: int) -> None:
+    if K * (p - 1) < p + 1:
+        raise ValueError(f"verification needs depth {p + 1}; K={K} caps at {K * (p - 1)}")
 
 
 def _xi_coeffs(p: int, a: int) -> list[int]:
@@ -194,13 +233,17 @@ def verify_unit_relation(eta: RingElement, two_m: int) -> UnitReport:
     The relation claim is that sigma(eta) * eta^(-mu) is a p-th power
     locally to depth p+1.  Failure of the valuation dichotomy is data,
     not an error: the report records what was measured.
+
+    It keeps its own route, not unit_reports' logarithm: eta is known only
+    mod p^K, and a logarithm of eta^(p-1) divides by p (in the terms with
+    p | n, or by the p^r of an argument reduction), so it would be known to
+    p-1 lam-digits fewer, and a valuation near the cap K(p-1) could not be
+    told from CAP.  Measured on eigen_project_unit's eta, it is the tests'
+    oracle for unit_reports.
     """
     ctx, p = eta.ctx, eta.ctx.p
     _check_even_index(p, two_m)
-    if eta.K * (p - 1) < p + 1:
-        raise ValueError(
-            f"verification needs depth {p + 1}; K={eta.K} caps at {eta.K * (p - 1)}"
-        )
+    _check_depth(p, eta.K)
     mu = ctx.upow[two_m]
     relation_holds = is_locally_pth_power(_twisted_quotient(eta, mu), p + 1)
     local = is_locally_pth_power(eta, p + 1)
@@ -219,6 +262,203 @@ def verify_unit_relation(eta: RingElement, two_m: int) -> UnitReport:
         valuation_of_eta_pm1=val,
         expansion_delta=delta,
     )
+
+
+def _unit_log(ctx: PrimeContext, K: int, a: int) -> list[int]:
+    """Normal-basis coordinates of L = log(xi_a^(p-1)) mod p^K: the
+    coefficient of z^(u^i) at index i.
+
+    Argument reduction (Brent and Zimmermann, Modern Computer Arithmetic,
+    ch. 4): for X = xi_a^(p-1) and any r >= 1,
+
+        L = log(X^(p^r)) / p^r = sum_(n >= 1) (-1)^(n+1) b_n Z^n,
+        b_n = p^(r(n-1)) / n,   Z = (X^(p^r) - 1) / p^r.
+
+    The precision argument, with v the lam-adic valuation and
+    lam^(K(p-1)) O = p^K O:
+
+      * X is in U_2 (module docstring), and (1 + y)^p is in U_(s+p-1) when
+        1 + y is in U_s with s >= 2, so v(X^(p^r) - 1) >= 2 + r(p-1).  Z is
+        therefore in lam^2 O, and X^(p^r) mod p^(K+r) gives Z mod p^K;
+      * b_n is a p-adic integer, as r(n-1) >= n-1 >= v_p(n), so every term
+        is computed exactly mod p^K;
+      * v(b_n Z^n) >= h(n) = (p-1)(r(n-1) - floor(log_p n)) + 2n, and h
+        grows by at least 2 per step since r >= 1: from the first n with
+        h(n) >= K(p-1) on, every term is 0 mod p^K.
+
+    Every r >= 1 is exact.  r trades the power X^(p^r), one
+    square-and-multiply chain of about 1.5 * r * log2(p) products, against
+    the about K/r terms of the series (Horner's rule, one product each),
+    so r is taken near sqrt(K / log2(p)).
+    """
+    p, n = ctx.p, ctx.p - 1
+    r = max(1, math.isqrt(K // p.bit_length()))
+    mK = p**K
+    one = from_integer(ctx, K, 1)
+    y = _power(cyclotomic_unit(ctx, K + r, a), n * p**r) - from_integer(ctx, K + r, 1)
+    Z = RingElement(ctx, K, [c // p**r for c in y.coeff_list()])
+    coeffs = []
+    k, log_k = 1, 0  # log_k = floor(log_p k)
+    while n * (r * (k - 1) - log_k) + 2 * k < K * n:
+        v = _vp(k, p)
+        coeffs.append((-1) ** (k + 1) * p ** (r * (k - 1) - v) * pow(k // p**v, -1, mK))
+        k += 1
+        log_k += k == p ** (log_k + 1)
+    series = one * coeffs[-1]
+    for b in reversed(coeffs[:-1]):
+        series = series * Z + one * b
+    c = (series * Z).coeff_list()
+    # power basis -> z^1, ..., z^(p-1): z^(p-1) = -(1 + z + ... + z^(p-2))
+    span = [x - c[0] for x in c] + [-c[0]]
+    return [span[j] % mK for j in ctx.upow]
+
+
+def _exact_dtype(top: int, n: int):
+    """A dtype on which integer sums of n terms, every partial sum in
+    [-top, top], are exact: float64 below 2^53 once n reaches
+    ring._FLOAT_MIN_P (numpy then runs BLAS), int64 below 2^63, else
+    Python ints."""
+    if top < 2**53 and n >= _FLOAT_MIN_P:
+        return np.float64
+    return np.int64 if top < 2**63 else object
+
+
+def _normal_to_power(ctx: PrimeContext, rows: np.ndarray) -> np.ndarray:
+    """Power-basis coordinates of each row of normal-basis coordinates."""
+    p = ctx.p
+    span = np.zeros((len(rows), p), dtype=rows.dtype)
+    span[:, list(ctx.upow)] = rows
+    return span[:, : p - 1] - span[:, p - 1 :]
+
+
+def _valuations(ctx: PrimeContext, rows: np.ndarray, K: int) -> list:
+    """v(x) for each row x of normal-basis coordinates mod p^K, CAP at K(p-1).
+
+    The normal basis is a Z-basis, so x = p^t * x' with x' != 0 mod p for
+    t the least exponent of p in x's coordinates.  Then
+    v(x) = (p-1)*t + v(x'), and v(x') < p-1 is the index of the first
+    lam-coefficient of x' that is nonzero mod p: only the Pascal matrix
+    mod p is needed.
+    """
+    p, n = ctx.p, ctx.p - 1
+    t = np.zeros(len(rows), dtype=np.int64)
+    q = rows
+    for _ in range(K):
+        divisible = (q % p == 0).all(axis=1)
+        if not divisible.any():
+            break
+        t += divisible
+        q = np.where(divisible[:, None], q // p, q)
+    # float64 pays for its copy of the (p-1)^2 matrix only from two rows on
+    dtype = _exact_dtype(n * p * p, n) if len(rows) > 1 else np.int64
+    power = _normal_to_power(ctx, (q % p).astype(dtype))
+    lam_coeffs = power @ _pascal(p, p).T.astype(dtype, copy=False) % p
+    first = (lam_coeffs != 0).argmax(axis=1)
+    return [CAP if ti >= K else int(n * ti + fi) for ti, fi in zip(t, first)]
+
+
+def _unit_power_mod_p(ctx: PrimeContext, log_row: np.ndarray, v) -> RingElement:
+    """eta^(p-1) mod p = exp(Lambda) mod p, from Lambda's normal coordinates.
+
+    v(Lambda) >= 2, so a term Lambda^k/k! with k < p has valuation >= 2k,
+    and one with k >= p at least 2k - (k-1) > p-1: the sum stops before
+    k = (p-1)/2, and every k! is invertible mod p.  Once v >= (p-1)/2, every
+    term past k = 1 vanishes mod p, and exp(Lambda) = 1 + Lambda.
+    """
+    p = ctx.p
+    log1 = RingElement(ctx, 1, _normal_to_power(ctx, log_row[None, :] % p)[0])
+    out = term = from_integer(ctx, 1, 1)
+    if v >= (p - 1) // 2:
+        return out + log1
+    for k in range(1, (p - 1) // 2):
+        term = term * log1 * pow(k, -1, p)
+        out = out + term
+    return out
+
+
+def _unit_logs(ctx: PrimeContext, K: int, a: int, exps: np.ndarray) -> np.ndarray:
+    """Normal-basis coordinates mod p^K of Lambda = sum_j c_j sigma^j(L),
+    one row per row c of exps: sigma^j shifts L's coordinates by j, so
+    Lambda is the cyclic convolution of c with L's coordinates."""
+    p, n = ctx.p, ctx.p - 1
+    mK = p**K
+    dtype = _exact_dtype(n * (p - 1) * (mK - 1), n)
+    ell = np.array(_unit_log(ctx, K, a), dtype=object).astype(dtype)
+    out = np.empty(exps.shape, dtype=object if mK >= 2**63 else np.int64)
+    for i, c in enumerate(exps.astype(dtype)):
+        full = np.convolve(c, ell)
+        full[: n - 1] += full[n:]  # z^(u^(n+k)) = z^(u^k)
+        out[i] = full[:n] % mK
+    return out
+
+
+def _log_valuations(ctx: PrimeContext, K: int, a: int, two_ms, exps, logs) -> list:
+    """v(Lambda) mod p^K for each index, from logs = Lambda mod p^2: the
+    indices that read 0 mod p^2 and have a^(2m) != 1 mod p take L again at
+    the full K (unit_reports)."""
+    p = ctx.p
+    vals = _valuations(ctx, logs, 2)
+    deep = [i for i, v in enumerate(vals) if v is CAP and pow(a, two_ms[i], p) != 1]
+    if deep and K > 2:
+        for i, v in zip(deep, _valuations(ctx, _unit_logs(ctx, K, a, exps[deep]), K)):
+            vals[i] = v
+    return vals
+
+
+def unit_reports(
+    ctx: PrimeContext, K: int, a: int, two_ms
+) -> list[tuple[UnitReport, UnitExponentVector]]:
+    """The UnitReport and exponent vector of each index 2m in two_ms.
+
+    The same reports as verify_unit_relation(eigen_project_unit(ctx, K, a,
+    2m)[0], 2m), read off the logarithms Lambda (module docstring) with no
+    projected unit built.  The unit index, every 2m and the depth are
+    checked before any work.
+
+    Every Lambda is first taken mod p^2.  That decides the relation and
+    the local p-th power (both ask for valuation p+1 <= 2(p-1)), gives
+    Lambda mod p for the expansion, and gives v(Lambda) whenever it is
+    below 2(p-1).  Where a^(2m) = 1 mod p, Lambda = 0 exactly: with
+    a = u^t, c_(j+t) = c_j * a^(-2m) = c_j, so eta is a product of
+    conjugates of prod_k sigma^(kt)(xi_a), a telescoping product equal to a
+    power of z; eta is real, hence +-1, and its report reads CAP at every
+    K.  Any other index with Lambda = 0 mod p^2 (none for p <= 251, over
+    every a and 2m) takes L again at the full K, to tell its valuation
+    from CAP.
+    """
+    p = ctx.p
+    _check_unit_index(p, a)
+    for two_m in two_ms:
+        _check_even_index(p, two_m)
+    _check_depth(p, K)  # so K >= 2
+    if not two_ms:
+        return []
+    exp_lists = [_projection_exponents(ctx, two_m) for two_m in two_ms]
+    exps = np.array(exp_lists, dtype=np.int64)
+    mus = [ctx.upow[two_m] for two_m in two_ms]
+    logs = _unit_logs(ctx, 2, a, exps)
+    vals = _log_valuations(ctx, K, a, two_ms, exps, logs)
+    # sigma shifts the normal coordinates by one
+    twisted = (np.roll(logs, 1, axis=1) - np.array(mus)[:, None] * logs) % (p * p)
+    out = []
+    for two_m, mu, v, v_twist, log_row, exp_list in zip(
+        two_ms, mus, vals, _valuations(ctx, twisted, 2), logs, exp_lists
+    ):
+        delta = None
+        if two_m > (p - 1) // 2:
+            matched, d = expansion_matches(_unit_power_mod_p(ctx, log_row, v), mu, p - 1)
+            if matched:
+                delta = d
+        report = UnitReport(
+            two_m=two_m,
+            mu=mu,
+            relation_holds=v_twist >= p + 1,
+            local_pth_power=v >= p + 1,
+            valuation_of_eta_pm1=v,
+            expansion_delta=delta,
+        )
+        out.append((report, UnitExponentVector(base_index=a, exponents=tuple(exp_list))))
+    return out
 
 
 def solve_unit_adjustment(

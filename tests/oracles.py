@@ -10,8 +10,9 @@ Bareiss determinant for exact norms, the np.convolve fold that multiplied
 object-dtype coefficient vectors, the per-conjugate power loop of the
 unit projection, the right-to-left power from the constant 1, the np.add.at
 scatter of the Galois maps, xi_a as a product of z^e by the geometric sum,
-the inverse Pascal matrix U, and the lam-basis valuation of e_mu that the
-eigen report once measured.  Nothing at runtime needs them; the property tests
+the inverse Pascal matrix U, the lam-basis valuation of e_mu that the
+eigen report once measured, and the logarithm of xi_a^(p-1) by its plain
+series with no argument reduction.  Nothing at runtime needs them; the property tests
 compare the package against them.  The ring oracles compute with Python
 ints (object dtype) at every modulus, so a wrong machine-word bound in the
 package cannot pass on both sides; mul_mod, lambda_coeffs and
@@ -414,3 +415,35 @@ def eigen_project_unit_exact(ctx: PrimeContext, a: int, two_m: int) -> ExactElem
 def eigenvector_valuation(ctx: PrimeContext, mu: int) -> int | float:
     """v(e_mu) measured over the lam-basis, at K=1."""
     return valuation(eigenvector_element(ctx, 1, mu))
+
+
+def unit_log(ctx: PrimeContext, K: int, a: int) -> list[int]:
+    """Normal-basis coordinates of log(xi_a^(p-1)) mod p^K, the coefficient
+    of z^(u^i) at index i, by the plain series sum (-1)^(n+1) Y^n / n with
+    Y = xi_a^(p-1) - 1 and no argument reduction.
+
+    v(Y) >= 2, so the term n has valuation at least 2n - (p-1) log_p(n),
+    which is at least K(p-1) from n = K(p-1) on (p^K >= 1 + K(p-1)) and
+    grows after.  The terms below are taken mod p^(K+g), with g guard
+    digits for the division by p^(v_p(n)) <= n < p^(g+1).
+    """
+    p = ctx.p
+    nterms = K * (p - 1)
+    g = 0
+    while p ** (g + 1) <= nterms:
+        g += 1
+    mK = p**K
+    Y = power(cyclotomic_unit(ctx, K + g, a), p - 1) - from_integer(ctx, K + g, 1)
+    total = [0] * (p - 1)
+    term = from_integer(ctx, K + g, 1)
+    for n in range(1, nterms):
+        term = term * Y
+        v, k = 0, n
+        while k % p == 0:
+            v, k = v + 1, k // p
+        sign_inv = (-1) ** (n + 1) * pow(k, -1, mK)
+        for i, c in enumerate(term.coeff_list()):
+            assert c % p**v == 0
+            total[i] = (total[i] + c // p**v * sign_inv) % mK
+    span = [c - total[0] for c in total] + [-total[0]]  # over z^1 .. z^(p-1)
+    return [span[j] % mK for j in ctx.upow]

@@ -13,11 +13,15 @@ from pisingular import (
     CandidateBundle,
     ExactElement,
     bundle_to_json,
+    eigen_project_unit,
     eigen_project_unit_exact,
     new_context,
     synthetic_unit_bundle,
+    verify_unit_relation,
 )
 from pisingular.verifier import _COEFF_MAX_DIGITS
+
+from conftest import seeded
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -199,6 +203,62 @@ def test_units_usage_errors():
     assert r.returncode == 2
     r = run_cli("units", "--p", "7", "--two-m", "3")
     assert r.returncode == 2 and "even" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # --all at p=3 yields no index; the unit index is refused all the same
+        (("--p", "3", "--a", "99", "--all"), "unit index must lie in [2, 1], got 99"),
+        (("--p", "3", "--a", "2", "--all"), "unit index must lie in [2, 1], got 2"),
+        (("--p", "7", "--a", "99", "--all"), "unit index must lie in [2, 3], got 99"),
+        (("--p", "7", "--a", "99", "--two-m", "3"), "unit index must lie in [2, 3], got 99"),
+        (("--p", "7", "--two-m", "8"), "projection index must be even in [2, 4], got 8"),
+        (("--p", "7", "--K", "1", "--all"), "verification needs depth 8; K=1 caps at 6"),
+    ],
+)
+def test_units_refuses_bad_indices_before_any_work(args, message):
+    r = run_cli("units", *args)
+    assert r.returncode == 2
+    assert r.stderr == f"error: {message}\n"
+    assert r.stdout == ""
+
+
+def _bucket_route_json(p: int, a: int, K: int, two_ms) -> str:
+    """units --json stdout as the projected-unit route built it."""
+    ctx = new_context(p)
+    docs = []
+    for two_m in two_ms:
+        eta, vec = eigen_project_unit(ctx, K, a, two_m)
+        doc = verify_unit_relation(eta, two_m).to_json_dict()
+        doc["exponents"] = list(vec.exponents)
+        docs.append(doc)
+    payload = {"p": p, "a": a, "K": K, "reports": docs}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_units_json_bytes_match_the_bucket_route():
+    rng = seeded(67)
+    for p in (37, 59, 67):  # the sweep benchmark's --all calls
+        a = rng.randrange(2, (p - 1) // 2 + 1)
+        r = run_cli("units", "--p", str(p), "--a", str(a), "--all", "--json")
+        assert r.returncode == 0
+        assert r.stdout == _bucket_route_json(p, a, 2, range(2, p - 2, 2)), (p, a)
+    for p, K in ((101, 4), (103, 4), (257, 2)):  # the deep benchmark's settings
+        two_m = rng.randrange(2, p - 2, 2)
+        r = run_cli("units", "--p", str(p), "--K", str(K), "--two-m", str(two_m), "--json")
+        assert r.returncode == 0
+        assert r.stdout == _bucket_route_json(p, 2, K, [two_m]), (p, two_m)
+
+
+def test_units_all_p257_within_budget():
+    # The bucket route took about 3.2 s in process; the log route, 0.06 s.
+    start = time.perf_counter()
+    code, doc = run_json("units", "--p", "257", "--all")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert len(doc["reports"]) == 127
+    assert elapsed < 3, f"units --p 257 --all took {elapsed:.1f}s"
 
 
 def write_bundle(tmp_path, doc, name="bundle.json"):
@@ -394,8 +454,7 @@ def test_byte_identical_reruns(args):
 
 
 def test_units_p257_k4_within_budget():
-    # K=4 at p=257 keeps object-dtype coefficients ((p-1) * (p^4-1)^2 >= 2^63);
-    # the bucketed projection and the big-integer product make it practical.
+    # K=4 at p=257 is past the int64 bound of ring products ((p-1) * (p^4-1)^2 >= 2^63).
     start = time.perf_counter()
     code, doc = run_json("units", "--p", "257", "--K", "4", "--two-m", "6")
     elapsed = time.perf_counter() - start

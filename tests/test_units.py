@@ -1,21 +1,34 @@
 """Circular units, eigen-projection, and the twisted power relation."""
 
+import numpy as np
 import pytest
 
 from pisingular import (
+    CAP,
     RingElement,
     cyclotomic_unit,
     cyclotomic_unit_exact,
     eigen_project_unit,
     eigen_project_unit_exact,
+    from_integer,
     is_locally_pth_power,
+    is_prime,
     new_context,
     norm_exact,
     solve_unit_adjustment,
+    unit_reports,
+    valuation,
     verify_unit_relation,
 )
 
-from pisingular.units import _projection_exponents
+from pisingular.units import (
+    _log_valuations,
+    _projection_exponents,
+    _unit_log,
+    _unit_logs,
+    _unit_power_mod_p,
+    _valuations,
+)
 
 import oracles
 from conftest import seeded
@@ -226,3 +239,126 @@ def test_projection_raises_running_once_per_gap(monkeypatch):
         if two_m == 50:
             assert (stepwise, count) == (198, 109)
             assert eta == oracles.eigen_project_unit(ctx, K, 3, two_m)
+
+
+# The log route (unit_reports) against the bucket route: verify_unit_relation
+# on eigen_project_unit's eta.  eta mod p^K is eta mod p^5 truncated, since
+# reduction is a ring map, so one projection per index serves every K <= 5.
+
+
+def _bucket_reports(ctx, K, a, two_ms):
+    return [
+        verify_unit_relation(eigen_project_unit(ctx, K, a, two_m)[0], two_m)
+        for two_m in two_ms
+    ]
+
+
+def _log_reports(ctx, K, a, two_ms):
+    return [rep for rep, _ in unit_reports(ctx, K, a, two_ms)]
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 104) if is_prime(p)])
+def test_log_route_matches_bucket_route_every_index(p):
+    ctx = new_context(p)
+    two_ms = list(range(2, p - 2, 2))
+    for a in (2, 3, 5):
+        if a > (p - 1) // 2:
+            continue
+        etas = [eigen_project_unit(ctx, 5, a, two_m)[0] for two_m in two_ms]
+        for K in (2, 3, 5):
+            expected = [verify_unit_relation(eta.truncate(K), m) for eta, m in zip(etas, two_ms)]
+            got = unit_reports(ctx, K, a, two_ms)
+            assert [rep for rep, _ in got] == expected, (p, a, K)
+            assert [vec.exponents for _, vec in got] == [
+                tuple(_projection_exponents(ctx, two_m)) for two_m in two_ms
+            ]
+
+
+def test_log_route_matches_bucket_route_p257():
+    # a = 2 has order 16 mod 257, so every multiple of 16 is an index where
+    # eta = +-1; 164 is the irregular pair.  Together they are the 16 local
+    # p-th powers of --all.
+    ctx = new_context(257)
+    local = [164] + list(range(16, 255, 16))
+    others = seeded(257).sample([m for m in range(2, 255, 2) if m not in local], 8)
+    two_ms = sorted(local + others)
+    got = _log_reports(ctx, 2, 2, two_ms)
+    assert got == _bucket_reports(ctx, 2, 2, two_ms)
+    assert [r.two_m for r in got if r.local_pth_power] == sorted(local)
+    assert sum(r.local_pth_power for r in _log_reports(ctx, 2, 2, list(range(2, 255, 2)))) == 16
+
+
+@pytest.mark.parametrize("p, two_m", [(37, 32), (59, 44), (67, 58), (101, 68), (103, 24)])
+def test_irregular_pairs_read_local_pth_powers(p, two_m):
+    ctx = new_context(p)
+    for K in (2, 4):
+        (rep,) = _log_reports(ctx, K, 2, [two_m])
+        assert rep.local_pth_power and rep.relation_holds
+        assert [rep] == _bucket_reports(ctx, K, 2, [two_m])
+
+
+@pytest.mark.parametrize("p", (5, 7, 11))
+def test_log_at_high_K(p):
+    """K from p-1 to 3p: the argument reduction takes r > 1 and the series
+    terms with p | n, against the plain series and the bucket route."""
+    ctx = new_context(p)
+    two_ms = list(range(2, p - 2, 2))
+    exps = np.array([_projection_exponents(ctx, two_m) for two_m in two_ms])
+    for K in range(p - 1, 3 * p + 1):
+        for a in range(2, (p - 1) // 2 + 1):
+            assert _unit_log(ctx, K, a) == oracles.unit_log(ctx, K, a), (K, a)
+            expected = _bucket_reports(ctx, K, a, two_ms)
+            assert _log_reports(ctx, K, a, two_ms) == expected, (K, a)
+            full = _valuations(ctx, _unit_logs(ctx, K, a, exps), K)
+            assert full == [r.valuation_of_eta_pm1 for r in expected], (K, a)
+
+
+def test_log_at_the_bundle_K_limit():
+    for p, K, a, two_m in ((5, 4096, 2, 2), (7, 2730, 3, 4)):
+        ctx = new_context(p)
+        exps = np.array([_projection_exponents(ctx, two_m)])
+        expected = _bucket_reports(ctx, K, a, [two_m])
+        assert _log_reports(ctx, K, a, [two_m]) == expected
+        (v,) = _valuations(ctx, _unit_logs(ctx, K, a, exps), K)
+        assert v == expected[0].valuation_of_eta_pm1 == two_m
+
+
+def test_indices_that_read_zero_mod_p2_take_the_full_K():
+    # Where a^(2m) = 1 mod p, eta = +-1 and the report is CAP at every K with
+    # no logarithm taken; every other index that reads 0 mod p^2 (forced
+    # here by zero rows) is measured again at the full K.
+    p, K, a = 13, 3, 3
+    ctx = new_context(p)
+    two_ms = list(range(2, p - 2, 2))
+    exps = np.array([_projection_exponents(ctx, two_m) for two_m in two_ms])
+    expected = [r.valuation_of_eta_pm1 for r in _bucket_reports(ctx, K, a, two_ms)]
+    assert [v for m, v in zip(two_ms, expected) if pow(a, m, p) == 1] == [CAP]
+    zeros = np.zeros((len(two_ms), p - 1), dtype=np.int64)
+    assert _log_valuations(ctx, K, a, two_ms, exps, zeros) == expected
+    assert _log_valuations(ctx, 2, a, two_ms, exps, zeros) == [CAP] * len(two_ms)
+
+
+def test_unit_power_mod_p_takes_the_exponential_below_half():
+    """eta^(p-1) mod p from Lambda: exp(Lambda) where v(Lambda) < (p-1)/2,
+    1 + Lambda from there on, each equal to the bucket route's power."""
+    p, K, a = 37, 2, 2
+    ctx = new_context(p)
+    two_ms = list(range(2, p - 2, 2))
+    exps = np.array([_projection_exponents(ctx, two_m) for two_m in two_ms])
+    logs = _unit_logs(ctx, 2, a, exps)
+    for two_m, row, v in zip(two_ms, logs, _valuations(ctx, logs, 2)):
+        eta = eigen_project_unit(ctx, K, a, two_m)[0]
+        assert v == valuation(eta ** (p - 1) - from_integer(ctx, K, 1))
+        assert _unit_power_mod_p(ctx, row, v) == (eta ** (p - 1)).truncate(1), two_m
+    assert min(v for v in _valuations(ctx, logs, 2)) < (p - 1) // 2
+
+
+def test_unit_reports_checks_before_any_work():
+    ctx = new_context(7)
+    with pytest.raises(ValueError, match=r"unit index must lie in \[2, 3\], got 9"):
+        unit_reports(ctx, 2, 9, [])
+    with pytest.raises(ValueError, match="even"):
+        unit_reports(ctx, 2, 2, [2, 3])
+    with pytest.raises(ValueError, match="needs depth 8; K=1 caps at 6"):
+        unit_reports(ctx, 1, 2, [2])
+    assert unit_reports(ctx, 2, 2, []) == []
