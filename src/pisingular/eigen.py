@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import PrimeContext
-from .padic import _require_unit, to_lambda_basis
+from .padic import _lam_read, _require_unit
 from .ring import RingElement, from_integer, zeta
 
 __all__ = [
@@ -192,16 +192,23 @@ def recurrence_solve(ctx: PrimeContext, mu: int, free: int) -> RecurrenceSolutio
     )
 
 
+def _match_expansion(w, e, p: int) -> int | None:
+    """The delta with w_i + delta * e_i = 0 mod p at every i, solved at the
+    first i with e_i != 0 (0 if e is all zero), or None if none matches."""
+    s = np.flatnonzero(e)
+    delta = -int(w[s[0]]) * pow(int(e[s[0]]), -1, p) % p if s.size else 0
+    return None if ((w + delta * e) % p).any() else delta
+
+
 def expansion_matches(
     a: RingElement, mu: int, depth: int | None = None
 ) -> tuple[bool, int | None]:
     """Test a = 1 - delta * e_mu mod lam^depth; return (matched, delta).
 
-    With w, e the lam-coefficients of a - 1 and e_mu at K=1 (the digits),
-    it is w_i + delta * e_i = 0 mod p for i < depth: delta is solved at the
-    first i with e_i != 0 and checked on the rest.  If e vanishes below
-    depth, any delta matches (0 is reported) when w does.  v(e_mu) < p-1,
-    so at depth p-1 a matching delta is unique.
+    With w, e the lam-digits of a - 1 and e_mu below depth, read together
+    mod p (padic._lam_read), it is w_i + delta * e_i = 0 mod p for
+    i < depth (_match_expansion).  v(e_mu) < p-1, so at depth p-1 a
+    matching delta is unique.
     """
     ctx, p = a.ctx, a.ctx.p
     _require_unit(a, "expansion_matches")
@@ -209,11 +216,8 @@ def expansion_matches(
         depth = p - 1
     if not (1 <= depth <= p - 1):
         raise ValueError(f"depth must lie in [1, {p - 1}], got {depth}")
-    w = to_lambda_basis(a.truncate(1))[:depth]
+    rows = [a.coeffs % p, eigenvector_element(ctx, 1, mu % p).coeffs]
+    _, (w, e) = _lam_read(p, 1, np.array(rows, dtype=np.int64))
     w[0] -= 1
-    e = to_lambda_basis(eigenvector_element(ctx, 1, mu % p))[:depth]
-    s = next((i for i, x in enumerate(e) if x), None)
-    delta = 0 if s is None else -w[s] * pow(e[s], -1, p) % p
-    if all((x + delta * y) % p == 0 for x, y in zip(w, e)):
-        return True, delta
-    return False, None
+    delta = _match_expansion(w[:depth], e[:depth], p)
+    return delta is not None, delta

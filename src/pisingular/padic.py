@@ -2,25 +2,24 @@
 
 The prime p is totally ramified: (p) = (z - 1)^(p-1) up to units, so the
 element lam = z - 1 is a uniformizer.  Writing an element over the basis
-lam^0, ..., lam^(p-2) (an invertible binomial change of basis from the
+lam^0, ..., lam^(p-2) is an invertible binomial change of basis from the
 power basis in z, by the Pascal matrix T[i, j] = C(j, i); its inverse is
-S T S with S = diag((-1)^i), so T is the one matrix cached) makes the
-valuation computable by a minimum formula:
+S T S with S = diag((-1)^i), so T is the one matrix cached.
 
-    v(a) = min_i ( i + (p-1) * v_p(l_i) )
+Every valuation splits off the p-content (_lam_read): the power basis is
+a Z-basis, so x = p^t * x' with x' != 0 mod p.  As p is lam^(p-1) times a
+unit, v(x) = (p-1)*t + v(x'), and v(x') < p-1 is the index of the first
+lam-coefficient of x' that is nonzero mod p, so only T mod p is read,
+whatever the truncation K.  Valuations at or beyond the cap K*(p-1) are
+the sentinel CAP (math.inf), exactly the "element is 0 mod p^K" case
+(Washington, Introduction to Cyclotomic Fields, ch. 5).
 
-over the nonzero lam-coefficients l_i.  The candidate values are pairwise
-distinct mod p-1 across the lam-degrees, so the minimum is attained once
-and the formula is exact below the truncation cap K*(p-1).
-
-Valuations at or beyond the cap are reported as the sentinel CAP
-(math.inf), which is exactly the "element is 0 mod p^K" case.
-
-The unit predicates are read off the same coefficients.  A rational
-integer changes only l_0, so a unit a is a p-th power c^p mod lam^depth iff
-every l_i with i >= 1 passes the minimum rule at depth, and, once
-depth > p-1, also l_0^(p-1) = 1 mod p^2 (the p-th powers among the 1-units
-of Z_p are 1 + p^2 Z_p).
+The unit predicates need no matrix: z^j = (1 + lam)^j gives the leading
+lam-coefficients l_0 = sum_j c_j and l_1 = sum_j j*c_j in closed form.  A
+rational integer changes only l_0, so a unit a is a p-th power c^p mod
+lam^depth iff v(a - l_0) >= depth, and, once depth > p-1, also
+l_0^(p-1) = 1 mod p^2 (the p-th powers among the 1-units of Z_p are
+1 + p^2 Z_p).
 
 The digits need no lam-basis: since z = 1 mod lam, the next digit of r is
 r(1) mod p, and r minus it divides exactly by lam = z - 1 (see digits).
@@ -36,7 +35,7 @@ from itertools import accumulate
 import numpy as np
 
 from .context import PrimeContext
-from .ring import RingElement, _dtype_for, zeta
+from .ring import _ROUTE_DTYPE, RingElement, _dtype_for, _route, from_integer, zeta
 
 __all__ = [
     "CAP",
@@ -67,8 +66,9 @@ def _pascal(p: int, modulus: int):
     T[i, j] = C(j, i): lam-coefficients = T @ z-coefficients, from the
     expansion z^j = (1 + lam)^j.  Its inverse, from lam^i = (z - 1)^i, is
     S @ T @ S with S = diag((-1)^i), which from_lambda_basis applies as
-    signs on either side of T.  The cache keeps the two moduli one call
-    alternates between, p^K and p (an object matrix is 30 MB at p=1031).
+    signs on either side of T.  Valuations read T mod p only (_lam_read),
+    the lam-basis conversions T mod p^K: the cache keeps those two, not one
+    matrix per K of a sweep (an object matrix is 30 MB at p=1031).
     """
     n = p - 1
     T = np.zeros((n, n), dtype=_dtype_for(modulus, p))
@@ -109,13 +109,28 @@ def _vp(x: int, p: int) -> int:
     return n
 
 
+def _lam_read(p: int, K: int, rows: np.ndarray) -> tuple[list, np.ndarray]:
+    """v(x) for each row x of power-basis residues in [0, p^K), and the
+    first p-1 lam-digits of x' = x / p^t, t the least exponent of p in x's
+    coefficients: v(x) = (p-1)*t + the index of the first nonzero digit
+    (module docstring).  A zero row, x = 0 mod p^K, reads CAP and 0s."""
+    n = p - 1
+    # t is the exponent of p in the gcd of the row; a zero row has gcd 0
+    t = [_vp(g, p) if g else K for g in np.gcd.reduce(rows, axis=1).tolist()]
+    q = rows // np.array([p**ti for ti in t], dtype=rows.dtype)[:, None]
+    # sums of p-1 products of residues mod p; float64 pays for its copy of
+    # the (p-1)^2 matrix only from two rows on
+    dtype = _ROUTE_DTYPE[_route(p, p)] if len(rows) > 1 else np.int64
+    T = _pascal(p, p).astype(dtype, copy=False)
+    lam_coeffs = ((q % p).astype(dtype, copy=False) @ T.T % p).astype(np.int64, copy=False)
+    first = (lam_coeffs != 0).argmax(axis=1).tolist()
+    vals = [CAP if ti >= K else n * ti + fi for ti, fi in zip(t, first)]
+    return vals, lam_coeffs
+
+
 def valuation(a: RingElement) -> int | float:
     """Order of vanishing at the ramified prime; CAP when a == 0 mod p^K."""
-    p = a.ctx.p
-    return min(
-        (i + (p - 1) * _vp(li, p) for i, li in enumerate(to_lambda_basis(a)) if li),
-        default=CAP,
-    )
+    return _lam_read(a.ctx.p, a.K, a.coeffs[None, :])[0][0]
 
 
 @dataclass(frozen=True)
@@ -169,19 +184,20 @@ def digits(a: RingElement, N: int) -> LambdaExpansion:
 
 
 def _first_two_digits(a: RingElement) -> tuple[int, int]:
-    # valid read-off for v(a) = 0: subtracting the constant digit does not
-    # disturb the lam^1 coefficient
-    l = to_lambda_basis(a)
-    return l[0] % a.ctx.p, l[1] % a.ctx.p
+    """l_0 and l_1 mod p: z^j = (1 + lam)^j has lam-coefficients 1 and j."""
+    p = a.ctx.p
+    c = a.coeffs % p
+    return int(c.sum()) % p, int(c @ np.arange(p - 1)) % p
 
 
 def _is_unit(a: RingElement) -> bool:
-    return int(a.coeffs.sum()) % a.ctx.p != 0  # l_0 = a(1): row 0 of T is all ones
+    return int(a.coeffs.sum()) % a.ctx.p != 0  # l_0 = a(1)
 
 
 def is_semi_primary(a: RingElement) -> bool:
     """True iff a is a unit congruent to a rational integer mod lam^2."""
-    return _is_unit(a) and to_lambda_basis(a)[1] % a.ctx.p == 0
+    l0, l1 = _first_two_digits(a)
+    return l0 != 0 and l1 == 0
 
 
 def _require_unit(a: RingElement, opname: str) -> None:
@@ -192,16 +208,15 @@ def _require_unit(a: RingElement, opname: str) -> None:
 def _pth_power_to_depth(a: RingElement, depth: int) -> bool:
     """Whether the unit a is congruent to c^p for a rational c mod lam^depth.
 
-    a - c^p differs from a only in l_0, so every other lam-coefficient must
-    already vanish to depth.  c = l_0 mod p always clears l_0 to depth p-1;
-    deeper, l_0 must be a p-th power in Z_p, i.e. l_0^(p-1) = 1 mod p^2.
+    a - c^p differs from a only in l_0, so a - l_0 must already vanish to
+    depth.  c = l_0 mod p always clears l_0 to depth p-1; deeper, l_0 must
+    be a p-th power in Z_p, i.e. l_0^(p-1) = 1 mod p^2.
     """
     p = a.ctx.p
-    l = to_lambda_basis(a)
-    for i in range(1, p - 1):
-        if l[i] and i + (p - 1) * _vp(l[i], p) < depth:
-            return False
-    return depth <= p - 1 or pow(l[0], p - 1, p * p) == 1
+    l0 = int(a.coeffs.sum()) % a.modulus
+    if valuation(a - from_integer(a.ctx, a.K, l0)) < depth:
+        return False
+    return depth <= p - 1 or pow(l0, p - 1, p * p) == 1
 
 
 def is_primary(a: RingElement) -> bool:

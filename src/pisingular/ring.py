@@ -97,10 +97,19 @@ def _route(modulus: int, p: int) -> str:
     (Brent and Zimmermann, Modern Computer Arithmetic, ch. 1-2, treat such
     exact products of bounded integers.)
     """
-    top = (p - 1) * (modulus - 1) ** 2
+    return _exact_route((p - 1) * (modulus - 1) ** 2, p)
+
+
+def _exact_route(top: int, p: int) -> str:
+    """Where sums of p-1 integer products, each partial sum in [-top, top],
+    are exact: "float" below 2^53 from p = _FLOAT_MIN_P on (numpy then runs
+    BLAS), "int64" below 2^63, else "object"; dtypes in _ROUTE_DTYPE."""
     if top < 2**53 and p >= _FLOAT_MIN_P:
         return "float"
     return "int64" if top < 2**63 else "object"
+
+
+_ROUTE_DTYPE = {"float": np.float64, "int64": np.int64, "object": object}
 
 
 def _dtype_for(modulus: int, p: int):

@@ -41,8 +41,10 @@ the logarithm of the (p-1)-th power of sigma(eta) * eta^(-mu):
     logarithm, log(y^(p-1)) / (p-1), has valuation at least p+1;
   * relation_holds is v(sigma(Lambda) - mu*Lambda) >= p+1, by the same
     argument for the real unit sigma(eta) * eta^(-mu);
-  * expansion_delta reads eta^(p-1) mod lam^(p-1) = exp(Lambda) mod p,
-    which is 1 + Lambda once v(Lambda) >= (p-1)/2.
+  * expansion_delta, in the high range 2m > (p-1)/2, matches the
+    lam-digits of Lambda mod p against e_mu's: for v(Lambda) >= (p-1)/2,
+    eta^(p-1) = exp(Lambda) = 1 + Lambda mod p; below, both Lambda and
+    eta^(p-1) - 1 have a nonzero digit under 2m = v(e_mu): neither matches.
 
 In the normal basis z^(u^i), i = 0..p-2, sigma is the cyclic shift
 i -> i+1, so Lambda's coordinates are one cyclic convolution of length p-1
@@ -61,9 +63,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import PrimeContext
-from .eigen import _inverse_powers, expansion_matches
-from .padic import CAP, _pascal, _val_json, _vp, is_locally_pth_power, valuation
-from .ring import _FLOAT_MIN_P, ExactElement, RingElement, _power, from_integer
+from .eigen import _inverse_powers, _match_expansion, expansion_matches
+from .padic import CAP, _lam_read, _val_json, _vp, is_locally_pth_power, valuation
+from .ring import _ROUTE_DTYPE, ExactElement, RingElement, _exact_route, _power, from_integer
 
 __all__ = [
     "UnitExponentVector",
@@ -313,77 +315,24 @@ def _unit_log(ctx: PrimeContext, K: int, a: int) -> list[int]:
     return [span[j] % mK for j in ctx.upow]
 
 
-def _exact_dtype(top: int, n: int):
-    """A dtype on which integer sums of n terms, every partial sum in
-    [-top, top], are exact: float64 below 2^53 once n reaches
-    ring._FLOAT_MIN_P (numpy then runs BLAS), int64 below 2^63, else
-    Python ints."""
-    if top < 2**53 and n >= _FLOAT_MIN_P:
-        return np.float64
-    return np.int64 if top < 2**63 else object
-
-
-def _normal_to_power(ctx: PrimeContext, rows: np.ndarray) -> np.ndarray:
-    """Power-basis coordinates of each row of normal-basis coordinates."""
+def _read_normal(ctx: PrimeContext, rows: np.ndarray, K: int) -> tuple[list, np.ndarray]:
+    """padic._lam_read of rows of normal-basis coordinates mod p^K, in the
+    power basis by z^(p-1) = -(1 + z + ... + z^(p-2))."""
     p = ctx.p
     span = np.zeros((len(rows), p), dtype=rows.dtype)
     span[:, list(ctx.upow)] = rows
-    return span[:, : p - 1] - span[:, p - 1 :]
+    return _lam_read(p, K, (span[:, : p - 1] - span[:, p - 1 :]) % p**K)
 
 
-def _valuations(ctx: PrimeContext, rows: np.ndarray, K: int) -> list:
-    """v(x) for each row x of normal-basis coordinates mod p^K, CAP at K(p-1).
-
-    The normal basis is a Z-basis, so x = p^t * x' with x' != 0 mod p for
-    t the least exponent of p in x's coordinates.  Then
-    v(x) = (p-1)*t + v(x'), and v(x') < p-1 is the index of the first
-    lam-coefficient of x' that is nonzero mod p: only the Pascal matrix
-    mod p is needed.
-    """
-    p, n = ctx.p, ctx.p - 1
-    t = np.zeros(len(rows), dtype=np.int64)
-    q = rows
-    for _ in range(K):
-        divisible = (q % p == 0).all(axis=1)
-        if not divisible.any():
-            break
-        t += divisible
-        q = np.where(divisible[:, None], q // p, q)
-    # float64 pays for its copy of the (p-1)^2 matrix only from two rows on
-    dtype = _exact_dtype(n * p * p, n) if len(rows) > 1 else np.int64
-    power = _normal_to_power(ctx, (q % p).astype(dtype))
-    lam_coeffs = power @ _pascal(p, p).T.astype(dtype, copy=False) % p
-    first = (lam_coeffs != 0).argmax(axis=1)
-    return [CAP if ti >= K else int(n * ti + fi) for ti, fi in zip(t, first)]
-
-
-def _unit_power_mod_p(ctx: PrimeContext, log_row: np.ndarray, v) -> RingElement:
-    """eta^(p-1) mod p = exp(Lambda) mod p, from Lambda's normal coordinates.
-
-    v(Lambda) >= 2, so a term Lambda^k/k! with k < p has valuation >= 2k,
-    and one with k >= p at least 2k - (k-1) > p-1: the sum stops before
-    k = (p-1)/2, and every k! is invertible mod p.  Once v >= (p-1)/2, every
-    term past k = 1 vanishes mod p, and exp(Lambda) = 1 + Lambda.
-    """
-    p = ctx.p
-    log1 = RingElement(ctx, 1, _normal_to_power(ctx, log_row[None, :] % p)[0])
-    out = term = from_integer(ctx, 1, 1)
-    if v >= (p - 1) // 2:
-        return out + log1
-    for k in range(1, (p - 1) // 2):
-        term = term * log1 * pow(k, -1, p)
-        out = out + term
-    return out
-
-
-def _unit_logs(ctx: PrimeContext, K: int, a: int, exps: np.ndarray) -> np.ndarray:
+def _unit_logs(ctx: PrimeContext, K: int, ell: list[int], exps: np.ndarray) -> np.ndarray:
     """Normal-basis coordinates mod p^K of Lambda = sum_j c_j sigma^j(L),
-    one row per row c of exps: sigma^j shifts L's coordinates by j, so
-    Lambda is the cyclic convolution of c with L's coordinates."""
+    one row per row c of exps, from ell = _unit_log(ctx, K, a): sigma^j
+    shifts L's coordinates by j, so Lambda is the cyclic convolution of c
+    with L's coordinates."""
     p, n = ctx.p, ctx.p - 1
     mK = p**K
-    dtype = _exact_dtype(n * (p - 1) * (mK - 1), n)
-    ell = np.array(_unit_log(ctx, K, a), dtype=object).astype(dtype)
+    dtype = _ROUTE_DTYPE[_exact_route(n * (p - 1) * (mK - 1), p)]
+    ell = np.array(ell, dtype=object).astype(dtype)
     out = np.empty(exps.shape, dtype=object if mK >= 2**63 else np.int64)
     for i, c in enumerate(exps.astype(dtype)):
         full = np.convolve(c, ell)
@@ -392,17 +341,23 @@ def _unit_logs(ctx: PrimeContext, K: int, a: int, exps: np.ndarray) -> np.ndarra
     return out
 
 
-def _log_valuations(ctx: PrimeContext, K: int, a: int, two_ms, exps, logs) -> list:
-    """v(Lambda) mod p^K for each index, from logs = Lambda mod p^2: the
-    indices that read 0 mod p^2 and have a^(2m) != 1 mod p take L again at
-    the full K (unit_reports)."""
+def _log_valuations(ctx: PrimeContext, K: int, a: int, two_ms, exps, vals) -> list:
+    """v(Lambda) mod p^K for each index, from vals, its reading mod p^2:
+    the indices that read CAP there and have a^(2m) != 1 mod p take L
+    again at the full K (unit_reports)."""
     p = ctx.p
-    vals = _valuations(ctx, logs, 2)
+    vals = list(vals)
     deep = [i for i, v in enumerate(vals) if v is CAP and pow(a, two_ms[i], p) != 1]
     if deep and K > 2:
-        for i, v in zip(deep, _valuations(ctx, _unit_logs(ctx, K, a, exps[deep]), K)):
+        logs = _unit_logs(ctx, K, _unit_log(ctx, K, a), exps[deep])
+        for i, v in zip(deep, _read_normal(ctx, logs, K)[0]):
             vals[i] = v
     return vals
+
+
+# Indices per block of unit_reports, read by one _lam_read: a few arrays of
+# _BLOCK rows of p-1 residues (1 MB each at p=2039), and the Pascal matrix mod p.
+_BLOCK = 64
 
 
 def unit_reports(
@@ -413,7 +368,7 @@ def unit_reports(
     The same reports as verify_unit_relation(eigen_project_unit(ctx, K, a,
     2m)[0], 2m), read off the logarithms Lambda (module docstring) with no
     projected unit built.  The unit index, every 2m and the depth are
-    checked before any work.
+    checked before any work; the indices then run in blocks of _BLOCK.
 
     Every Lambda is first taken mod p^2.  That decides the relation and
     the local p-th power (both ask for valuation p+1 <= 2(p-1)), gives
@@ -433,31 +388,40 @@ def unit_reports(
     _check_depth(p, K)  # so K >= 2
     if not two_ms:
         return []
-    exp_lists = [_projection_exponents(ctx, two_m) for two_m in two_ms]
-    exps = np.array(exp_lists, dtype=np.int64)
-    mus = [ctx.upow[two_m] for two_m in two_ms]
-    logs = _unit_logs(ctx, 2, a, exps)
-    vals = _log_valuations(ctx, K, a, two_ms, exps, logs)
-    # sigma shifts the normal coordinates by one
-    twisted = (np.roll(logs, 1, axis=1) - np.array(mus)[:, None] * logs) % (p * p)
+    ell = _unit_log(ctx, 2, a)
     out = []
-    for two_m, mu, v, v_twist, log_row, exp_list in zip(
-        two_ms, mus, vals, _valuations(ctx, twisted, 2), logs, exp_lists
-    ):
-        delta = None
-        if two_m > (p - 1) // 2:
-            matched, d = expansion_matches(_unit_power_mod_p(ctx, log_row, v), mu, p - 1)
-            if matched:
-                delta = d
-        report = UnitReport(
-            two_m=two_m,
-            mu=mu,
-            relation_holds=v_twist >= p + 1,
-            local_pth_power=v >= p + 1,
-            valuation_of_eta_pm1=v,
-            expansion_delta=delta,
-        )
-        out.append((report, UnitExponentVector(base_index=a, exponents=tuple(exp_list))))
+    for start in range(0, len(two_ms), _BLOCK):
+        block = two_ms[start : start + _BLOCK]
+        r = len(block)
+        exp_lists = [_projection_exponents(ctx, two_m) for two_m in block]
+        exps = np.array(exp_lists, dtype=np.int64)
+        mus = [ctx.upow[two_m] for two_m in block]
+        logs = _unit_logs(ctx, 2, ell, exps)
+        # sigma shifts the normal coordinates by one
+        twisted = (np.roll(logs, 1, axis=1) - np.array(mus)[:, None] * logs) % (p * p)
+        # the high range matches e_mu, whose normal coordinates are the
+        # exponent row: a residue mod p, so its digits read alike mod p^2
+        high = [i for i, two_m in enumerate(block) if two_m > (p - 1) // 2]
+        vals, digits = _read_normal(ctx, np.concatenate([logs, twisted, exps[high]]), 2)
+        v_twists = vals[r : 2 * r]
+        vals = _log_valuations(ctx, K, a, block, exps, vals[:r])
+        deltas = [None] * r
+        for i, e in zip(high, digits[2 * r :]):
+            # Lambda mod p: the digits read below v = p-1, none from there on
+            w = digits[i] if vals[i] < p - 1 else np.zeros_like(e)
+            deltas[i] = _match_expansion(w, e, p)
+        for two_m, mu, v, v_twist, delta, exp_list in zip(
+            block, mus, vals, v_twists, deltas, exp_lists
+        ):
+            report = UnitReport(
+                two_m=two_m,
+                mu=mu,
+                relation_holds=v_twist >= p + 1,
+                local_pth_power=v >= p + 1,
+                valuation_of_eta_pm1=v,
+                expansion_delta=delta,
+            )
+            out.append((report, UnitExponentVector(base_index=a, exponents=tuple(exp_list))))
     return out
 
 

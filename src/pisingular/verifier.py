@@ -154,7 +154,7 @@ _INT_STR_CHUNK = 4000  # digits int() and str() convert under CPython's 4300 lim
 # A bundle's truncation K may have K*(p-1), its precision in powers of lam,
 # up to 2^14.  verify at that precision takes under a second up to p=257
 # (p=23: K=744; p=101: K=163), against 5 s at p=23, K=5000; past p=1000 the
-# cost is mostly p itself (p=2039: 0.7 s at K=2, 2.0-2.4 s at K=8).
+# cost is mostly p itself (p=2039: 0.8 s at K=2, 1.9-2.1 s at K=8).
 _PRECISION_LIMIT = 2**14
 # The p-th power campaign may have up to 10^4 trials.  A trial costs about
 # 0.1 ms at p=7, 0.5 ms at p=101, 1.2 ms at p=257 and 6-9 ms at p=1031 (K=2),

@@ -17,7 +17,11 @@ compare the package against them.  The ring oracles compute with Python
 ints (object dtype) at every modulus, so a wrong machine-word bound in the
 package cannot pass on both sides; mul_mod, lambda_coeffs and
 digits_remainder_valuation are plain Python-int routes for the product, the lam-basis and the digit
-expansion at the edges of those bounds.
+expansion at the edges of those bounds.  lambda_valuation is the minimum
+formula min(i + (p-1) v_p(l_i)) that padic.valuation once applied; the
+p-th power, digit and e_mu oracles read every valuation through it, not
+through the package's reader, so a wrong reader cannot pass on both sides
+either.
 """
 from __future__ import annotations
 
@@ -32,10 +36,8 @@ from pisingular import (
     eigenvector_element,
     from_integer,
     lam,
-    valuation,
     zeta,
 )
-from pisingular.padic import _first_two_digits, to_lambda_basis
 from pisingular.units import _projection_exponents
 
 
@@ -117,17 +119,21 @@ def pth_power_to_depth(a: RingElement, depth: int) -> bool:
     """Whether a is congruent to c^p for some rational integer c mod lam^depth.
 
     c mod p^j determines c^p mod p^(j+1), so lifting the forced residue
-    c = d0 mod p through j levels covers every candidate.
+    c = l_0 mod p through j levels covers every candidate.  a - c^p has the
+    lam-coefficients of a with c^p taken off l_0.
     """
-    ctx, K, p = a.ctx, a.K, a.ctx.p
-    d0, _ = _first_two_digits(a)
+    p, m = a.ctx.p, a.modulus
+    l0, *rest = lambda_coeffs(a.coeff_list(), m)
     j = max(0, -(-(depth - (p - 1)) // (p - 1)))
     for t in range(p**j):
-        c = d0 + t * p
-        w = a - from_integer(ctx, K, pow(c, p, a.modulus))
-        if valuation(w) >= depth:
+        c = l0 % p + t * p
+        if _min_valuation([(l0 - pow(c, p, m)) % m] + rest, p) >= depth:
             return True
     return False
+
+
+def _valuation(a: RingElement) -> int | float:
+    return lambda_valuation(a.coeff_list(), a.ctx.p, a.modulus)
 
 
 def digits(a: RingElement, N: int) -> LambdaExpansion:
@@ -140,7 +146,7 @@ def digits(a: RingElement, N: int) -> LambdaExpansion:
     nmax = K * (p - 1)
     if not (1 <= N <= nmax):
         raise ValueError(f"precision must lie in [1, {nmax}], got {N}")
-    v0 = valuation(a)
+    v0 = _valuation(a)
     r = a
     lam1 = lam(ctx, K)
     lam_pow = from_integer(ctx, K, 1)
@@ -152,13 +158,13 @@ def digits(a: RingElement, N: int) -> LambdaExpansion:
         else:
             # vcur == i exactly; exactly one digit in 1..p-1 clears it
             if i <= p - 2:
-                first = to_lambda_basis(r)[i] % p
+                first = lambda_coeffs(r.coeff_list(), p)[i]
                 cands = [first] + [d for d in range(1, p) if d != first]
             else:
                 cands = list(range(1, p))
             for d in cands:
                 t = r - lam_pow * d
-                vt = valuation(t)
+                vt = _valuation(t)
                 if vt >= i + 1:
                     r = t
                     vcur = vt
@@ -300,8 +306,12 @@ def lambda_coeffs(coeffs, modulus: int) -> list[int]:
 
 def lambda_valuation(coeffs, p: int, modulus: int) -> int | float:
     """min(i + (p-1) v_p(l_i)) over the nonzero lam-coefficients; CAP if none."""
+    return _min_valuation(lambda_coeffs(coeffs, modulus), p)
+
+
+def _min_valuation(lam_coeffs, p: int) -> int | float:
     best = CAP
-    for i, li in enumerate(lambda_coeffs(coeffs, modulus)):
+    for i, li in enumerate(lam_coeffs):
         if li:
             v = 0
             while li % p == 0:
@@ -414,7 +424,7 @@ def eigen_project_unit_exact(ctx: PrimeContext, a: int, two_m: int) -> ExactElem
 
 def eigenvector_valuation(ctx: PrimeContext, mu: int) -> int | float:
     """v(e_mu) measured over the lam-basis, at K=1."""
-    return valuation(eigenvector_element(ctx, 1, mu))
+    return _valuation(eigenvector_element(ctx, 1, mu))
 
 
 def unit_log(ctx: PrimeContext, K: int, a: int) -> list[int]:

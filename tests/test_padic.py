@@ -18,8 +18,11 @@ from pisingular import (
     lam,
     new_context,
     semi_primary_normalize,
+    synthetic_unit_bundle,
     to_lambda_basis,
+    unit_reports,
     valuation,
+    verify_positive_candidate,
     zeta,
 )
 from pisingular.padic import _pascal
@@ -56,14 +59,31 @@ def test_pascal_pair_matches_binomials(p, K):
 
 
 def test_pascal_cache_is_bounded():
-    # Valuations at K = 1..8 build one matrix per modulus p^K; the cache
+    # The lam-basis at K = 1..8 builds one matrix per modulus p^K; the cache
     # keeps the last two (it once kept all eight, 30 MB each at p=1031).
     ctx = new_context(101)
     for K in range(1, 9):
-        assert valuation(zeta(ctx, K, 3) + from_integer(ctx, K, 2)) == 0
+        assert to_lambda_basis(zeta(ctx, K, 3) + from_integer(ctx, K, 2))[0] == 3
         info = _pascal.cache_info()
         assert info.currsize <= info.maxsize == 2
     assert _pascal.cache_info().currsize == 2
+
+
+def test_claim_paths_read_only_the_pascal_matrix_mod_p():
+    # p=103, K=5 is past the int64 bound: a Pascal matrix mod p^K there
+    # would be object dtype.  verify and the units reports build T mod p
+    # once and nothing else.
+    p, K = 103, 5
+    ctx = new_context(p)
+    bundle = synthetic_unit_bundle(ctx, 2, 60, K=K)
+    _pascal.cache_clear()
+    assert verify_positive_candidate(bundle).overall
+    _pascal(p, p)
+    assert _pascal.cache_info().misses == 1
+    _pascal.cache_clear()
+    assert len(unit_reports(ctx, K, 2, list(range(2, p - 2, 2)))) == (p - 3) // 2
+    _pascal(p, p)
+    assert _pascal.cache_info().misses == 1
 
 
 def test_lambda_round_trip_random():

@@ -10,24 +10,21 @@ from pisingular import (
     cyclotomic_unit_exact,
     eigen_project_unit,
     eigen_project_unit_exact,
-    from_integer,
     is_locally_pth_power,
     is_prime,
     new_context,
     norm_exact,
     solve_unit_adjustment,
     unit_reports,
-    valuation,
     verify_unit_relation,
 )
 
 from pisingular.units import (
     _log_valuations,
     _projection_exponents,
+    _read_normal,
     _unit_log,
     _unit_logs,
-    _unit_power_mod_p,
-    _valuations,
 )
 
 import oracles
@@ -309,7 +306,7 @@ def test_log_at_high_K(p):
             assert _unit_log(ctx, K, a) == oracles.unit_log(ctx, K, a), (K, a)
             expected = _bucket_reports(ctx, K, a, two_ms)
             assert _log_reports(ctx, K, a, two_ms) == expected, (K, a)
-            full = _valuations(ctx, _unit_logs(ctx, K, a, exps), K)
+            full, _ = _read_normal(ctx, _unit_logs(ctx, K, _unit_log(ctx, K, a), exps), K)
             assert full == [r.valuation_of_eta_pm1 for r in expected], (K, a)
 
 
@@ -319,7 +316,7 @@ def test_log_at_the_bundle_K_limit():
         exps = np.array([_projection_exponents(ctx, two_m)])
         expected = _bucket_reports(ctx, K, a, [two_m])
         assert _log_reports(ctx, K, a, [two_m]) == expected
-        (v,) = _valuations(ctx, _unit_logs(ctx, K, a, exps), K)
+        (v,), _ = _read_normal(ctx, _unit_logs(ctx, K, _unit_log(ctx, K, a), exps), K)
         assert v == expected[0].valuation_of_eta_pm1 == two_m
 
 
@@ -334,23 +331,10 @@ def test_indices_that_read_zero_mod_p2_take_the_full_K():
     expected = [r.valuation_of_eta_pm1 for r in _bucket_reports(ctx, K, a, two_ms)]
     assert [v for m, v in zip(two_ms, expected) if pow(a, m, p) == 1] == [CAP]
     zeros = np.zeros((len(two_ms), p - 1), dtype=np.int64)
-    assert _log_valuations(ctx, K, a, two_ms, exps, zeros) == expected
-    assert _log_valuations(ctx, 2, a, two_ms, exps, zeros) == [CAP] * len(two_ms)
-
-
-def test_unit_power_mod_p_takes_the_exponential_below_half():
-    """eta^(p-1) mod p from Lambda: exp(Lambda) where v(Lambda) < (p-1)/2,
-    1 + Lambda from there on, each equal to the bucket route's power."""
-    p, K, a = 37, 2, 2
-    ctx = new_context(p)
-    two_ms = list(range(2, p - 2, 2))
-    exps = np.array([_projection_exponents(ctx, two_m) for two_m in two_ms])
-    logs = _unit_logs(ctx, 2, a, exps)
-    for two_m, row, v in zip(two_ms, logs, _valuations(ctx, logs, 2)):
-        eta = eigen_project_unit(ctx, K, a, two_m)[0]
-        assert v == valuation(eta ** (p - 1) - from_integer(ctx, K, 1))
-        assert _unit_power_mod_p(ctx, row, v) == (eta ** (p - 1)).truncate(1), two_m
-    assert min(v for v in _valuations(ctx, logs, 2)) < (p - 1) // 2
+    at_p2, _ = _read_normal(ctx, zeros, 2)
+    assert at_p2 == [CAP] * len(two_ms)
+    assert _log_valuations(ctx, K, a, two_ms, exps, at_p2) == expected
+    assert _log_valuations(ctx, 2, a, two_ms, exps, at_p2) == at_p2
 
 
 def test_unit_reports_checks_before_any_work():

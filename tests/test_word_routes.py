@@ -27,6 +27,7 @@ from pisingular import (
     from_lambda_basis,
     new_context,
     to_lambda_basis,
+    valuation,
 )
 from pisingular.padic import _pascal
 from pisingular.ring import _route
@@ -103,17 +104,21 @@ def _unit(coeffs, p: int, m: int) -> list[int]:
 
 @st.composite
 def residue_lists(draw, p, K):
-    """p-1 residues mod p^K: uniform, or a mix of 0, m-1 and uniform."""
+    """p-1 residues mod p^K: uniform, or a mix of 0, m-1 and uniform, each
+    list times p^t for a t in 0..K (all zero at t = K)."""
     m = p**K
     rng = random.Random(draw(st.integers(0, 2**32)))
     if draw(st.booleans()):
-        return [rng.randrange(m) for _ in range(p - 1)]
-    return [rng.choice((0, m - 1, rng.randrange(m))) for _ in range(p - 1)]
+        a = [rng.randrange(m) for _ in range(p - 1)]
+    else:
+        a = [rng.choice((0, m - 1, rng.randrange(m))) for _ in range(p - 1)]
+    scale = p ** draw(st.integers(0, K))
+    return [x * scale % m for x in a]
 
 
 def _check_element(ctx, K: int, a: list[int], N: int) -> None:
-    """Product, square, scalar product, inverse, lam-basis and N digits of a
-    against the Python-int oracles."""
+    """Product, square, scalar product, inverse, lam-basis, valuation and N
+    digits of a against the Python-int oracles."""
     p, m = ctx.p, ctx.p**K
     x = RingElement(ctx, K, a)
     assert x.coeffs.dtype == (object if _top(p, K) >= 2**63 else np.int64)
@@ -131,6 +136,7 @@ def _check_element(ctx, K: int, a: list[int], N: int) -> None:
     assert all(0 <= d < p for d in exp.digits)
     assert oracles.digits_remainder_valuation(a, exp.digits, p, m) >= N
     v = oracles.lambda_valuation(a, p, m)
+    assert valuation(x) == v
     assert exp.valuation == (v if v < N else oracles.CAP)
 
 
@@ -152,6 +158,12 @@ def test_all_top_residues_match_python_ints(p, K):
     _check_element(ctx, K, [m - 1] * (p - 1), K * (p - 1))
     odd = [m - 2] * (p - 1)
     assert (RingElement(ctx, K, odd) ** 2).coeff_list() == oracles.mul_mod(odd, odd, p, m)
+    # p^t times an element has p-1 more valuation per factor p, CAP from K(p-1) on
+    x = RingElement(ctx, K, [m - 1] * (p - 1))
+    v = valuation(x)
+    for t in range(1, K + 1):
+        want = v + (p - 1) * t
+        assert valuation(x * p**t) == (want if want < K * (p - 1) else oracles.CAP), t
 
 
 @pytest.mark.parametrize("p, K", [(5, 13), (101, 3), (103, 4), (257, 2), (257, 3), (5, 14)])
