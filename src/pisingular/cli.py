@@ -14,17 +14,19 @@ import os
 import sys
 
 from .context import is_prime, new_context
-from .eigen import canonical_eigenvector
+from .eigen import _eigen_reports
 from .padic import digits
 from .ring import RingElement
 from .units import unit_reports
 from .verifier import (
+    BundleError,
     PreconditionError,
     VerdictReport,
     WitnessInvalidError,
     _check_K,
     _check_p,
     _decimal_int,
+    _echo,
     check_ppower_congruence,
     load_bundle,
     verify_b_prime,
@@ -113,16 +115,17 @@ def _cmd_irregular(args) -> int:
 
 def _cmd_eigen(args) -> int:
     ctx = _context(args.p)
-    mus = list(range(2, ctx.p)) if args.all else [args.mu]
-    reports = [canonical_eigenvector(ctx, mu) for mu in mus]
+    mus = range(2, ctx.p) if args.all else [args.mu]
+    reports = _eigen_reports(ctx, mus)
     ok = all(r.matches_closed_form for r in reports)
-    payload = {"p": ctx.p, "u": ctx.u, "reports": [r.to_json_dict() for r in reports]}
-    lines = []
-    for r in reports:
-        lines.append(
-            f"mu={r.mu} (u^{r.index_s}): dim={r.dimension} "
-            f"valuation={r.valuation} closed_form={'ok' if r.matches_closed_form else 'MISMATCH'}"
-        )
+    # each form is built only when printed: at p=2039 the JSON dicts take 33 MB
+    docs = [r.to_json_dict() for r in reports] if args.json else []
+    payload = {"p": ctx.p, "u": ctx.u, "reports": docs}
+    lines = (
+        f"mu={r.mu} (u^{r.index_s}): dim={r.dimension} "
+        f"valuation={r.valuation} closed_form={'ok' if r.matches_closed_form else 'MISMATCH'}"
+        for r in reports
+    )
     _emit(payload, args.json, lines)
     return 0 if ok else 1
 
@@ -134,12 +137,15 @@ def _cmd_expand(args) -> int:
         raise PreconditionError(
             f"--coeffs needs {ctx.p - 1} comma-separated integers, got {len(parts)}"
         )
-    try:
-        vals = [_decimal_int(s) for s in parts]
-    except ValueError:
-        raise PreconditionError(
-            f"--coeffs entries must be decimal integers: {args.coeffs!r}"
-        ) from None
+    vals = []
+    for i, s in enumerate(parts):
+        try:
+            vals.append(_decimal_int(s))
+        except BundleError as e:  # over the digit limit
+            raise PreconditionError(f"--coeffs entry {i}: {e}") from None
+        except ValueError:
+            why = f"--coeffs entries must be decimal integers; entry {i} is not: {_echo(s)}"
+            raise PreconditionError(why) from None
     elem = RingElement(ctx, args.K, vals)
     N = args.precision if args.precision is not None else ctx.p + 1
     exp = digits(elem, N)
@@ -171,31 +177,22 @@ def _cmd_ppower(args) -> int:
 
 def _cmd_units(args) -> int:
     ctx = _context(args.p, K=args.K)
-    if args.all:
-        two_ms = list(range(2, ctx.p - 2, 2))
-    else:
-        two_ms = [args.two_m]
+    two_ms = list(range(2, ctx.p - 2, 2)) if args.all else [args.two_m]
     reports = []
     for rep, vec in unit_reports(ctx, args.K, args.a, two_ms):
         doc = rep.to_json_dict()
         doc["exponents"] = list(vec.exponents)
         reports.append((rep, doc))
     ok = all(r.relation_holds and r.dichotomy_holds for r, _ in reports)
-    payload = {
-        "p": ctx.p,
-        "a": args.a,
-        "K": args.K,
-        "reports": [doc for _, doc in reports],
-    }
-    lines = []
-    for r, doc in reports:
-        lines.append(
-            f"2m={r.two_m} mu={r.mu}: relation={'ok' if r.relation_holds else 'FAIL'} "
-            f"local_pth_power={r.local_pth_power} "
-            f"v(eta^(p-1)-1)={doc['valuation_of_eta_pm1']} "
-            f"delta={r.expansion_delta} "
-            f"dichotomy={'ok' if r.dichotomy_holds else 'FAIL'}"
-        )
+    payload = {"p": ctx.p, "a": args.a, "K": args.K, "reports": [doc for _, doc in reports]}
+    lines = [
+        f"2m={r.two_m} mu={r.mu}: relation={'ok' if r.relation_holds else 'FAIL'} "
+        f"local_pth_power={r.local_pth_power} "
+        f"v(eta^(p-1)-1)={doc['valuation_of_eta_pm1']} "
+        f"delta={r.expansion_delta} "
+        f"dichotomy={'ok' if r.dichotomy_holds else 'FAIL'}"
+        for r, doc in reports
+    ]
     _emit(payload, args.json, lines)
     return 0 if ok else 1
 

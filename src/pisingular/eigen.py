@@ -8,10 +8,13 @@ one-dimensional eigenspace spanned by the closed-form vector
 
     e_mu = sum_i mu^(-i) z^(u^i)      (i = 0..p-2).
 
-This module builds those eigenvectors from the closed form, solves the
-first-order recurrence the eigen equation imposes on the coefficient list,
-and exposes the digit-expansion matcher that recognizes elements congruent
-to 1 - delta * e_mu to a requested depth by one linear solve mod p.
+Every e_mu is read off one table, E[s, i] = u^(-s*i mod (p-1)) = mu^(-i)
+for mu = u^s, one numpy index expression per block of rows; the reports of
+a list of mu check sigma(e_mu) = mu * e_mu on a block at once with the
+ring's Galois kernel.  The module also solves the first-order recurrence
+the eigen equation imposes on the coefficient list, and exposes the
+digit-expansion matcher that recognizes elements congruent to
+1 - delta * e_mu to a requested depth by one linear solve mod p.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .context import PrimeContext
 from .padic import _lam_read, _require_unit
-from .ring import RingElement, from_integer, zeta
+from .ring import RingElement, _fold, _fold_galois, _normal_slots, _unfold
 
 __all__ = [
     "EigenReport",
@@ -39,56 +42,57 @@ __all__ = [
 
 def sigma_matrix(ctx: PrimeContext) -> np.ndarray:
     """Matrix of z -> z^u on the span basis z^1, ..., z^(p-1) over F_p."""
-    p, u = ctx.p, ctx.u
-    M = np.zeros((p - 1, p - 1), dtype=np.int64)
-    for j in range(1, p):
-        M[u * j % p - 1, j - 1] = 1
-    return M
+    p = ctx.p  # column z^j holds the unit vector of z^(u*j)
+    return np.eye(p - 1, dtype=np.int64)[:, np.arange(1, p) * ctx.u % p - 1]
 
 
 def span_coords(a: RingElement) -> list[int]:
-    """Rewrite a power-basis element over z^1, ..., z^(p-1), mod p.
-
-    Uses 1 = -(z + z^2 + ... + z^(p-1)); the rewrite is unique because the
-    nonconstant powers also form a basis.
-    """
-    p = a.ctx.p
-    c = [int(x) for x in a.coeffs]
-    c0 = c[0]
-    out = [(c[j] - c0) % p for j in range(1, p - 1)]
-    out.append((-c0) % p)
-    return out
+    """Rewrite a power-basis element over z^1, ..., z^(p-1), mod p, by
+    1 = -(z + ... + z^(p-1)) (ring._unfold), unique as the nonconstant
+    powers also form a basis."""
+    return (_unfold(a.coeffs)[1:] % a.ctx.p).tolist()
 
 
-def _span_to_element(ctx: PrimeContext, K: int, coords) -> RingElement:
-    p = ctx.p
-    coords = [int(x) for x in coords]
-    top = coords[p - 2]  # coefficient of z^(p-1)
-    coeffs = [-top] + [coords[j - 1] - top for j in range(1, p - 1)]
-    return RingElement(ctx, K, coeffs)
+# Bytes per int64 array of a block of _eigen_reports: below glibc's default mmap
+# threshold of 128 KB, which 1 MB arrays (64 rows at p=2039) raise, and the JSON
+# encoding of eigen --p 2039 --all --json after them then peaks 1.1 MB higher.
+_BLOCK_BYTES = 1 << 17
 
 
-def _inverse_powers(ctx: PrimeContext, mu: int) -> list[int]:
-    """mu^(-i) mod p for i = 0 .. p-2, as u^(-s*i) with mu = u^s."""
-    s, n = ctx.uindex[mu % ctx.p], ctx.p - 1
-    return [ctx.upow[-s * i % n] for i in range(n)]
+def _indices(ctx: PrimeContext, mus) -> list[int]:
+    """The index s of each eigenvalue mu = u^s; mu = 0 or 1 mod p is
+    refused, named as given."""
+    for mu in mus:
+        if mu % ctx.p in (0, 1):
+            raise ValueError(f"eigenvalue must lie in 2..p-1, got {mu}")
+    return [ctx.uindex[mu % ctx.p] for mu in mus]
+
+
+def _inverse_powers(ctx: PrimeContext, s) -> np.ndarray:
+    """Rows s of E[s, i] = u^(-s*i mod (p-1)), i = 0 .. p-2: mu^(-i) for
+    mu = u^s, the normal-basis coordinates of e_mu and, at s = 2m, the
+    exponents c_j of the unit projection."""
+    n = ctx.p - 1
+    return np.asarray(ctx.upow)[np.multiply.outer(-np.asarray(s, dtype=np.int64), np.arange(n)) % n]
+
+
+def _shared_ints(ctx: PrimeContext, rows) -> list[tuple[int, ...]]:
+    """Rows of residues in 1 .. p-1 as tuples of ctx.upow's own int
+    objects, which every row then shares: fresh ints take 28 bytes an
+    entry, about 116 MB over the reports of eigen --all at p=2039."""
+    ints = (0, *sorted(ctx.upow))
+    return [tuple(map(ints.__getitem__, row.tolist())) for row in rows]
 
 
 def eigenvector_span_coords(ctx: PrimeContext, mu: int) -> tuple[int, ...]:
     """Coordinates of e_mu on z^1, ..., z^(p-1), normalized so z^1 has 1."""
-    p = ctx.p
-    mu = mu % p
-    if mu in (0, 1):
-        raise ValueError(f"eigenvalue must lie in 2..p-1, got {mu}")
-    coords = [0] * (p - 1)
-    for i, c in enumerate(_inverse_powers(ctx, mu)):
-        coords[ctx.upow[i] - 1] = c
-    return tuple(coords)
+    return tuple(span_coords(eigenvector_element(ctx, 1, mu)))
 
 
 def eigenvector_element(ctx: PrimeContext, K: int, mu: int) -> RingElement:
     """e_mu as a ring element (its coefficients are only meaningful mod p)."""
-    return _span_to_element(ctx, K, eigenvector_span_coords(ctx, mu))
+    (row,) = _inverse_powers(ctx, _indices(ctx, [mu]))
+    return RingElement(ctx, K, _fold(_normal_slots(ctx, row)))
 
 
 @dataclass(frozen=True)
@@ -109,15 +113,33 @@ class EigenReport:
     matches_closed_form: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "mu": self.mu,
-            "index_s": self.index_s,
-            "dimension": self.dimension,
-            "vector": list(self.vector),
-            "valuation": self.valuation,
-            "matches_closed_form": self.matches_closed_form,
-        }
+        return dict(vars(self), vector=list(self.vector))
+
+
+def _is_eigen(ctx: PrimeContext, rows, mus) -> np.ndarray:
+    """Whether sigma(x) = mu * x mod p for each row x of power-basis residues
+    mod p and its mu, by the ring's Galois kernel on every row at once."""
+    p = ctx.p
+    mus = np.asarray(mus, dtype=np.int64)[:, None]
+    return (_fold_galois(rows, ctx.u, p, p) == rows * mus % p).all(axis=1)
+
+
+def _eigen_reports(ctx: PrimeContext, mus) -> list[EigenReport]:
+    """canonical_eigenvector(ctx, mu) for each mu in mus, from one array of
+    rows of E per block of eigenvalues (_BLOCK_BYTES).  Every mu is checked
+    before any work."""
+    p = ctx.p
+    indices = _indices(ctx, mus)
+    rows = max(1, _BLOCK_BYTES // (8 * (p + 1)))
+    out = []
+    for start in range(0, len(indices), rows):
+        block = indices[start : start + rows]
+        slots = _normal_slots(ctx, _inverse_powers(ctx, block))
+        block_mus = [ctx.upow[s] for s in block]
+        ok = _is_eigen(ctx, _fold(slots, p), block_mus).tolist()
+        for s, mu, vector, holds in zip(block, block_mus, _shared_ints(ctx, slots[:, 1:]), ok):
+            out.append(EigenReport(p, mu, s, 1, vector, s, holds))  # dimension 1, valuation s
+    return out
 
 
 def canonical_eigenvector(ctx: PrimeContext, mu: int) -> EigenReport:
@@ -129,21 +151,10 @@ def canonical_eigenvector(ctx: PrimeContext, mu: int) -> EigenReport:
     lam-adic valuation of e_mu equals s (the valuation law, which the
     tests check against the lam-basis route).  matches_closed_form records
     that applying the automorphism in the ring reproduces mu times the
-    nonzero closed form, which therefore spans it.
+    nonzero closed form, which therefore spans it.  The one-mu case of
+    _eigen_reports.
     """
-    mu = mu % ctx.p
-    coords = eigenvector_span_coords(ctx, mu)  # refuses mu = 0, 1
-    elem = _span_to_element(ctx, 1, coords)
-    s = ctx.index_of(mu)
-    return EigenReport(
-        p=ctx.p,
-        mu=mu,
-        index_s=s,
-        dimension=1,
-        vector=coords,
-        valuation=s,
-        matches_closed_form=elem.galois_apply(ctx.u) == elem * mu,
-    )
+    return _eigen_reports(ctx, [mu])[0]
 
 
 @dataclass(frozen=True)
@@ -164,10 +175,9 @@ class RecurrenceSolution:
     def to_ring_element(self, ctx: PrimeContext) -> RingElement:
         if ctx.p != self.p:
             raise ValueError(f"context prime {ctx.p} != solution prime {self.p}")
-        acc = from_integer(ctx, 1, self.gamma)
-        for i, g in enumerate(self.gammas):
-            acc = acc + zeta(ctx, 1, ctx.upow[i]) * g
-        return acc
+        slots = _normal_slots(ctx, np.array(self.gammas + (0,), dtype=np.int64))
+        slots[0] = self.gamma
+        return RingElement(ctx, 1, _fold(slots))
 
 
 def recurrence_solve(ctx: PrimeContext, mu: int, free: int) -> RecurrenceSolution:
@@ -177,9 +187,8 @@ def recurrence_solve(ctx: PrimeContext, mu: int, free: int) -> RecurrenceSolutio
     consistency is asserted rather than assumed.
     """
     p = ctx.p
+    _indices(ctx, [mu])  # refuses mu = 0, 1
     mu = mu % p
-    if mu in (0, 1):
-        raise ValueError(f"eigenvalue must lie in 2..p-1, got {mu}")
     free = free % p
     minv = pow(mu, -1, p)
     gammas = [(-free) * minv % p]
@@ -187,9 +196,7 @@ def recurrence_solve(ctx: PrimeContext, mu: int, free: int) -> RecurrenceSolutio
         gammas.append((gammas[-1] - free) * minv % p)
     assert gammas[p - 3] == free, "recurrence failed to close"
     gamma = (-free) * pow(mu - 1, -1, p) % p
-    return RecurrenceSolution(
-        p=p, mu=mu, free=free, gamma=gamma, gammas=tuple(gammas)
-    )
+    return RecurrenceSolution(p=p, mu=mu, free=free, gamma=gamma, gammas=tuple(gammas))
 
 
 def _match_expansion(w, e, p: int) -> int | None:
@@ -216,7 +223,7 @@ def expansion_matches(
         depth = p - 1
     if not (1 <= depth <= p - 1):
         raise ValueError(f"depth must lie in [1, {p - 1}], got {depth}")
-    rows = [a.coeffs % p, eigenvector_element(ctx, 1, mu % p).coeffs]
+    rows = [a.coeffs % p, eigenvector_element(ctx, 1, mu).coeffs]
     _, (w, e) = _lam_read(p, 1, np.array(rows, dtype=np.int64))
     w[0] -= 1
     delta = _match_expansion(w[:depth], e[:depth], p)

@@ -34,9 +34,12 @@ so it is at most (p-1) * (m-1)^2:
                 a bias of 2^(8w-1) per slot each one sits in its own slot
                 with no carry into the next: the slots read back exactly,
                 signs included.
-The full product is then folded in place, by z^p = 1 and then Phi_p.  A
-Galois map z -> z^j permutes the coefficients (i -> i*j mod p is one-to-one)
-and folds by Phi_p alike.  Powers of either element type take one
+The full product is then folded by z^p = 1 and by _fold, the one Phi_p
+rule.  Its inverse _unfold, 1 = -(z + ... + z^(p-1)), gives the span
+z^1, ..., z^(p-1), and _normal_slots / _normal_coords the normal basis
+z^(u^i); each acts on the last axis, one vector or a stack of rows alike.
+A Galois map z -> z^j permutes the coefficients (i -> i*j mod p is
+one-to-one) and folds alike.  Powers of either element type take one
 left-to-right square-and-multiply routine, _power.
 
 norm_exact computes N(B) from residues at primes q = 1 (mod p) below 2^26,
@@ -186,31 +189,68 @@ def _fold_mul(a, b, p: int, modulus: int | None, dtype):
 
     Hence _FLOAT_MIN_P = 80: below it the int64 route is kept.
     """
-    if dtype is object:
+    if dtype == object:
         conv = np.array(_kronecker_conv(a, b), dtype=object)
     elif _route(modulus, p) == "float":
         conv = np.convolve(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
     else:
         conv = np.convolve(a, b)  # degrees 0 .. 2p-4
     conv[: p - 3] += conv[p:]  # z^p = 1, in place: exponents 0 .. p-1 remain
-    out = conv[: p - 1] - conv[p - 1]
+    return _fold(conv[:p], modulus)
+
+
+def _fold(slots, modulus: int | None = None):
+    """Power-basis coefficients of the slots of z^0, ..., z^(p-1) on the
+    last axis, by Phi_p: z^(p-1) = -(1 + z + ... + z^(p-2)), reduced mod
+    modulus if given.  One vector subtracts a scalar, 0.4 us faster at p=7
+    than a broadcast column."""
+    out = slots[..., :-1] - (slots[-1] if slots.ndim == 1 else slots[..., -1:])
     if modulus is not None:
-        out = out % modulus
+        out %= modulus
     return out
 
 
-def _fold_galois(coeffs, j: int, p: int, modulus: int | None, dtype):
-    """Apply z -> z^j to a coefficient vector of length p-1.
+def _unfold(coeffs):
+    """The inverse of _fold onto slots with slot 0 cleared, by
+    1 = -(z + ... + z^(p-1)): slots 1 .. p-1 are the span coordinates."""
+    slots = np.zeros(coeffs.shape[:-1] + (coeffs.shape[-1] + 1,), dtype=coeffs.dtype)
+    slots[..., 1:-1] = coeffs[..., 1:]
+    slots[..., 1:] -= coeffs[..., :1]
+    return slots
 
-    i -> i*j mod p is one-to-one, so the coefficients are only permuted into
-    the p slots of exponents 0 .. p-1 (slot p-j stays 0) before the fold.
-    """
-    ext = np.zeros(p, dtype=dtype)
-    ext[np.arange(p - 1, dtype=np.int64) * j % p] = coeffs
-    out = ext[: p - 1] - ext[p - 1]
-    if modulus is not None:
-        out = out % modulus
+
+def _normal_slots(ctx: PrimeContext, rows):
+    """The slots of z^0, ..., z^(p-1) of normal-basis coordinates (z^(u^i)
+    at index i) on the last axis: slot 0 is 0, slots 1 .. p-1 the span."""
+    slots = np.zeros(rows.shape[:-1] + (ctx.p,), dtype=rows.dtype)
+    slots[..., ctx.upow] = rows
+    return slots
+
+
+def _normal_coords(ctx: PrimeContext, coeffs):
+    """The inverse of _fold(_normal_slots(ctx, .)): normal-basis coordinates
+    of power-basis coefficients on the last axis."""
+    return _unfold(coeffs)[..., ctx.upow]
+
+
+@functools.lru_cache(maxsize=1024)
+def _galois_index(p: int, j: int) -> np.ndarray:
+    """Slot i*j mod p of each exponent i = 0 .. p-2 under z -> z^j; i -> i*j
+    is one-to-one, so slot p-j stays empty."""
+    out = np.arange(p - 1, dtype=np.int64) * j % p
+    out.setflags(write=False)
     return out
+
+
+def _fold_galois(coeffs, j: int, p: int, modulus: int | None):
+    """Apply z -> z^j, j nonzero mod p, to power-basis coefficients on the
+    last axis, one vector or a stack of rows: a permutation into slots, then
+    the fold."""
+    if j % p == 0:
+        raise ValueError("galois_apply: exponent must be nonzero mod p")
+    slots = np.zeros(coeffs.shape[:-1] + (p,), dtype=coeffs.dtype)
+    slots[..., _galois_index(p, j % p)] = coeffs
+    return _fold(slots, modulus)
 
 
 def _power(x, e: int):
@@ -245,7 +285,7 @@ class RingElement:
     def _check_compat(self, other: "RingElement") -> None:
         if not isinstance(other, RingElement):
             raise TypeError(f"expected RingElement, got {type(other).__name__}")
-        if self.ctx != other.ctx or self.K != other.K:
+        if self.K != other.K or (self.ctx is not other.ctx and self.ctx != other.ctx):
             raise ValueError(
                 f"incompatible elements: (p={self.ctx.p}, K={self.K}) vs "
                 f"(p={other.ctx.p}, K={other.K})"
@@ -302,15 +342,12 @@ class RingElement:
             return self._wrap(self.coeffs * (other % self.modulus) % self.modulus)
         self._check_compat(other)
         p = self.ctx.p
-        dtype = _dtype_for(self.modulus, p)
         return self._wrap(
-            _fold_mul(self.coeffs, other.coeffs, p, self.modulus, dtype)
+            _fold_mul(self.coeffs, other.coeffs, p, self.modulus, self.coeffs.dtype)
         )
 
     def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.__mul__(other)
-        return NotImplemented
+        return self.__mul__(other) if isinstance(other, int) else NotImplemented
 
     def __pow__(self, e: int) -> "RingElement":
         if e < 0:
@@ -319,12 +356,7 @@ class RingElement:
 
     def galois_apply(self, j: int) -> "RingElement":
         """Apply the automorphism z -> z^j; j must be nonzero mod p."""
-        p = self.ctx.p
-        j = j % p
-        if j == 0:
-            raise ValueError("galois_apply: exponent must be nonzero mod p")
-        dtype = _dtype_for(self.modulus, p)
-        return self._wrap(_fold_galois(self.coeffs, j, p, self.modulus, dtype))
+        return self._wrap(_fold_galois(self.coeffs, j, self.ctx.p, self.modulus))
 
     def conjugate(self) -> "RingElement":
         return self.galois_apply(self.ctx.p - 1)
@@ -379,9 +411,6 @@ class ExactElement:
     def from_integer(cls, p: int, n: int) -> "ExactElement":
         return cls(p, (n,) + (0,) * (p - 2))
 
-    def _arr(self):
-        return np.array(self.coeffs, dtype=object)
-
     def __repr__(self) -> str:
         return f"ExactElement(p={self.p}, coeffs={list(self.coeffs)})"
 
@@ -418,9 +447,7 @@ class ExactElement:
         return ExactElement(self.p, out)
 
     def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.__mul__(other)
-        return NotImplemented
+        return self.__mul__(other) if isinstance(other, int) else NotImplemented
 
     def __pow__(self, e: int) -> "ExactElement":
         if e < 0:
@@ -428,12 +455,8 @@ class ExactElement:
         return _power(self, e) if e else ExactElement.from_integer(self.p, 1)
 
     def galois_apply(self, j: int) -> "ExactElement":
-        p = self.p
-        j = j % p
-        if j == 0:
-            raise ValueError("galois_apply: exponent must be nonzero mod p")
-        out = _fold_galois(self._arr(), j, p, None, object)
-        return ExactElement(p, out)
+        coeffs = np.array(self.coeffs, dtype=object)
+        return ExactElement(self.p, _fold_galois(coeffs, j, self.p, None))
 
     def conjugate(self) -> "ExactElement":
         return self.galois_apply(self.p - 1)
@@ -749,18 +772,11 @@ def from_integer(ctx: PrimeContext, K: int, n: int) -> RingElement:
 
 def zeta(ctx: PrimeContext, K: int, j: int = 1) -> RingElement:
     """The root-of-unity power z^j as a ring element."""
-    j = j % ctx.p
-    coeffs = [0] * (ctx.p - 1)
-    if j <= ctx.p - 2:
-        coeffs[j] = 1
-    else:  # z^(p-1) written in the basis
-        coeffs = [-1] * (ctx.p - 1)
-    return RingElement(ctx, K, coeffs)
+    slots = np.zeros(ctx.p, dtype=np.int64)
+    slots[j % ctx.p] = 1
+    return RingElement(ctx, K, _fold(slots))
 
 
 def lam(ctx: PrimeContext, K: int) -> RingElement:
     """The uniformizer z - 1 of the ramified prime."""
-    coeffs = [0] * (ctx.p - 1)
-    coeffs[0] = -1
-    coeffs[1] = 1
-    return RingElement(ctx, K, coeffs)
+    return zeta(ctx, K) - from_integer(ctx, K, 1)

@@ -63,9 +63,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import PrimeContext
-from .eigen import _inverse_powers, _match_expansion, expansion_matches
+from .eigen import _inverse_powers, _match_expansion, _shared_ints, expansion_matches
 from .padic import CAP, _lam_read, _val_json, _vp, is_locally_pth_power, valuation
-from .ring import _ROUTE_DTYPE, ExactElement, RingElement, _exact_route, _power, from_integer
+from .ring import _ROUTE_DTYPE, ExactElement, RingElement, _exact_route, _fold, _power, from_integer
+from .ring import _normal_coords, _normal_slots
 
 __all__ = [
     "UnitExponentVector",
@@ -99,14 +100,12 @@ def _check_depth(p: int, K: int) -> None:
 
 def _xi_coeffs(p: int, a: int) -> list[int]:
     """Power-basis coefficients of xi_a = z^e + z^(e+1) + ... + z^(e+a-1),
-    e = (1-a)/2 mod p: the exponents are read mod p, and a z^(p-1) term is
-    folded by Phi_p into -1 in every slot."""
+    e = (1-a)/2 mod p: the exponents are read mod p, then folded by Phi_p."""
     _check_unit_index(p, a)
     e = (1 - a) * pow(2, -1, p) % p
-    slots = [0] * p
-    for k in range(e, e + a):
-        slots[k % p] = 1
-    return [c - slots[p - 1] for c in slots[: p - 1]]
+    slots = np.zeros(p, dtype=np.int64)
+    slots[np.arange(e, e + a) % p] = 1
+    return _fold(slots).tolist()
 
 
 def cyclotomic_unit(ctx: PrimeContext, K: int, a: int) -> RingElement:
@@ -125,10 +124,6 @@ class UnitExponentVector:
 
     base_index: int
     exponents: tuple[int, ...]
-
-
-def _projection_exponents(ctx: PrimeContext, two_m: int) -> list[int]:
-    return _inverse_powers(ctx, ctx.upow[two_m])
 
 
 def _bucketed_projection(xi, upow, exps):
@@ -167,12 +162,11 @@ def eigen_project_unit(
     distinct exponent c_j, then a running product from the largest c down,
     raised to the gap before the next occupied exponent.
     """
-    _check_unit_index(ctx.p, a)
+    xi = cyclotomic_unit(ctx, K, a)  # checks a
     _check_even_index(ctx.p, two_m)
-    xi = cyclotomic_unit(ctx, K, a)
-    exps = _projection_exponents(ctx, two_m)
+    (exps,) = _shared_ints(ctx, _inverse_powers(ctx, [two_m]))
     eta = _bucketed_projection(xi, ctx.upow, exps)
-    return eta, UnitExponentVector(base_index=a, exponents=tuple(exps))
+    return eta, UnitExponentVector(base_index=a, exponents=exps)
 
 
 def eigen_project_unit_exact(
@@ -183,10 +177,9 @@ def eigen_project_unit_exact(
     The same bucketed evaluation over ExactElement; reducing the result
     mod p^K gives eigen_project_unit's eta.
     """
-    _check_unit_index(ctx.p, a)
+    xi = cyclotomic_unit_exact(ctx.p, a)  # checks a
     _check_even_index(ctx.p, two_m)
-    xi = cyclotomic_unit_exact(ctx.p, a)
-    return _bucketed_projection(xi, ctx.upow, _projection_exponents(ctx, two_m))
+    return _bucketed_projection(xi, ctx.upow, _inverse_powers(ctx, [two_m])[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -251,11 +244,8 @@ def verify_unit_relation(eta: RingElement, two_m: int) -> UnitReport:
     local = is_locally_pth_power(eta, p + 1)
     power = eta ** (p - 1)
     val = valuation(power - from_integer(ctx, eta.K, 1))
-    delta = None
-    if two_m > (p - 1) // 2:
-        matched, d = expansion_matches(power, mu, p - 1)
-        if matched:
-            delta = d
+    # (False, None) when the expansion does not match
+    delta = expansion_matches(power, mu, p - 1)[1] if two_m > (p - 1) // 2 else None
     return UnitReport(
         two_m=two_m,
         mu=mu,
@@ -309,19 +299,12 @@ def _unit_log(ctx: PrimeContext, K: int, a: int) -> list[int]:
     series = one * coeffs[-1]
     for b in reversed(coeffs[:-1]):
         series = series * Z + one * b
-    c = (series * Z).coeff_list()
-    # power basis -> z^1, ..., z^(p-1): z^(p-1) = -(1 + z + ... + z^(p-2))
-    span = [x - c[0] for x in c] + [-c[0]]
-    return [span[j] % mK for j in ctx.upow]
+    return (_normal_coords(ctx, (series * Z).coeffs) % mK).tolist()
 
 
 def _read_normal(ctx: PrimeContext, rows: np.ndarray, K: int) -> tuple[list, np.ndarray]:
-    """padic._lam_read of rows of normal-basis coordinates mod p^K, in the
-    power basis by z^(p-1) = -(1 + z + ... + z^(p-2))."""
-    p = ctx.p
-    span = np.zeros((len(rows), p), dtype=rows.dtype)
-    span[:, list(ctx.upow)] = rows
-    return _lam_read(p, K, (span[:, : p - 1] - span[:, p - 1 :]) % p**K)
+    """padic._lam_read of rows of normal-basis coordinates mod p^K."""
+    return _lam_read(ctx.p, K, _fold(_normal_slots(ctx, rows), ctx.p**K))
 
 
 def _unit_logs(ctx: PrimeContext, K: int, ell: list[int], exps: np.ndarray) -> np.ndarray:
@@ -393,8 +376,7 @@ def unit_reports(
     for start in range(0, len(two_ms), _BLOCK):
         block = two_ms[start : start + _BLOCK]
         r = len(block)
-        exp_lists = [_projection_exponents(ctx, two_m) for two_m in block]
-        exps = np.array(exp_lists, dtype=np.int64)
+        exps = _inverse_powers(ctx, block)
         mus = [ctx.upow[two_m] for two_m in block]
         logs = _unit_logs(ctx, 2, ell, exps)
         # sigma shifts the normal coordinates by one
@@ -411,17 +393,13 @@ def unit_reports(
             w = digits[i] if vals[i] < p - 1 else np.zeros_like(e)
             deltas[i] = _match_expansion(w, e, p)
         for two_m, mu, v, v_twist, delta, exp_list in zip(
-            block, mus, vals, v_twists, deltas, exp_lists
+            block, mus, vals, v_twists, deltas, _shared_ints(ctx, exps)
         ):
             report = UnitReport(
-                two_m=two_m,
-                mu=mu,
-                relation_holds=v_twist >= p + 1,
-                local_pth_power=v >= p + 1,
-                valuation_of_eta_pm1=v,
-                expansion_delta=delta,
+                two_m=two_m, mu=mu, relation_holds=v_twist >= p + 1, local_pth_power=v >= p + 1,
+                valuation_of_eta_pm1=v, expansion_delta=delta,
             )
-            out.append((report, UnitExponentVector(base_index=a, exponents=tuple(exp_list))))
+            out.append((report, UnitExponentVector(base_index=a, exponents=exp_list)))
     return out
 
 

@@ -11,9 +11,12 @@ object-dtype coefficient vectors, the per-conjugate power loop of the
 unit projection, the right-to-left power from the constant 1, the np.add.at
 scatter of the Galois maps, xi_a as a product of z^e by the geometric sum,
 the inverse Pascal matrix U, the lam-basis valuation of e_mu that the
-eigen report once measured, and the logarithm of xi_a^(p-1) by its plain
-series with no argument reduction.  Nothing at runtime needs them; the property tests
-compare the package against them.  The ring oracles compute with Python
+eigen report once measured, the logarithm of xi_a^(p-1) by its plain
+series with no argument reduction, and the per-mu eigen report (e_mu built
+coordinate by coordinate as one RingElement, sigma applied by galois_apply)
+with the hand-written Phi_p fold and constant elimination beside it.
+Nothing at runtime needs them; the property tests compare the package
+against them.  The ring oracles compute with Python
 ints (object dtype) at every modulus, so a wrong machine-word bound in the
 package cannot pass on both sides; mul_mod, lambda_coeffs and
 digits_remainder_valuation are plain Python-int routes for the product, the lam-basis and the digit
@@ -29,6 +32,7 @@ import numpy as np
 
 from pisingular import (
     CAP,
+    EigenReport,
     ExactElement,
     LambdaExpansion,
     PrimeContext,
@@ -38,7 +42,7 @@ from pisingular import (
     lam,
     zeta,
 )
-from pisingular.units import _projection_exponents
+from pisingular.eigen import _inverse_powers
 
 
 def bernoulli_table(p: int) -> list[int]:
@@ -405,7 +409,7 @@ def pascal_inverse(p: int, modulus: int) -> np.ndarray:
 def eigen_project_unit(ctx: PrimeContext, K: int, a: int, two_m: int) -> RingElement:
     """eta = prod_j sigma^j(xi_a)^(c_j), one power per conjugate."""
     xi = cyclotomic_unit(ctx, K, a)
-    exps = _projection_exponents(ctx, two_m)
+    exps = _inverse_powers(ctx, [two_m])[0].tolist()
     eta = from_integer(ctx, K, 1)
     for j, c in enumerate(exps):
         eta = eta * power(xi.galois_apply(ctx.upow[j]), c)
@@ -415,7 +419,7 @@ def eigen_project_unit(ctx: PrimeContext, K: int, a: int, two_m: int) -> RingEle
 def eigen_project_unit_exact(ctx: PrimeContext, a: int, two_m: int) -> ExactElement:
     """Exact-coefficient version of the per-conjugate power loop."""
     xi = cyclotomic_unit_exact(ctx.p, a)
-    exps = _projection_exponents(ctx, two_m)
+    exps = _inverse_powers(ctx, [two_m])[0].tolist()
     eta = ExactElement.from_integer(ctx.p, 1)
     for j, c in enumerate(exps):
         eta = eta * power(xi.galois_apply(ctx.upow[j]), c)
@@ -457,3 +461,44 @@ def unit_log(ctx: PrimeContext, K: int, a: int) -> list[int]:
             total[i] = (total[i] + c // p**v * sign_inv) % mK
     span = [c - total[0] for c in total] + [-total[0]]  # over z^1 .. z^(p-1)
     return [span[j] % mK for j in ctx.upow]
+
+
+def fold(slots) -> list[int]:
+    """Power-basis coefficients of the p slots of z^0, ..., z^(p-1), by
+    z^(p-1) = -(1 + z + ... + z^(p-2)), in Python ints."""
+    top = int(slots[-1])
+    return [int(c) - top for c in slots[:-1]]
+
+
+def unfold(coeffs) -> list[int]:
+    """The p slots of z^0, ..., z^(p-1) with slot 0 cleared, by
+    1 = -(z + ... + z^(p-1)), in Python ints."""
+    c0 = int(coeffs[0])
+    return [0] + [int(c) - c0 for c in coeffs[1:]] + [-c0]
+
+
+def span_to_element(ctx: PrimeContext, K: int, coords) -> RingElement:
+    """The element with coordinates coords over z^1, ..., z^(p-1)."""
+    return RingElement(ctx, K, fold([0] + [int(c) for c in coords]))
+
+
+def canonical_eigenvector(ctx: PrimeContext, mu: int) -> EigenReport:
+    """The per-mu report: coords[u^i - 1] = mu^(-i) mod p by pow, e_mu as
+    one RingElement at K=1, and sigma(e_mu) = mu * e_mu checked by
+    RingElement.galois_apply."""
+    p = ctx.p
+    mu = mu % p
+    coords = [0] * (p - 1)
+    for i in range(p - 1):
+        coords[ctx.upow[i] - 1] = pow(mu, -i, p)
+    elem = span_to_element(ctx, 1, coords)
+    s = ctx.index_of(mu)
+    return EigenReport(
+        p=p,
+        mu=mu,
+        index_s=s,
+        dimension=1,
+        vector=tuple(coords),
+        valuation=s,
+        matches_closed_form=elem.galois_apply(ctx.u) == elem * mu,
+    )

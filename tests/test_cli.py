@@ -134,6 +134,22 @@ def test_expand_usage_errors():
         assert r.stdout == "", coeffs
 
 
+def test_expand_names_the_bad_entry_and_cuts_its_echo():
+    # one entry over the digit limit: the limit is the reason, not the format
+    big = "9" * 50_000
+    r = run_cli("expand", "--p", "7", "--coeffs", f"1,2,{big},4,5,6")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: --coeffs entry 2: a decimal integer of 50000 digits")
+    assert f"over the limit of {_COEFF_MAX_DIGITS} digits" in r.stderr
+    assert len(r.stderr) < 200
+    # a long entry that is not a decimal integer: named, echoed cut to 40 characters
+    r = run_cli("expand", "--p", "7", "--coeffs", "1,2,3,4,5," + "9" * 5_000 + "x")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: --coeffs entries must be decimal integers; entry 5 is not:")
+    assert "(5003 characters)" in r.stderr
+    assert len(r.stderr) < 200
+
+
 def test_ppower_pass_and_seed_echo():
     code, doc = run_json("ppower", "--p", "5", "--trials", "50", "--seed", "7")
     assert code == 0

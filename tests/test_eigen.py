@@ -1,5 +1,7 @@
 """Automorphism matrix, closed-form eigenvectors, and eigen-expansions."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,9 @@ from pisingular import (
     valuation,
     zeta,
 )
+from pisingular.cli import main
+from pisingular.eigen import _eigen_reports, _inverse_powers, _is_eigen
+from pisingular.ring import _fold, _normal_slots
 
 import oracles
 from conftest import random_unit, seeded
@@ -84,11 +89,61 @@ def test_eigenvector_mu_reduced_mod_p(ctx5):
 
 
 def test_eigenvector_rejects_trivial_eigenvalues(ctx5):
-    for mu in (0, 1, 5, 6):
+    for mu in (0, 1, 5, 6, -4):
         with pytest.raises(ValueError, match="2..p-1"):
             eigenvector_span_coords(ctx5, mu)
         with pytest.raises(ValueError, match="2..p-1"):
             canonical_eigenvector(ctx5, mu)
+        with pytest.raises(ValueError, match="2..p-1"):
+            recurrence_solve(ctx5, mu, 1)
+
+
+def test_eigen_refusal_names_mu_as_given(ctx5, capsys):
+    # mu = 6 is 1 mod 5: the message names 6, not the reduced 1
+    for mu in (6, 10, -4):
+        with pytest.raises(ValueError, match=rf"2\.\.p-1, got {mu}$"):
+            canonical_eigenvector(ctx5, mu)
+        with pytest.raises(ValueError, match=rf"got {mu}$"):
+            _eigen_reports(ctx5, [2, 3, mu])
+        assert main(["eigen", "--p", "5", "--mu", str(mu)]) == 2
+        assert capsys.readouterr().err == f"error: eigenvalue must lie in 2..p-1, got {mu}\n"
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 53, 67, 71, 101])
+def test_batched_reports_match_per_mu_oracle(p, capsys):
+    ctx = new_context(p)
+    expected = [oracles.canonical_eigenvector(ctx, mu) for mu in range(2, p)]
+    assert _eigen_reports(ctx, list(range(2, p))) == expected
+    assert [canonical_eigenvector(ctx, mu) for mu in range(2, p)] == expected
+    assert main(["eigen", "--p", str(p), "--all", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["reports"] == [r.to_json_dict() for r in expected]
+
+
+def test_batched_reports_match_per_mu_oracle_p1031(capsys):
+    ctx = new_context(1031)
+    mus = [2, 1030, 1032 + 5] + seeded(1031).sample(range(3, 1030), 6)
+    expected = [oracles.canonical_eigenvector(ctx, mu) for mu in mus]
+    assert _eigen_reports(ctx, mus) == expected
+    for mu, rep in zip(mus, expected):
+        assert canonical_eigenvector(ctx, mu) == rep
+        assert main(["eigen", "--p", "1031", "--mu", str(mu), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["reports"] == [rep.to_json_dict()]
+
+
+@pytest.mark.parametrize("p", [5, 13, 101])
+def test_batched_sigma_check_refuses_non_eigenvectors(p):
+    """_is_eigen reads True on every e_mu and False on a row that is not a
+    mu-eigenvector: e_mu with one coefficient moved, and e_mu against
+    another mu."""
+    ctx = new_context(p)
+    mus = list(range(2, p))
+    rows = _fold(_normal_slots(ctx, _inverse_powers(ctx, [ctx.index_of(mu) for mu in mus]))) % p
+    assert _is_eigen(ctx, rows, mus).all()
+    moved = rows.copy()
+    moved[1, p // 2] = (moved[1, p // 2] + 1) % p
+    assert _is_eigen(ctx, moved, mus).tolist() == [i != 1 for i in range(len(mus))]
+    assert not _is_eigen(ctx, rows, mus[1:] + mus[:1]).any()
 
 
 def test_eigenvector_sweep_substitution_oracle():

@@ -7,7 +7,9 @@ the value oracle.  A Galois map z -> z^j permutes coefficients where the
 oracle scatters them with np.add.at, on every route a product mod p^K can
 take (int64, float and object dtype, picked by _route) and on exact
 coefficients.  xi_a is written down in closed form where the oracle
-multiplies z^e by the geometric sum.
+multiplies z^e by the geometric sum.  The basis maps (the Phi_p fold, its
+inverse, the Galois kernel and the normal basis) take a stack of rows as
+they take one vector.
 """
 
 import random
@@ -22,7 +24,15 @@ from pisingular import (
     cyclotomic_unit_exact,
     new_context,
 )
-from pisingular.ring import _route
+from pisingular.ring import (
+    _dtype_for,
+    _fold,
+    _fold_galois,
+    _normal_coords,
+    _normal_slots,
+    _route,
+    _unfold,
+)
 
 import oracles
 
@@ -127,3 +137,42 @@ def test_xi_closed_form_matches_product(p):
         assert cyclotomic_unit_exact(p, a) == oracles.cyclotomic_unit_exact(p, a), a
         for K in _levels(p).values():
             assert cyclotomic_unit(ctx, K, a) == oracles.cyclotomic_unit(ctx, K, a), (a, K)
+
+
+def _stack(rng, rows: int, cols: int, bound: int, dtype):
+    """rows x cols integers in [-bound, bound), Python ints cast to dtype."""
+    draws = [[rng.randrange(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+    return np.array(draws, dtype=object).astype(dtype)
+
+
+@pytest.mark.parametrize("p", [5, 37, 101])
+def test_basis_maps_on_stacked_rows(p):
+    """On a stack of rows, _fold, _unfold, _fold_galois and the normal-basis
+    maps give what they give row by row and what the Python-int oracles
+    give, at the modulus of every route (int64, float, object) and on exact
+    coefficients; the normal basis and the fold round-trip."""
+    ctx = new_context(p)
+    rng = random.Random(p)
+    moduli = [p**K for K in _levels(p).values()] + [None]
+    for m in moduli:
+        if m is None:  # exact coefficients, signed
+            rows, slots = _stack(rng, 4, p - 1, 2**200, object), _stack(rng, 4, p, 2**200, object)
+        else:
+            rows = _stack(rng, 4, p - 1, m, _dtype_for(m, p)) % m
+            slots = _stack(rng, 4, p, m, _dtype_for(m, p))
+        assert _fold(slots).tolist() == [oracles.fold(r) for r in slots.tolist()]
+        assert _fold(slots).tolist() == [_fold(r).tolist() for r in slots]
+        assert _unfold(rows).tolist() == [oracles.unfold(r) for r in rows.tolist()]
+        assert _unfold(rows).tolist() == [_unfold(r).tolist() for r in rows]
+        assert _fold(_unfold(rows)).tolist() == rows.tolist()
+        for j in (1, ctx.u, p - 1):
+            got = _fold_galois(rows, j, p, m).tolist()
+            assert got == [_fold_galois(r, j, p, m).tolist() for r in rows], (m, j)
+            want = [oracles.fold_galois(np.array(r, dtype=object), j, p, m, object) for r in rows]
+            assert got == [[int(v) for v in w] for w in want], (m, j)
+        normal = _normal_coords(ctx, rows)
+        span = [oracles.unfold(r)[1:] for r in rows.tolist()]
+        assert normal.tolist() == [[s[u - 1] for u in ctx.upow] for s in span]
+        assert normal.tolist() == [_normal_coords(ctx, r).tolist() for r in rows]
+        assert _fold(_normal_slots(ctx, normal)).tolist() == rows.tolist()
+        assert _normal_coords(ctx, _fold(_normal_slots(ctx, normal))).tolist() == normal.tolist()

@@ -19,9 +19,9 @@ from pisingular import (
     verify_unit_relation,
 )
 
+from pisingular.eigen import _inverse_powers
 from pisingular.units import (
     _log_valuations,
-    _projection_exponents,
     _read_normal,
     _unit_log,
     _unit_logs,
@@ -229,7 +229,7 @@ def test_projection_raises_running_once_per_gap(monkeypatch):
     p, K = 101, 2
     ctx = new_context(p)
     for two_m in range(2, p - 2, 2):
-        exps = set(_projection_exponents(ctx, two_m))
+        exps = set(_inverse_powers(ctx, [two_m])[0].tolist())
         stepwise = (p - 1 - len(exps)) + (max(exps) - 1) + (len(exps) - 1)
         eta, count = _count_products(monkeypatch, ctx, K, 3, two_m)
         assert count <= stepwise, two_m
@@ -267,7 +267,7 @@ def test_log_route_matches_bucket_route_every_index(p):
             got = unit_reports(ctx, K, a, two_ms)
             assert [rep for rep, _ in got] == expected, (p, a, K)
             assert [vec.exponents for _, vec in got] == [
-                tuple(_projection_exponents(ctx, two_m)) for two_m in two_ms
+                tuple(row) for row in _inverse_powers(ctx, two_ms).tolist()
             ]
 
 
@@ -300,7 +300,7 @@ def test_log_at_high_K(p):
     terms with p | n, against the plain series and the bucket route."""
     ctx = new_context(p)
     two_ms = list(range(2, p - 2, 2))
-    exps = np.array([_projection_exponents(ctx, two_m) for two_m in two_ms])
+    exps = _inverse_powers(ctx, two_ms)
     for K in range(p - 1, 3 * p + 1):
         for a in range(2, (p - 1) // 2 + 1):
             assert _unit_log(ctx, K, a) == oracles.unit_log(ctx, K, a), (K, a)
@@ -313,7 +313,7 @@ def test_log_at_high_K(p):
 def test_log_at_the_bundle_K_limit():
     for p, K, a, two_m in ((5, 4096, 2, 2), (7, 2730, 3, 4)):
         ctx = new_context(p)
-        exps = np.array([_projection_exponents(ctx, two_m)])
+        exps = _inverse_powers(ctx, [two_m])
         expected = _bucket_reports(ctx, K, a, [two_m])
         assert _log_reports(ctx, K, a, [two_m]) == expected
         (v,), _ = _read_normal(ctx, _unit_logs(ctx, K, _unit_log(ctx, K, a), exps), K)
@@ -327,7 +327,7 @@ def test_indices_that_read_zero_mod_p2_take_the_full_K():
     p, K, a = 13, 3, 3
     ctx = new_context(p)
     two_ms = list(range(2, p - 2, 2))
-    exps = np.array([_projection_exponents(ctx, two_m) for two_m in two_ms])
+    exps = _inverse_powers(ctx, two_ms)
     expected = [r.valuation_of_eta_pm1 for r in _bucket_reports(ctx, K, a, two_ms)]
     assert [v for m, v in zip(two_ms, expected) if pow(a, m, p) == 1] == [CAP]
     zeros = np.zeros((len(two_ms), p - 1), dtype=np.int64)
