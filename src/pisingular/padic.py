@@ -59,6 +59,19 @@ def _val_json(v) -> int | str:
     return "cap" if v is CAP else int(v)
 
 
+def _fill_pascal(T, modulus: int):
+    """T[i, j] = C(j, i) mod modulus, in place: one Pascal row per column,
+    formed in int64 (object if T is) and cast as it is stored; a float64
+    recurrence would take twice as long (fmod)."""
+    row = np.zeros(T.shape[0], dtype=object if T.dtype == object else np.int64)  # C(j, .)
+    row[0] = 1
+    for j in range(T.shape[1]):
+        T[:, j] = row
+        row[1:] = (row[1:] + row[:-1]) % modulus
+    T.setflags(write=False)
+    return T
+
+
 @lru_cache(maxsize=2)
 def _pascal(p: int, modulus: int):
     """The change of basis from z-powers to lam-powers mod modulus.
@@ -66,19 +79,21 @@ def _pascal(p: int, modulus: int):
     T[i, j] = C(j, i): lam-coefficients = T @ z-coefficients, from the
     expansion z^j = (1 + lam)^j.  Its inverse, from lam^i = (z - 1)^i, is
     S @ T @ S with S = diag((-1)^i), which from_lambda_basis applies as
-    signs on either side of T.  Valuations read T mod p only (_lam_read),
-    the lam-basis conversions T mod p^K: the cache keeps those two, not one
-    matrix per K of a sweep (an object matrix is 30 MB at p=1031).
+    signs on either side of T.  The lam-basis conversions read T mod p^K:
+    the cache keeps the last two moduli, not one matrix per K of a sweep
+    (an object matrix is 30 MB at p=1031).  Valuations read T mod p only,
+    through their own copy (_pascal_transposed_mod_p).
     """
-    n = p - 1
-    T = np.zeros((n, n), dtype=_dtype_for(modulus, p))
-    row = np.zeros(n, dtype=T.dtype)  # C(j, .), one Pascal row per column
-    row[0] = 1
-    for j in range(n):
-        T[:, j] = row
-        row[1:] = (row[1:] + row[:-1]) % modulus
-    T.setflags(write=False)
-    return T
+    return _fill_pascal(np.zeros((p - 1, p - 1), dtype=_dtype_for(modulus, p)), modulus)
+
+
+@lru_cache(maxsize=1)
+def _pascal_transposed_mod_p(p: int):
+    """T.T mod p in the dtype of sums of p-1 products of residues mod p
+    (_route: float64, so BLAS, from p = 80 on), the matrix of every
+    _lam_read.  Built in that dtype, so that no read copies the (p-1)^2
+    matrix (8.5 MB at p=1031) into float64 per call."""
+    return _fill_pascal(np.zeros((p - 1, p - 1), dtype=_ROUTE_DTYPE[_route(p, p)]).T, p).T
 
 
 def to_lambda_basis(a: RingElement) -> list[int]:
@@ -118,11 +133,8 @@ def _lam_read(p: int, K: int, rows: np.ndarray) -> tuple[list, np.ndarray]:
     # t is the exponent of p in the gcd of the row; a zero row has gcd 0
     t = [_vp(g, p) if g else K for g in np.gcd.reduce(rows, axis=1).tolist()]
     q = rows // np.array([p**ti for ti in t], dtype=rows.dtype)[:, None]
-    # sums of p-1 products of residues mod p; float64 pays for its copy of
-    # the (p-1)^2 matrix only from two rows on
-    dtype = _ROUTE_DTYPE[_route(p, p)] if len(rows) > 1 else np.int64
-    T = _pascal(p, p).astype(dtype, copy=False)
-    lam_coeffs = ((q % p).astype(dtype, copy=False) @ T.T % p).astype(np.int64, copy=False)
+    Tt = _pascal_transposed_mod_p(p)
+    lam_coeffs = ((q % p).astype(Tt.dtype, copy=False) @ Tt % p).astype(np.int64, copy=False)
     first = (lam_coeffs != 0).argmax(axis=1).tolist()
     vals = [CAP if ti >= K else n * ti + fi for ti, fi in zip(t, first)]
     return vals, lam_coeffs

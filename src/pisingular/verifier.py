@@ -34,9 +34,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from .context import PrimeContext, new_context
 from .eigen import expansion_matches
 from .padic import (
+    _lam_read,
     _val_json,
     is_locally_pth_power,
     is_primary,
@@ -44,12 +47,16 @@ from .padic import (
     valuation,
 )
 from .ring import (
+    _BLOCK_BYTES,
     _NORM_MAX_BITS,
     _P_LIMIT,
     ExactElement,
     RingElement,
+    _dtype_for,
+    _fold,
+    _fold_mul,
+    _power,
     from_integer,
-    lam,
     norm_exact,
 )
 from .units import _twisted_quotient, eigen_project_unit_exact
@@ -156,9 +163,10 @@ _INT_STR_CHUNK = 4000  # digits int() and str() convert under CPython's 4300 lim
 # (p=23: K=744; p=101: K=163), against 5 s at p=23, K=5000; past p=1000 the
 # cost is mostly p itself (p=2039: 0.8 s at K=2, 1.9-2.1 s at K=8).
 _PRECISION_LIMIT = 2**14
-# The p-th power campaign may have up to 10^4 trials.  A trial costs about
-# 0.1 ms at p=7, 0.5 ms at p=101, 1.2 ms at p=257 and 6-9 ms at p=1031 (K=2),
-# so a campaign at the cap takes 1 s, 5 s, 12 s and 60-90 s (default 1000).
+# The p-th power campaign may have up to 10^4 trials.  Run in lockstep, a
+# campaign at the cap takes about 0.4 s at p=7, 1.2 s at p=37, 4 s at p=101
+# and 8 s at p=257 from a fresh process, and a trial 5.5-7 ms at p=1031, so
+# about a minute there (K=2; the default 1000 trials take a tenth of that).
 _TRIALS_LIMIT = 10**4
 
 
@@ -403,12 +411,12 @@ def _integer_root(n: int, k: int) -> int | None:
     return x if x**k == n else None
 
 
-def _random_unit(ctx: PrimeContext, K: int, rng: random.Random) -> RingElement:
-    modulus = ctx.p**K
+def _random_unit(p: int, modulus: int, rng: random.Random) -> list[int]:
+    """p-1 residues mod modulus, drawn again while their sum is 0 mod p."""
     while True:
-        coeffs = [rng.randrange(modulus) for _ in range(ctx.p - 1)]
-        if sum(coeffs) % ctx.p != 0:
-            return RingElement(ctx, K, coeffs)
+        coeffs = [rng.randrange(modulus) for _ in range(p - 1)]
+        if sum(coeffs) % p != 0:
+            return coeffs
 
 
 def check_ppower_congruence(
@@ -417,7 +425,15 @@ def check_ppower_congruence(
     """Randomized check that congruent units get congruent p-th powers.
 
     Samples units x and perturbations y = x + lam*g, then requires
-    v(x^p - y^p) >= p+1.  Fixed seed makes the run bit-reproducible.
+    v(x^p - y^p) >= p+1.  Fixed seed makes the run bit-reproducible: for
+    each trial in turn, x's p-1 residues mod p^K (the whole vector drawn
+    again while their sum is 0 mod p, i.e. while x is not a unit), then g's
+    p-1 residues.
+
+    The trials run in lockstep, in blocks whose rows of [x; y] stay within
+    _BLOCK_BYTES: y = x + z*g - g by one fold, one square-and-multiply chain
+    (ring._power over ring._fold_mul) raises all 2 * block rows to the p-th
+    power, and one _lam_read of x^p - y^p reads every trial's valuation.
     """
     p = ctx.p
     if trials < 1:
@@ -431,16 +447,29 @@ def check_ppower_congruence(
             f"check needs depth {p + 1}; K={K} caps at {K * (p - 1)}"
         )
     rng = random.Random(seed)
-    modulus = ctx.p**K
-    lam_K = lam(ctx, K)
+    modulus = p**K
+    dtype = _dtype_for(modulus, p)
+    mul = functools.partial(_fold_mul, p=p, modulus=modulus, dtype=dtype)
+    block = max(1, _BLOCK_BYTES // (32 * p))  # 2*block rows of 2p-3 int64 per product
     failures = []
-    for t in range(trials):
-        x = _random_unit(ctx, K, rng)
-        g = RingElement(ctx, K, [rng.randrange(modulus) for _ in range(p - 1)])
-        y = x + lam_K * g
-        v = valuation(x**p - y**p)
-        if not v >= p + 1:
-            failures.append({"trial": t, "valuation": _val_json(v)})
+    for start in range(0, trials, block):
+        n = min(block, trials - start)
+        draws = []
+        for _ in range(n):
+            draws.append(_random_unit(p, modulus, rng))
+            draws.append([rng.randrange(modulus) for _ in range(p - 1)])
+        xg = np.array(draws, dtype=dtype)
+        x, g = xg[0::2], xg[1::2]
+        slots = np.zeros((n, p), dtype=dtype)  # y = x + z*g - g: z*g is g one slot on
+        slots[:, :-1] = x - g
+        slots[:, 1:] += g
+        powers = _power(np.concatenate([x, _fold(slots, modulus)]), p, mul)
+        vals, _ = _lam_read(p, K, (powers[:n] - powers[n:]) % modulus)
+        failures += [
+            {"trial": start + i, "valuation": _val_json(v)}
+            for i, v in enumerate(vals)
+            if not v >= p + 1
+        ]
     claim = ClaimResult(
         "pth-power-congruence",
         "v(x) = 0 and x = y mod lam imply v(x^p - y^p) >= p+1",

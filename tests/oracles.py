@@ -14,7 +14,8 @@ the inverse Pascal matrix U, the lam-basis valuation of e_mu that the
 eigen report once measured, the logarithm of xi_a^(p-1) by its plain
 series with no argument reduction, and the per-mu eigen report (e_mu built
 coordinate by coordinate as one RingElement, sigma applied by galois_apply)
-with the hand-written Phi_p fold and constant elimination beside it.
+with the hand-written Phi_p fold and constant elimination beside it, and
+the p-th power campaign one trial at a time.
 Nothing at runtime needs them; the property tests compare the package
 against them.  The ring oracles compute with Python
 ints (object dtype) at every modulus, so a wrong machine-word bound in the
@@ -27,6 +28,8 @@ through the package's reader, so a wrong reader cannot pass on both sides
 either.
 """
 from __future__ import annotations
+
+import random
 
 import numpy as np
 
@@ -502,3 +505,24 @@ def canonical_eigenvector(ctx: PrimeContext, mu: int) -> EigenReport:
         valuation=s,
         matches_closed_form=elem.galois_apply(ctx.u) == elem * mu,
     )
+
+
+def ppower_valuations(ctx: PrimeContext, K: int, trials: int, seed: int) -> list:
+    """v(x^p - y^p) of each trial of the p-th power campaign, one trial at a
+    time: x a random unit, y = x + lam*g, both raised by RingElement ** and
+    the difference read by lambda_valuation.  The draws are the campaign's,
+    in its order: x's p-1 residues (drawn again while x is not a unit), then
+    g's."""
+    p, modulus = ctx.p, ctx.p**K
+    rng = random.Random(seed)
+    lam_K = lam(ctx, K)
+    out = []
+    for _ in range(trials):
+        while True:
+            xs = [rng.randrange(modulus) for _ in range(p - 1)]
+            if sum(xs) % p != 0:
+                break
+        x = RingElement(ctx, K, xs)
+        g = RingElement(ctx, K, [rng.randrange(modulus) for _ in range(p - 1)])
+        out.append(_valuation(x**p - (x + lam_K * g) ** p))
+    return out

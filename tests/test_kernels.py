@@ -9,7 +9,7 @@ take (int64, float and object dtype, picked by _route) and on exact
 coefficients.  xi_a is written down in closed form where the oracle
 multiplies z^e by the geometric sum.  The basis maps (the Phi_p fold, its
 inverse, the Galois kernel and the normal basis) take a stack of rows as
-they take one vector.
+they take one vector, and so does the product _fold_mul.
 """
 
 import random
@@ -28,6 +28,7 @@ from pisingular.ring import (
     _dtype_for,
     _fold,
     _fold_galois,
+    _fold_mul,
     _normal_coords,
     _normal_slots,
     _route,
@@ -176,3 +177,27 @@ def test_basis_maps_on_stacked_rows(p):
         assert normal.tolist() == [_normal_coords(ctx, r).tolist() for r in rows]
         assert _fold(_normal_slots(ctx, normal)).tolist() == rows.tolist()
         assert _normal_coords(ctx, _fold(_normal_slots(ctx, normal))).tolist() == normal.tolist()
+
+
+@pytest.mark.parametrize(
+    "p, K, route",
+    [(3, 2, "int64"), (5, 2, "int64"), (5, 14, "object"), (79, 4, "int64"), (83, 2, "float")],
+)
+def test_stacked_products_match_row_products(p, K, route):
+    """A stack of rows multiplies as its rows do one by one, and as the
+    Python-int oracle does: by shifted multiply-adds on int64 below p = 80
+    (at p=3 the z^p fold of the product is empty; p=79 K=4 is the last int64
+    level), one vector product per row elsewhere.  Rows of m-1 give the
+    largest sums; a square (b is a) takes the same route."""
+    m = p**K
+    assert _route(m, p) == route
+    dtype = _dtype_for(m, p)
+    rng = random.Random(p * K)
+    a = _stack(rng, 5, p - 1, m, dtype) % m
+    b = _stack(rng, 5, p - 1, m, dtype) % m
+    a[0] = b[0] = m - 1
+    for x, y in ((a, b), (a, a)):
+        got = _fold_mul(x, y, p, m, dtype)
+        assert got.dtype == dtype and got.shape == x.shape
+        assert got.tolist() == [_fold_mul(r, s, p, m, dtype).tolist() for r, s in zip(x, y)]
+        assert got.tolist() == [oracles.mul_mod(r, s, p, m) for r, s in zip(x.tolist(), y.tolist())]

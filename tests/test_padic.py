@@ -25,8 +25,8 @@ from pisingular import (
     verify_positive_candidate,
     zeta,
 )
-from pisingular.padic import _pascal
-from pisingular.ring import _dtype_for
+from pisingular.padic import _pascal, _pascal_transposed_mod_p
+from pisingular.ring import _ROUTE_DTYPE, _dtype_for, _route
 
 import oracles
 from conftest import random_element, random_unit, seeded
@@ -56,6 +56,19 @@ def test_pascal_pair_matches_binomials(p, K):
     U = T * sign[:, None] * sign[None, :] % m
     assert (U == oracles.pascal_inverse(p, m)).all()
     assert ((T @ U) % m == np.eye(n, dtype=np.int64)).all()
+
+
+@pytest.mark.parametrize("p", [3, 37, 79, 83, 257])
+def test_valuation_matrix_is_pascal_mod_p_in_the_route_dtype(p):
+    # _lam_read contracts with its own T.T mod p, built in the dtype of
+    # sums of p-1 products mod p (float64 from p = 80 on), so no read
+    # copies the matrix per call.
+    Tt = _pascal_transposed_mod_p(p)
+    assert Tt.dtype == _ROUTE_DTYPE[_route(p, p)]
+    assert Tt.flags.c_contiguous and not Tt.flags.writeable
+    assert (Tt == _pascal(p, p).T).all()
+    n = p - 1
+    assert Tt.tolist() == [[math.comb(j, i) % p for i in range(n)] for j in range(n)]
 
 
 def test_pascal_cache_is_bounded():
