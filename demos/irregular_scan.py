@@ -1,9 +1,9 @@
 """Scan odd primes for Bernoulli numerators they divide.
 
 A pair (p, 2m) with 2 <= 2m <= p-3 and p | B_{2m} marks the indices where
-the simple unit-side arguments break down.  Each B_{2m} mod p comes from the
-power sum of a^(2m) over a = 1 .. p-1, which is p * B_{2m} mod p^2, taken
-for all a at once, so large primes cost little.
+the simple unit-side arguments break down.  Every B_{2m} mod p of one prime
+comes from one transform of the Fermat quotients (a^(p-1) - 1)/p over F_p,
+B_k = -k * sum_a a^k (a^(p-1) - 1)/p mod p, so large primes cost little.
 """
 
 import argparse

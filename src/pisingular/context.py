@@ -5,8 +5,20 @@ with a fixed primitive root u mod p.  The context precomputes the power
 table u_i = u^i mod p and its inverse (a discrete-log table), which realize
 the automorphism group of the degree p-1 cyclotomic extension as exponent
 arithmetic mod p-1.  It also computes Bernoulli numbers mod p for the even
-indices 2 <= 2m <= p-3, from sum_{a=1}^{p-1} a^(2m) = p*B_{2m} (mod p^2)
-(Ireland & Rosen, ch. 15), and reports the irregular pairs B_{2m} == 0.
+indices 2 <= k <= p-3 and reports the irregular pairs B_k == 0.
+
+The Bernoulli numbers come from the Fermat quotients q_a = (a^(p-1) - 1)/p:
+
+    B_k = -k * sum_{a=1}^{p-1} a^k * q_a  (mod p).
+
+Proof: a^p = w(a) (mod p^2), w the Teichmueller lift, so a = w(a)(1 - p q_a)
+and a^k = w(a)^k (1 - k p q_a) (mod p^2).  The sum of w(a)^k over a is 0
+when p-1 does not divide k, so sum_a a^k = -k p sum_a a^k q_a (mod p^2),
+and sum_a a^k = p B_k (mod p^2) (Ireland & Rosen, ch. 15; Washington,
+Introduction to Cyclotomic Fields, ch. 5).  Summed along the orbit a = u^i,
+this is one transform of the q_a over F_p for every k at once (see
+PrimeContext._bernoulli_table), the way Buhler, Crandall, Ernvall and
+Metsankyla scan for irregular primes.
 """
 
 from __future__ import annotations
@@ -27,8 +39,11 @@ __all__ = [
 # n < 3_317_044_064_679_887_385_961_981, far above the supported range.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# The Bernoulli table multiplies int64 residues mod p^2, so it needs p^4 < 2^63:
-# p < 55109.  No command goes past p = 2049 (ring._P_LIMIT).
+# Bernoulli numbers mod p are refused from p = 55109 on, the first p with
+# p^4 >= 2^63: below it the table can be checked against int64 power sums
+# mod p^2 (tests/oracles.py).  The transform of _bernoulli_table is exact
+# well past it: its float64 sums stay below (p-1)*p^2, under 2^53 for every
+# p <= 208064.  No command goes past p = 2049 (ring._P_LIMIT).
 _BERNOULLI_P_LIMIT = math.isqrt(math.isqrt(2**63 - 1)) + 1
 
 
@@ -152,18 +167,37 @@ class PrimeContext:
 
     @cached_property
     def _bernoulli_table(self) -> tuple[int, ...]:
-        # B_k mod p at index k/2 - 1: the power sum mod p^2 is p * B_k, and
-        # a^k advances by a^2 for all a at once, each product below p^4
+        """B_k mod p at index k/2 - 1 for even 2 <= k <= p-3, as
+        B_k = -k * S(k) with S(k) = sum_i c_i u^(ik), c_i = q_a at a = u^i
+        (module docstring).  No int64 product reaches p^3.
+
+        1. The Fermat quotients along the orbit: with A_i = u^i mod p and
+           u A_(i-1) = A_i + p t_i, raising to the power p-1 mod p^2 gives
+           c_i = c_(i-1) + q_u + t_i A_i^(-1) (mod p) from c_0 = q_1 = 0,
+           one cumsum; A_i^(-1) = A_(-i).
+        2. Every S(k) by one correlation: ik = C(i+k, 2) - C(i, 2) - C(k, 2),
+           so S(k) = u^(-C(k, 2)) sum_i x_i y_(i+k) with x_i = c_i u^(-C(i, 2))
+           and y_j = u^(C(j, 2)), exponents mod p-1.  The correlation runs
+           in float64: its sums stay below (p-1)*p^2 < 2^53, so are exact.
+        3. B_k = -k * S(k) mod p.
+        """
         p = self.p
         if p >= _BERNOULLI_P_LIMIT:
             raise ValueError(f"Bernoulli numbers mod p need p < {_BERNOULLI_P_LIMIT}, got {p}")
-        m = p * p
-        power = a2 = np.arange(1, p, dtype=np.int64) ** 2 % m
-        table = []
-        for _ in range(2, p - 2, 2):
-            table.append(int(power.sum()) % m // p)
-            power = power * a2 % m
-        return tuple(table)
+        n = p - 1
+        upow = np.array(self.upow, dtype=np.int64)
+        i = np.arange(n, dtype=np.int64)
+        t = self.u * upow[i - 1] // p
+        q_u = (pow(self.u, n, p * p) - 1) // p
+        step = (q_u + t * upow[-i % n]) % p
+        step[0] = 0
+        c = np.cumsum(step) % p
+        j = np.arange(2 * n - 2, dtype=np.int64)
+        y = upow[j * (j - 1) // 2 % n].astype(np.float64)
+        x = (c * upow[-(i * (i - 1) // 2) % n] % p).astype(np.float64)
+        k = np.arange(2, p - 2, 2, dtype=np.int64)
+        s = np.correlate(y, x, "valid")[k].astype(np.int64) % p
+        return tuple((-k * s % p * upow[-(k * (k - 1) // 2) % n] % p).tolist())
 
     def bernoulli_mod_p(self, two_m: int) -> int:
         """B_{2m} mod p for even 2m with 2 <= 2m <= p-3."""

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -176,20 +175,27 @@ def digits(a: RingElement, N: int) -> LambdaExpansion:
     sums: r = d + lam*r' exactly.  t is known only mod p^(K-1), so r' is
     known only to one power of lam less than r, which is why N is capped
     at K*(p-1).
+
+    Each step runs on the coefficient array in place, in a's own dtype:
+    the prefix sums stay below (p-1)*m, which int64 holds whenever the
+    ring's int64 bound (p-1)(m-1)^2 < 2^63 does; object stays object.
     """
     p, K, m = a.ctx.p, a.K, a.modulus
     nmax = K * (p - 1)
     if not (1 <= N <= nmax):
         raise ValueError(f"precision must lie in [1, {nmax}], got {N}")
-    c = a.coeff_list()
+    c = a.coeffs.copy()
     out = []
     for _ in range(N):
-        s = sum(c) % m
+        s = int(c.sum()) % m
         d = s % p
         t = (s - d) // p
         c[0] -= d
         # the slot for z^(p-1) holds -t and drops out of the quotient
-        c = [-x % m for x in accumulate(x - t for x in c)]
+        c -= t
+        np.cumsum(c, out=c)
+        np.negative(c, out=c)
+        c %= m
         out.append(d)
     first = next((i for i, d in enumerate(out) if d), CAP)
     return LambdaExpansion(digits=tuple(out), valuation=first, precision=N)

@@ -411,10 +411,25 @@ def _integer_root(n: int, k: int) -> int | None:
     return x if x**k == n else None
 
 
+def _draw_residues(rng: random.Random, modulus: int, n: int) -> list[int]:
+    """n draws of rng.randrange(modulus), by the same rejection loop on
+    rng.getrandbits that randrange runs, so the same stream, with no
+    Python frame of randrange per residue."""
+    k = modulus.bit_length()
+    bits = rng.getrandbits
+    out = []
+    for _ in range(n):
+        r = bits(k)
+        while r >= modulus:
+            r = bits(k)
+        out.append(r)
+    return out
+
+
 def _random_unit(p: int, modulus: int, rng: random.Random) -> list[int]:
     """p-1 residues mod modulus, drawn again while their sum is 0 mod p."""
     while True:
-        coeffs = [rng.randrange(modulus) for _ in range(p - 1)]
+        coeffs = _draw_residues(rng, modulus, p - 1)
         if sum(coeffs) % p != 0:
             return coeffs
 
@@ -457,7 +472,7 @@ def check_ppower_congruence(
         draws = []
         for _ in range(n):
             draws.append(_random_unit(p, modulus, rng))
-            draws.append([rng.randrange(modulus) for _ in range(p - 1)])
+            draws.append(_draw_residues(rng, modulus, p - 1))
         xg = np.array(draws, dtype=dtype)
         x, g = xg[0::2], xg[1::2]
         slots = np.zeros((n, p), dtype=dtype)  # y = x + z*g - g: z*g is g one slot on

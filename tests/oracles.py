@@ -2,7 +2,8 @@
 
 Each function here is the search, elimination or schoolbook route the
 package used before its closed form or its faster method: the mod-p
-Bernoulli recurrence sum_j C(m+1, j) B_j = 0 over Pascal rows, Gauss-Jordan
+Bernoulli recurrence sum_j C(m+1, j) B_j = 0 over Pascal rows, the power
+sums sum_a a^k = p*B_k mod p^2 taken one even k at a time, Gauss-Jordan
 inversion over the local ring, the p^j candidate loop for rational p-th
 powers, the p-candidate digit scan, the F_p nullspace of the Galois
 permutation matrix and the cycle count that read its dimension off, the
@@ -66,6 +67,19 @@ def bernoulli_table(p: int) -> list[int]:
         for j in range(m):
             acc = (acc + row[j] * table[j]) % p
         table[m] = -acc * pow(m + 1, -1, p) % p
+    return table
+
+
+def bernoulli_power_sums(p: int) -> list[int]:
+    """B_k mod p for even 2 <= k <= p-3 from the power sums mod p^2: the sum
+    of a^k over 1 <= a <= p-1 is p*B_k (mod p^2) (Ireland & Rosen, ch. 15),
+    one int64 pass over every a per k, each product below p^4 < 2^63."""
+    m = p * p
+    power = a2 = np.arange(1, p, dtype=np.int64) ** 2 % m
+    table = []
+    for _ in range(2, p - 2, 2):
+        table.append(int(power.sum()) % m // p)
+        power = power * a2 % m
     return table
 
 

@@ -135,6 +135,28 @@ def test_bernoulli_power_sums_match_recurrence_oracle(p):
     assert ctx.irregular_pairs() == [k for k in range(2, p - 2, 2) if table[k] == 0]
 
 
+def test_bernoulli_transform_matches_power_sums_below_2049():
+    # every prime that irregular --max 2048 scans, against the per-k loop
+    # the Fermat-quotient transform replaced
+    for p in range(3, 2049, 2):
+        if is_prime(p):
+            ctx = new_context(p)
+            assert list(ctx._bernoulli_table) == oracles.bernoulli_power_sums(p), p
+
+
+def test_bernoulli_transform_exact_below_the_limit():
+    # at the largest prime the table serves, the float64 sums reach 2^47;
+    # a few k against Python-int power sums mod p^2
+    p = 55103
+    assert p == max(n for n in range(_BERNOULLI_P_LIMIT - 20, _BERNOULLI_P_LIMIT) if is_prime(n))
+    table = new_context(p)._bernoulli_table
+    m = p * p
+    for k in (2, 4, 27552, p - 3):
+        power_sum = sum(pow(a, k, m) for a in range(1, p)) % m
+        assert power_sum % p == 0
+        assert table[k // 2 - 1] == power_sum // p, k
+
+
 def test_irregular_pairs_below_300_match_the_classical_table():
     pairs = [
         (p, k) for p in range(3, 300) if is_prime(p) for k in new_context(p).irregular_pairs()
@@ -147,7 +169,8 @@ def test_irregular_pairs_below_300_match_the_classical_table():
 
 
 def test_bernoulli_refused_past_the_int64_limit():
-    # the running products a^k * a^2 mod p^2 stay below p^4
+    # the limit is the first p with p^4 >= 2^63, the bound of the int64 power
+    # sums of oracles.bernoulli_power_sums; the transform is exact well past it
     assert (_BERNOULLI_P_LIMIT - 1) ** 4 < 2**63 <= _BERNOULLI_P_LIMIT**4
     p = next(n for n in range(55109, 55200) if is_prime(n))
     assert p == _BERNOULLI_P_LIMIT == 55109

@@ -8,6 +8,7 @@ import pytest
 
 from pisingular import (
     CAP,
+    LambdaExpansion,
     RingElement,
     digits,
     from_integer,
@@ -209,6 +210,44 @@ def test_digits_prefix_stability():
         full = digits(a, 12).digits
         for N in (1, 3, 7, 11):
             assert digits(a, N).digits == full[:N]
+
+
+@pytest.mark.parametrize(
+    "p, K, dtype",
+    [(101, 4, np.int64), (257, 2, np.int64), (103, 5, object), (5, 14, object), (3, 3, np.int64)],
+)
+def test_digits_match_the_digit_scan_on_every_route(p, K, dtype):
+    # the division by lam runs in the element's dtype: int64 below the exact
+    # bound (101^4; 257^2, whose products take the float route), object past
+    # it.  Random elements are checked up to N = p; at full precision the
+    # oracle's scan of p candidates per digit is held to a few probes by
+    # planted digits, small from position p-1 on, and with p-content.  The
+    # scan is greedy, so one call at the largest N gives every shorter one
+    ctx = new_context(p)
+    m, n = p**K, K * (p - 1)
+    assert (_dtype_for(m, p), _route(m, p) == "float") == (dtype, p == 257)
+    rng = seeded(p * K)
+    precisions = sorted({1, p - 2, p - 1, p, n})
+    planted = [rng.randrange(p) for _ in range(p - 1)] + [rng.randrange(3) for _ in range(n - p + 1)]
+    deep = [0] * (p - 1) + planted[p - 1 :]
+    cases = [
+        (RingElement(ctx, K, [rng.randrange(m) for _ in range(p - 1)]), precisions[:4]),
+        (RingElement(ctx, K, [p * rng.randrange(m) for _ in range(p - 1)]), precisions[:4]),
+        (RingElement(ctx, K, oracles.from_digits(planted, p, m)), precisions),
+        (RingElement(ctx, K, oracles.from_digits(deep, p, m)), precisions),
+        (from_integer(ctx, K, 0), precisions),
+    ]
+    if p <= 5:
+        cases += [(random_element(ctx, K, rng), precisions) for _ in range(4)]
+    assert all(c % p == 0 for c in cases[3][0].coeff_list())
+    for a, Ns in cases:
+        assert a.coeffs.dtype == dtype
+        full = oracles.digits(a, Ns[-1])
+        for N in Ns:
+            v = full.valuation if full.valuation < N else CAP
+            assert digits(a, N) == LambdaExpansion(full.digits[:N], v, N), N
+    assert digits(cases[2][0], n).digits == tuple(planted)
+    assert digits(cases[4][0], n).valuation is CAP
 
 
 def test_digits_precision_validation(ctx5):

@@ -12,6 +12,7 @@ time.
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -102,6 +103,20 @@ def test_settings_cover_every_route():
     assert routes == {"int64", "float", "object"}
     assert _route(2039**2, 2039) == "int64" and _route(79**4, 79) == "int64"
     assert _route(79**5, 79) == "object"
+
+
+@pytest.mark.parametrize(
+    "p, K", [(3, 1), (7, 1), (7, 2), (23, 2), (37, 3), (5, 14), (103, 5), (2039, 6)]
+)
+def test_residue_draws_are_randranges(p, K):
+    # the campaign draws by randrange's own rejection loop on getrandbits;
+    # 5^14 and 103^5 take the object route, 2039^6 is past 64 bits
+    m = p**K
+    assert _route(5**14, 5) == _route(103**5, 103) == "object"
+    for seed in (1, 2, 99):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert verifier._draw_residues(rng, m, 3 * p) == [ref.randrange(m) for _ in range(3 * p)]
+        assert rng.getstate() == ref.getstate()
 
 
 def test_failures_list_the_low_trials_in_order(monkeypatch):
