@@ -9,6 +9,7 @@ format error, 3 invalid witness data.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -221,7 +222,11 @@ def _cmd_verify(args) -> int:
     return 0 if report.overall else 1
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first main call.  Parsing
+    leaves it unchanged, and argparse looks up sys.stdout, sys.stderr and the
+    terminal width only when it prints, so every call may share it."""
     parser = argparse.ArgumentParser(
         prog="pisingular",
         description="pi-adic expansions, Galois eigenvectors, circular-unit "
@@ -286,8 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except WitnessInvalidError as e:

@@ -87,9 +87,8 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _is_primitive_root(u: int, p: int, factors: list[int]) -> int | None:
-    """Return None if u generates, else a prime q | p-1 with u^((p-1)/q) = 1."""
-    if u % p == 0:
-        return factors[0]
+    """Return None if u generates, else a prime q | p-1 with u^((p-1)/q) = 1.
+    u must be prime to p."""
     for q in factors:
         if pow(u, (p - 1) // q, p) == 1:
             return q
@@ -126,13 +125,15 @@ class PrimeContext:
         if u is None:
             u = smallest_primitive_root(p)
         else:
-            u = u % p
+            if u % p == 0:
+                raise ValueError(f"u={u} is not a primitive root mod {p}: {p} divides it")
             bad = _is_primitive_root(u, p, factors)
             if bad is not None:
                 raise ValueError(
                     f"u={u} is not a primitive root mod {p}: "
                     f"u^(({p}-1)/{bad}) == 1 (mod {p})"
                 )
+            u = u % p
         self.p = p
         self.u = u
         self.half = (p - 1) // 2

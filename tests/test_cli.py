@@ -1,5 +1,7 @@
 """End-to-end command-line checks through subprocess."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -19,6 +21,7 @@ from pisingular import (
     synthetic_unit_bundle,
     verify_unit_relation,
 )
+from pisingular import cli
 from pisingular.verifier import _COEFF_MAX_DIGITS
 
 from conftest import seeded
@@ -437,6 +440,81 @@ def test_usage_errors_exit_2():
     assert run_cli("nonsense").returncode == 2
     assert run_cli("ctx").returncode == 2  # missing --p
     assert run_cli("ctx", "--p", "7", "--bogus").returncode == 2
+
+
+def _main_in_process(args):
+    """(exit code, stdout, stderr) of one cli.main call in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as e:  # argparse refusals and --help
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, monkeypatch):
+    # One process runs every subcommand, argparse refusals and --help through
+    # main, in order and then in reverse, so each call follows every other;
+    # each must give the bytes and exit code of its own fresh process.
+    # COLUMNS pins the width argparse wraps help at.
+    monkeypatch.delenv("PI_SINGULAR_SEED", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    bundle = write_bundle(tmp_path, bundle_to_json(synthetic_unit_bundle(new_context(7), 2, 2)))
+    calls = [
+        ("ctx", "--p", "7"),
+        ("nonsense", "--p", "7"),
+        ("irregular", "--max", "40", "--json"),
+        ("eigen", "--p", "5", "--mu", "2", "--all"),
+        ("eigen", "--p", "7", "--mu", "2"),
+        ("expand", "--coeffs", "1,2,3,4"),
+        ("expand", "--p", "5", "--coeffs", "1,2,3,4", "--json"),
+        ("ppower", "--p", "seven"),
+        ("ppower", "--p", "7", "--trials", "20"),
+        ("units", "--p", "7", "--two-m", "2", "--all"),
+        ("units", "--p", "7", "--all", "--json"),
+        ("ctx", "--p", "7", "--u", "14"),
+        ("verify", "--file", bundle),
+        ("--help",),
+        ("verify", "--file", bundle, "--json"),
+        ("units", "--help"),
+        ("eigen", "--p", "7", "--all"),
+        (),
+        ("ctx", "--p", "7", "--json"),
+    ]
+    fresh = {}
+    for args in calls:
+        r = run_cli(*args, env_extra={"COLUMNS": "80"})
+        fresh[args] = (r.returncode, r.stdout, r.stderr)
+    for args in calls + calls[::-1]:
+        assert _main_in_process(args) == fresh[args], args
+
+
+def test_parser_is_built_lazily_and_once():
+    # Importing the CLI builds no parser; twenty main calls build one.
+    code = """
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import pisingular.cli
+assert built == [], built
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for n in range(20):
+        try:
+            pisingular.cli.main(["ctx", "--p", "7"] if n % 2 else ["eigen", "--p", "5", "--all"])
+        except SystemExit:
+            pass
+print(len(built), built[0])
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    # the top-level parser and its seven subparsers, once each
+    assert r.stdout.split() == ["8", "pisingular"]
 
 
 def test_json_purity():

@@ -60,6 +60,43 @@ def test_new_context_rejects_bad_input():
         new_context(7, u=2)  # order 3
 
 
+@pytest.mark.parametrize(
+    "p, u, message",
+    [
+        (7, 14, "u=14 is not a primitive root mod 7: 7 divides it"),
+        (7, 0, "u=0 is not a primitive root mod 7: 7 divides it"),
+        (7, -7, "u=-7 is not a primitive root mod 7: 7 divides it"),
+        (7, 9, "u=9 is not a primitive root mod 7: u^((7-1)/2) == 1 (mod 7)"),
+        (7, -1, "u=-1 is not a primitive root mod 7: u^((7-1)/3) == 1 (mod 7)"),
+        (13, 29, "u=29 is not a primitive root mod 13: u^((13-1)/2) == 1 (mod 13)"),
+    ],
+)
+def test_refused_primitive_root_names_the_given_u(p, u, message):
+    with pytest.raises(ValueError) as exc:
+        new_context(p, u=u)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31])
+def test_refused_primitive_root_reason_holds(p):
+    # Every refusal names the u it was given, and its reason is true of u:
+    # p | u, or u^((p-1)/q) == 1 (mod p) for the prime q it names.
+    for u in range(-2 * p, 3 * p + 1):
+        if u % p and sympy.is_primitive_root(u % p, p):
+            assert new_context(p, u=u).u == u % p
+            continue
+        with pytest.raises(ValueError) as exc:
+            new_context(p, u=u)
+        head, reason = str(exc.value).split(": ", 1)
+        assert head == f"u={u} is not a primitive root mod {p}", u
+        if u % p == 0:
+            assert reason == f"{p} divides it"
+        else:
+            q = int(reason.split("/")[1].split(")")[0])
+            assert (p - 1) % q == 0 and sympy.isprime(q), u
+            assert pow(u, (p - 1) // q, p) == 1, u
+
+
 def test_custom_primitive_root_accepted():
     ctx = new_context(7, u=5)
     assert ctx.u == 5
