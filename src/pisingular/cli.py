@@ -3,7 +3,10 @@
 Every subcommand takes --json for machine-readable output; with a fixed
 seed the bytes on stdout are identical across runs.  Diagnostics go to
 stderr.  Exit codes: 0 success, 1 a verified claim failed, 2 usage or
-format error, 3 invalid witness data.
+format error, 3 invalid witness data, 141 (128 + SIGPIPE) when the reader
+of stdout closed it early, as in `eigen --p 2039 --all | head -1`.  Every
+integer option, and PI_SINGULAR_SEED, must be a decimal integer in ASCII
+(_int_arg), or the call exits 2.
 """
 
 from __future__ import annotations
@@ -46,16 +49,26 @@ def _emit(payload: dict, as_json: bool, text_lines) -> None:
             print(line)
 
 
+def _int_arg(s: str) -> int:
+    """An integer option: [+-]?[0-9]+ in ASCII, spaces around it allowed
+    (verifier._decimal_int).  A refusal is argparse's, exit 2, and echoes
+    at most 40 characters of s."""
+    try:
+        return _decimal_int(s)
+    except ValueError:  # BundleError too, over the digit limit
+        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(s)}") from None
+
+
 def _resolve_seed(arg_seed: int | None) -> int:
     if arg_seed is not None:
         return arg_seed
     env = os.environ.get("PI_SINGULAR_SEED")
     if env is not None:
         try:
-            return int(env)
-        except ValueError:
+            return _int_arg(env)
+        except argparse.ArgumentTypeError:
             raise PreconditionError(
-                f"PI_SINGULAR_SEED must be an integer, got {env!r}"
+                f"PI_SINGULAR_SEED must be an integer, got {_echo(env)}"
             ) from None
     return 1
 
@@ -238,47 +251,49 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true", help="emit JSON on stdout")
 
     sp = sub.add_parser("ctx", help="primitive-root tables and irregular pairs")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--u", type=int, default=None, help="primitive root (default: smallest)")
+    sp.add_argument("--p", type=_int_arg, required=True)
+    sp.add_argument("--u", type=_int_arg, default=None, help="primitive root (default: smallest)")
     add_json(sp)
     sp.set_defaults(func=_cmd_ctx)
 
     sp = sub.add_parser("irregular", help="scan primes for vanishing Bernoulli indices")
-    sp.add_argument("--max", type=int, required=True)
+    sp.add_argument("--max", type=_int_arg, required=True)
     add_json(sp)
     sp.set_defaults(func=_cmd_irregular)
 
     sp = sub.add_parser("eigen", help="canonical sigma-eigenvectors over F_p")
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=_int_arg, required=True)
     group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--mu", type=int)
+    group.add_argument("--mu", type=_int_arg)
     group.add_argument("--all", action="store_true")
     add_json(sp)
     sp.set_defaults(func=_cmd_eigen)
 
     sp = sub.add_parser("expand", help="digit expansion along the uniformizer")
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=_int_arg, required=True)
     sp.add_argument("--coeffs", type=str, required=True, help='"c0,c1,...,c_(p-2)"')
-    sp.add_argument("--K", type=int, default=_DEFAULT_K)
-    sp.add_argument("--precision", type=int, default=None, help="digits to extract (default p+1)")
+    sp.add_argument("--K", type=_int_arg, default=_DEFAULT_K)
+    sp.add_argument(
+        "--precision", type=_int_arg, default=None, help="digits to extract (default p+1)"
+    )
     add_json(sp)
     sp.set_defaults(func=_cmd_expand)
 
     sp = sub.add_parser("ppower", help="randomized p-th power congruence campaign")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--K", type=int, default=_DEFAULT_K)
-    sp.add_argument("--trials", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=None, help="default: $PI_SINGULAR_SEED or 1")
+    sp.add_argument("--p", type=_int_arg, required=True)
+    sp.add_argument("--K", type=_int_arg, default=_DEFAULT_K)
+    sp.add_argument("--trials", type=_int_arg, default=1000)
+    sp.add_argument("--seed", type=_int_arg, default=None, help="default: $PI_SINGULAR_SEED or 1")
     add_json(sp)
     sp.set_defaults(func=_cmd_ppower)
 
     sp = sub.add_parser("units", help="project circular units and verify the twisted relation")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--a", type=int, default=2)
+    sp.add_argument("--p", type=_int_arg, required=True)
+    sp.add_argument("--a", type=_int_arg, default=2)
     group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--two-m", dest="two_m", type=int)
+    group.add_argument("--two-m", dest="two_m", type=_int_arg)
     group.add_argument("--all", action="store_true")
-    sp.add_argument("--K", type=int, default=_DEFAULT_K)
+    sp.add_argument("--K", type=_int_arg, default=_DEFAULT_K)
     add_json(sp)
     sp.set_defaults(func=_cmd_units)
 
@@ -293,7 +308,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (the flush above brings the last write's
+        # error here).  Point fd 1 at devnull so that the flush at
+        # interpreter exit stays quiet (the SIGPIPE note of Python's signal
+        # docs), and exit as a process killed by SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except WitnessInvalidError as e:
         print(f"witness invalid: {e}", file=sys.stderr)
         return 3

@@ -11,10 +11,9 @@ one-dimensional eigenspace spanned by the closed-form vector
 Every e_mu is read off one table, E[s, i] = u^(-s*i mod (p-1)) = mu^(-i)
 for mu = u^s, one numpy index expression per block of rows; the reports of
 a list of mu check sigma(e_mu) = mu * e_mu on a block at once with the
-ring's Galois kernel.  The module also solves the first-order recurrence
-the eigen equation imposes on the coefficient list, and exposes the
-digit-expansion matcher that recognizes elements congruent to
-1 - delta * e_mu to a requested depth by one linear solve mod p.
+ring's Galois kernel.  The module also exposes the digit-expansion
+matcher that recognizes elements congruent to 1 - delta * e_mu to a
+requested depth by one linear solve mod p.
 """
 
 from __future__ import annotations
@@ -25,17 +24,13 @@ import numpy as np
 
 from .context import PrimeContext
 from .padic import _lam_read, _require_unit
-from .ring import RingElement, _fold, _fold_galois, _normal_slots, _unfold
+from .ring import RingElement, _fold, _fold_galois, _normal_slots
 
 __all__ = [
     "EigenReport",
-    "RecurrenceSolution",
     "sigma_matrix",
-    "eigenvector_span_coords",
     "eigenvector_element",
-    "span_coords",
     "canonical_eigenvector",
-    "recurrence_solve",
     "expansion_matches",
 ]
 
@@ -44,13 +39,6 @@ def sigma_matrix(ctx: PrimeContext) -> np.ndarray:
     """Matrix of z -> z^u on the span basis z^1, ..., z^(p-1) over F_p."""
     p = ctx.p  # column z^j holds the unit vector of z^(u*j)
     return np.eye(p - 1, dtype=np.int64)[:, np.arange(1, p) * ctx.u % p - 1]
-
-
-def span_coords(a: RingElement) -> list[int]:
-    """Rewrite a power-basis element over z^1, ..., z^(p-1), mod p, by
-    1 = -(z + ... + z^(p-1)) (ring._unfold), unique as the nonconstant
-    powers also form a basis."""
-    return (_unfold(a.coeffs)[1:] % a.ctx.p).tolist()
 
 
 # Bytes per int64 array of a block of _eigen_reports: below glibc's default mmap
@@ -82,11 +70,6 @@ def _shared_ints(ctx: PrimeContext, rows) -> list[tuple[int, ...]]:
     entry, about 116 MB over the reports of eigen --all at p=2039."""
     ints = (0, *sorted(ctx.upow))
     return [tuple(map(ints.__getitem__, row.tolist())) for row in rows]
-
-
-def eigenvector_span_coords(ctx: PrimeContext, mu: int) -> tuple[int, ...]:
-    """Coordinates of e_mu on z^1, ..., z^(p-1), normalized so z^1 has 1."""
-    return tuple(span_coords(eigenvector_element(ctx, 1, mu)))
 
 
 def eigenvector_element(ctx: PrimeContext, K: int, mu: int) -> RingElement:
@@ -155,48 +138,6 @@ def canonical_eigenvector(ctx: PrimeContext, mu: int) -> EigenReport:
     _eigen_reports.
     """
     return _eigen_reports(ctx, [mu])[0]
-
-
-@dataclass(frozen=True)
-class RecurrenceSolution:
-    """Coefficient solution of the eigen equation in the affine picture.
-
-    The element gamma + sum_i gammas[i] * z^(u^i) (i = 0..p-3) satisfies
-    sigma(V) = mu * V; gammas[p-3] equals the free parameter and the
-    constant term is gamma = -free / (mu - 1) mod p.
-    """
-
-    p: int
-    mu: int
-    free: int
-    gamma: int
-    gammas: tuple[int, ...]
-
-    def to_ring_element(self, ctx: PrimeContext) -> RingElement:
-        if ctx.p != self.p:
-            raise ValueError(f"context prime {ctx.p} != solution prime {self.p}")
-        slots = _normal_slots(ctx, np.array(self.gammas + (0,), dtype=np.int64))
-        slots[0] = self.gamma
-        return RingElement(ctx, 1, _fold(slots))
-
-
-def recurrence_solve(ctx: PrimeContext, mu: int, free: int) -> RecurrenceSolution:
-    """Solve the linear recurrence the eigen equation imposes coefficientwise.
-
-    Closing the loop forces gammas[p-3] back to the free parameter; that
-    consistency is asserted rather than assumed.
-    """
-    p = ctx.p
-    _indices(ctx, [mu])  # refuses mu = 0, 1
-    mu = mu % p
-    free = free % p
-    minv = pow(mu, -1, p)
-    gammas = [(-free) * minv % p]
-    for _ in range(1, p - 2):
-        gammas.append((gammas[-1] - free) * minv % p)
-    assert gammas[p - 3] == free, "recurrence failed to close"
-    gamma = (-free) * pow(mu - 1, -1, p) % p
-    return RecurrenceSolution(p=p, mu=mu, free=free, gamma=gamma, gammas=tuple(gammas))
 
 
 def _match_expansion(w, e, p: int) -> int | None:

@@ -3,8 +3,9 @@
 The prime p is totally ramified: (p) = (z - 1)^(p-1) up to units, so the
 element lam = z - 1 is a uniformizer.  Writing an element over the basis
 lam^0, ..., lam^(p-2) is an invertible binomial change of basis from the
-power basis in z, by the Pascal matrix T[i, j] = C(j, i); its inverse is
-S T S with S = diag((-1)^i), so T is the one matrix cached.
+power basis in z, by the Pascal matrix T[i, j] = C(j, i).  Only the
+valuations read that basis, and only mod p (below), so T mod p is the one
+matrix cached.
 
 Every valuation splits off the p-content (_lam_read): the power basis is
 a Z-basis, so x = p^t * x' with x' != 0 mod p.  As p is lam^(p-1) times a
@@ -33,20 +34,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .context import PrimeContext
-from .ring import _ROUTE_DTYPE, RingElement, _dtype_for, _route, from_integer, zeta
+from .ring import _ROUTE_DTYPE, RingElement, _route, from_integer
 
 __all__ = [
     "CAP",
     "LambdaExpansion",
-    "to_lambda_basis",
-    "from_lambda_basis",
     "valuation",
     "digits",
     "is_semi_primary",
     "is_primary",
     "is_locally_pth_power",
-    "semi_primary_normalize",
 ]
 
 # Sentinel for "at or beyond the representable precision K*(p-1)".
@@ -58,60 +55,22 @@ def _val_json(v) -> int | str:
     return "cap" if v is CAP else int(v)
 
 
-def _fill_pascal(T, modulus: int):
-    """T[i, j] = C(j, i) mod modulus, in place: one Pascal row per column,
-    formed in int64 (object if T is) and cast as it is stored; a float64
-    recurrence would take twice as long (fmod)."""
-    row = np.zeros(T.shape[0], dtype=object if T.dtype == object else np.int64)  # C(j, .)
-    row[0] = 1
-    for j in range(T.shape[1]):
-        T[:, j] = row
-        row[1:] = (row[1:] + row[:-1]) % modulus
-    T.setflags(write=False)
-    return T
-
-
-@lru_cache(maxsize=2)
-def _pascal(p: int, modulus: int):
-    """The change of basis from z-powers to lam-powers mod modulus.
-
-    T[i, j] = C(j, i): lam-coefficients = T @ z-coefficients, from the
-    expansion z^j = (1 + lam)^j.  Its inverse, from lam^i = (z - 1)^i, is
-    S @ T @ S with S = diag((-1)^i), which from_lambda_basis applies as
-    signs on either side of T.  The lam-basis conversions read T mod p^K:
-    the cache keeps the last two moduli, not one matrix per K of a sweep
-    (an object matrix is 30 MB at p=1031).  Valuations read T mod p only,
-    through their own copy (_pascal_transposed_mod_p).
-    """
-    return _fill_pascal(np.zeros((p - 1, p - 1), dtype=_dtype_for(modulus, p)), modulus)
-
-
 @lru_cache(maxsize=1)
 def _pascal_transposed_mod_p(p: int):
-    """T.T mod p in the dtype of sums of p-1 products of residues mod p
-    (_route: float64, so BLAS, from p = 80 on), the matrix of every
-    _lam_read.  Built in that dtype, so that no read copies the (p-1)^2
-    matrix (8.5 MB at p=1031) into float64 per call."""
-    return _fill_pascal(np.zeros((p - 1, p - 1), dtype=_ROUTE_DTYPE[_route(p, p)]).T, p).T
-
-
-def to_lambda_basis(a: RingElement) -> list[int]:
-    """Coefficients of a over lam^0, ..., lam^(p-2), reduced mod p^K."""
-    out = (_pascal(a.ctx.p, a.modulus) @ a.coeffs) % a.modulus
-    return [int(x) for x in out]
-
-
-def from_lambda_basis(ctx: PrimeContext, K: int, values) -> RingElement:
-    """Inverse of to_lambda_basis: S @ T @ S, the signs taken mod p^K."""
-    modulus = ctx.p**K
-    T = _pascal(ctx.p, modulus)
-    vals = np.array([int(v) % modulus for v in values], dtype=T.dtype)
-    if vals.shape != (ctx.p - 1,):
-        raise ValueError(f"expected {ctx.p - 1} coefficients, got {vals.size}")
-    vals[1::2] = -vals[1::2] % modulus
-    out = (T @ vals) % modulus
-    out[1::2] = -out[1::2] % modulus
-    return RingElement(ctx, K, [int(x) for x in out])
+    """T.T mod p, T[i, j] = C(j, i), in the dtype of sums of p-1 products
+    of residues mod p (_route: float64, so BLAS, from p = 80 on), the
+    matrix of every _lam_read.  Built in that dtype, so that no read copies
+    the (p-1)^2 matrix (8.5 MB at p=1031) into float64 per call.  One
+    Pascal row per column, formed in int64 and cast as it is stored; a
+    float64 recurrence would take twice as long (fmod)."""
+    T = np.zeros((p - 1, p - 1), dtype=_ROUTE_DTYPE[_route(p, p)]).T  # T.T C-contiguous
+    row = np.zeros(p - 1, dtype=np.int64)  # C(j, .)
+    row[0] = 1
+    for j in range(p - 1):
+        T[:, j] = row
+        row[1:] = (row[1:] + row[:-1]) % p
+    T.setflags(write=False)
+    return T.T
 
 
 def _vp(x: int, p: int) -> int:
@@ -260,18 +219,3 @@ def is_locally_pth_power(a: RingElement, depth: int | None = None) -> bool:
     if not (1 <= depth <= nmax):
         raise ValueError(f"depth must lie in [1, {nmax}], got {depth}")
     return _pth_power_to_depth(a, depth)
-
-
-def semi_primary_normalize(a: RingElement) -> tuple[int, RingElement]:
-    """Return (w, a * z^w) with the product semi-primary.
-
-    The twist exponent solves d1 + w*d0 = 0 mod p on the leading digits,
-    and is the unique such w mod p.
-    """
-    _require_unit(a, "semi_primary_normalize")
-    p = a.ctx.p
-    d0, d1 = _first_two_digits(a)
-    w = (-d1 * pow(d0, -1, p)) % p
-    b = a * zeta(a.ctx, a.K, w)
-    assert is_semi_primary(b)
-    return w, b

@@ -94,10 +94,10 @@ def _route(modulus: int, p: int) -> str:
         most p-1 products: each i meets at most one j with i+j = k (mod p);
       * conv[:p-1] - conv[p-1] is a difference of two values in [0, 2^63),
         so it stays inside +-2^63.
-    The same bound covers every other int64 product of residues: T @ coeffs
-    in padic.to_lambda_basis and from_lambda_basis (p-1 products of
-    binomials mod m by coefficients), coeffs * c % m, and _fold_galois
-    (which only permutes and subtracts coefficients).  Below 2^53 the same
+    The same bound covers every other int64 product of residues: the
+    lam-reads of padic._lam_read (route (p, p): p-1 products of residues
+    mod p by binomials mod p), coeffs * c % m, and _fold_galois (which only
+    permutes and subtracts coefficients).  Below 2^53 the same
     sums are exact in float64, which _fold_mul uses at or past _FLOAT_MIN_P.
     (Brent and Zimmermann, Modern Computer Arithmetic, ch. 1-2, treat such
     exact products of bounded integers.)

@@ -77,7 +77,6 @@ __all__ = [
     "eigen_project_unit_exact",
     "verify_unit_relation",
     "unit_reports",
-    "solve_unit_adjustment",
 ]
 
 
@@ -400,29 +399,4 @@ def unit_reports(
                 valuation_of_eta_pm1=v, expansion_delta=delta,
             )
             out.append((report, UnitExponentVector(base_index=a, exponents=exp_list)))
-    return out
-
-
-def solve_unit_adjustment(
-    ctx: PrimeContext, mu: int, components: list[tuple[int, int]]
-) -> list[int]:
-    """Exponents rho_j with rho_j * (nu_j - mu) = l_j mod p, one per component.
-
-    Combining W_j^rho_j for units with twist eigenvalues nu_j != mu absorbs
-    the leftover eigencomponents l_j; a component with nu_j = mu cannot be
-    adjusted and is rejected by index.
-    """
-    p = ctx.p
-    mu = mu % p
-    if mu == 0:
-        raise ValueError("mu must be invertible mod p")
-    out = []
-    for idx, (nu, ell) in enumerate(components):
-        nu = nu % p
-        if nu == mu:
-            raise ValueError(
-                f"component {idx}: twist eigenvalue {nu} equals mu; "
-                "no adjustment exponent exists"
-            )
-        out.append(ell * pow(nu - mu, -1, p) % p)
     return out

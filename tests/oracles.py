@@ -11,7 +11,7 @@ Bareiss determinant for exact norms, the np.convolve fold that multiplied
 object-dtype coefficient vectors, the per-conjugate power loop of the
 unit projection, the right-to-left power from the constant 1, the np.add.at
 scatter of the Galois maps, xi_a as a product of z^e by the geometric sum,
-the inverse Pascal matrix U, the lam-basis valuation of e_mu that the
+the lam-basis valuation of e_mu that the
 eigen report once measured, the logarithm of xi_a^(p-1) by its plain
 series with no argument reduction, and the per-mu eigen report (e_mu built
 coordinate by coordinate as one RingElement, sigma applied by galois_apply)
@@ -22,15 +22,26 @@ against them.  The ring oracles compute with Python
 ints (object dtype) at every modulus, so a wrong machine-word bound in the
 package cannot pass on both sides; mul_mod, lambda_coeffs and
 digits_remainder_valuation are plain Python-int routes for the product, the lam-basis and the digit
-expansion at the edges of those bounds.  lambda_valuation is the minimum
+expansion at the edges of those bounds.  lambda_coeffs and from_digits are
+also the only converters to and from the lam-basis: the package reads it
+mod p only, for valuations.  lambda_valuation is the minimum
 formula min(i + (p-1) v_p(l_i)) that padic.valuation once applied; the
 p-th power, digit and e_mu oracles read every valuation through it, not
 through the package's reader, so a wrong reader cannot pass on both sides
 either.
+
+The last three routes have no closed form in the package beside them, and
+no command runs them; they live here for the tests that read them: the
+first-order recurrence the eigen equation imposes on the normal-basis
+coordinates (RecurrenceSolution and recurrence_solve, acceptance criterion
+4), the twist of a unit to a semi-primary one (semi_primary_normalize),
+and the exponents that absorb leftover eigencomponents of a projected unit
+(solve_unit_adjustment).
 """
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,10 +54,13 @@ from pisingular import (
     RingElement,
     eigenvector_element,
     from_integer,
+    is_semi_primary,
     lam,
     zeta,
 )
-from pisingular.eigen import _inverse_powers
+from pisingular.eigen import _indices, _inverse_powers
+from pisingular.padic import _first_two_digits, _require_unit
+from pisingular.ring import _fold, _normal_slots
 
 
 def bernoulli_table(p: int) -> list[int]:
@@ -411,18 +425,6 @@ def cyclotomic_unit_exact(p: int, a: int) -> ExactElement:
     return ExactElement(p, zpow) * ExactElement(p, geom)
 
 
-def pascal_inverse(p: int, modulus: int) -> np.ndarray:
-    """U[i, j] = (-1)^(i+j) C(j, i) mod modulus, from lam^i = (z - 1)^i, in
-    Python ints: z-coefficients = U @ lam-coefficients."""
-    n = p - 1
-    U = np.zeros((n, n), dtype=object)
-    row = [1] + [0] * (n - 1)  # C(j, .)
-    for j in range(n):
-        U[:, j] = [(-1) ** (i + j) * c % modulus for i, c in enumerate(row)]
-        row = [1] + [row[i] + row[i - 1] for i in range(1, n)]
-    return U
-
-
 def eigen_project_unit(ctx: PrimeContext, K: int, a: int, two_m: int) -> RingElement:
     """eta = prod_j sigma^j(xi_a)^(c_j), one power per conjugate."""
     xi = cyclotomic_unit(ctx, K, a)
@@ -539,4 +541,86 @@ def ppower_valuations(ctx: PrimeContext, K: int, trials: int, seed: int) -> list
         x = RingElement(ctx, K, xs)
         g = RingElement(ctx, K, [rng.randrange(modulus) for _ in range(p - 1)])
         out.append(_valuation(x**p - (x + lam_K * g) ** p))
+    return out
+
+
+@dataclass(frozen=True)
+class RecurrenceSolution:
+    """Coefficient solution of the eigen equation in the affine picture.
+
+    The element gamma + sum_i gammas[i] * z^(u^i) (i = 0..p-3) satisfies
+    sigma(V) = mu * V; gammas[p-3] equals the free parameter and the
+    constant term is gamma = -free / (mu - 1) mod p.
+    """
+
+    p: int
+    mu: int
+    free: int
+    gamma: int
+    gammas: tuple[int, ...]
+
+    def to_ring_element(self, ctx: PrimeContext) -> RingElement:
+        if ctx.p != self.p:
+            raise ValueError(f"context prime {ctx.p} != solution prime {self.p}")
+        slots = _normal_slots(ctx, np.array(self.gammas + (0,), dtype=np.int64))
+        slots[0] = self.gamma
+        return RingElement(ctx, 1, _fold(slots))
+
+
+def recurrence_solve(ctx: PrimeContext, mu: int, free: int) -> RecurrenceSolution:
+    """Solve the linear recurrence the eigen equation imposes coefficientwise.
+
+    Closing the loop forces gammas[p-3] back to the free parameter; that
+    consistency is asserted rather than assumed.
+    """
+    p = ctx.p
+    _indices(ctx, [mu])  # refuses mu = 0, 1
+    mu = mu % p
+    free = free % p
+    minv = pow(mu, -1, p)
+    gammas = [(-free) * minv % p]
+    for _ in range(1, p - 2):
+        gammas.append((gammas[-1] - free) * minv % p)
+    assert gammas[p - 3] == free, "recurrence failed to close"
+    gamma = (-free) * pow(mu - 1, -1, p) % p
+    return RecurrenceSolution(p=p, mu=mu, free=free, gamma=gamma, gammas=tuple(gammas))
+
+
+def semi_primary_normalize(a: RingElement) -> tuple[int, RingElement]:
+    """Return (w, a * z^w) with the product semi-primary.
+
+    The twist exponent solves d1 + w*d0 = 0 mod p on the leading digits,
+    and is the unique such w mod p.
+    """
+    _require_unit(a, "semi_primary_normalize")
+    p = a.ctx.p
+    d0, d1 = _first_two_digits(a)
+    w = (-d1 * pow(d0, -1, p)) % p
+    b = a * zeta(a.ctx, a.K, w)
+    assert is_semi_primary(b)
+    return w, b
+
+
+def solve_unit_adjustment(
+    ctx: PrimeContext, mu: int, components: list[tuple[int, int]]
+) -> list[int]:
+    """Exponents rho_j with rho_j * (nu_j - mu) = l_j mod p, one per component.
+
+    Combining W_j^rho_j for units with twist eigenvalues nu_j != mu absorbs
+    the leftover eigencomponents l_j; a component with nu_j = mu cannot be
+    adjusted and is rejected by index.
+    """
+    p = ctx.p
+    mu = mu % p
+    if mu == 0:
+        raise ValueError("mu must be invertible mod p")
+    out = []
+    for idx, (nu, ell) in enumerate(components):
+        nu = nu % p
+        if nu == mu:
+            raise ValueError(
+                f"component {idx}: twist eigenvalue {nu} equals mu; "
+                "no adjustment exponent exists"
+            )
+        out.append(ell * pow(nu - mu, -1, p) % p)
     return out

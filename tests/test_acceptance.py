@@ -24,14 +24,13 @@ from pisingular import (
     eigenvector_element,
     expansion_matches,
     new_context,
-    recurrence_solve,
-    span_coords,
     synthetic_unit_bundle,
     verify_b_prime,
     verify_positive_candidate,
     verify_unit_relation,
 )
 
+import oracles
 from conftest import bernoulli_fraction_table
 
 SWEEP_PRIMES = (
@@ -135,9 +134,9 @@ def test_criterion_4_recurrence_equivalence():
             ctx = new_context(p)
             for mu in range(2, p):
                 for free in (1, 2):
-                    V = recurrence_solve(ctx, mu, free).to_ring_element(ctx)
+                    V = oracles.recurrence_solve(ctx, mu, free).to_ring_element(ctx)
                     assert V.galois_apply(ctx.u) == V * mu, (p, mu, free)
-                    k = span_coords(V)[0] % p
+                    k = oracles.unfold(V.coeff_list())[1] % p
                     assert k != 0, (p, mu, free)
                     assert V == eigenvector_element(ctx, 1, mu) * k, (p, mu, free)
     except BaseException:

@@ -453,6 +453,65 @@ def _main_in_process(args):
     return code, out.getvalue(), err.getvalue()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("ctx", "--p", "1_1"),
+        ("ctx", "--p", " ١١"),  # Arabic-Indic digits
+        ("ctx", "--p", "1" * 50000),
+        ("ctx", "--p", "7", "--u", "3_0"),
+        ("irregular", "--max", "4_0"),
+        ("eigen", "--p", "7", "--mu", "٣"),
+        ("expand", "--p", "5", "--coeffs", "1,2,3,4", "--K", "2_0"),
+        ("expand", "--p", "5", "--coeffs", "1,2,3,4", "--precision", "5_0"),
+        ("ppower", "--p", "5", "--trials", "1_0"),
+        ("ppower", "--p", "5", "--seed", "1_0"),
+        ("units", "--p", "7", "--all", "--a", "2_0"),
+        ("units", "--p", "7", "--two-m", "2_0"),
+    ],
+)
+def test_every_integer_option_is_strict(args):
+    # int() reads "1_1" and " ١١" as 11, and argparse's refusal of a
+    # 50000-digit value echoed every digit of it.
+    code, out, err = _main_in_process(args)
+    assert (code, out) == (2, "")
+    assert f"invalid int value: {repr(args[-1])[:40]}" in err
+    assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("value", ["+11", " 11 "])
+def test_integer_options_take_a_sign_and_spaces(value):
+    assert _main_in_process(("ctx", "--p", value)) == _main_in_process(("ctx", "--p", "11"))
+
+
+@pytest.mark.parametrize("seed", ["1_0", "٩", "9" * 50000])
+def test_environment_seed_is_strict(seed, monkeypatch):
+    monkeypatch.setenv("PI_SINGULAR_SEED", seed)
+    code, out, err = _main_in_process(("ppower", "--p", "5", "--trials", "10"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: PI_SINGULAR_SEED must be an integer, got {repr(seed)[:40]}")
+    assert len(err.encode()) < 300
+
+
+def test_closed_pipe_exits_141_quietly():
+    # eigen --all at p=2039 prints about 110 KB, past the pipe buffer, so
+    # its writes after the reader has gone fail (EPIPE), as under `| head -1`.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pisingular", "eigen", "--p", "2039", "--all"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert first.startswith(b"mu=2 (u^")
+    assert err == b""
+
+
 def test_repeated_main_calls_match_fresh_processes(tmp_path, monkeypatch):
     # One process runs every subcommand, argparse refusals and --help through
     # main, in order and then in reverse, so each call follows every other;

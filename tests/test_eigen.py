@@ -9,12 +9,10 @@ from pisingular import (
     CAP,
     canonical_eigenvector,
     eigenvector_element,
-    eigenvector_span_coords,
     expansion_matches,
     from_integer,
     lam,
     new_context,
-    recurrence_solve,
     sigma_matrix,
     valuation,
     zeta,
@@ -75,9 +73,9 @@ def test_sigma_matrix_action_matches_substitution():
 
 
 def test_eigenvector_frozen_examples(ctx5):
-    assert eigenvector_span_coords(ctx5, 2) == (1, 3, 2, 4)
-    assert eigenvector_span_coords(new_context(3), 2) == (1, 2)
+    assert canonical_eigenvector(new_context(3), 2).vector == (1, 2)
     rep = canonical_eigenvector(ctx5, 2)
+    assert rep.vector == (1, 3, 2, 4)
     assert rep.index_s == 1
     assert rep.dimension == 1
     assert rep.valuation == 1
@@ -85,17 +83,15 @@ def test_eigenvector_frozen_examples(ctx5):
 
 
 def test_eigenvector_mu_reduced_mod_p(ctx5):
-    assert eigenvector_span_coords(ctx5, 7) == eigenvector_span_coords(ctx5, 2)
+    assert canonical_eigenvector(ctx5, 7).vector == canonical_eigenvector(ctx5, 2).vector
 
 
 def test_eigenvector_rejects_trivial_eigenvalues(ctx5):
     for mu in (0, 1, 5, 6, -4):
         with pytest.raises(ValueError, match="2..p-1"):
-            eigenvector_span_coords(ctx5, mu)
-        with pytest.raises(ValueError, match="2..p-1"):
             canonical_eigenvector(ctx5, mu)
         with pytest.raises(ValueError, match="2..p-1"):
-            recurrence_solve(ctx5, mu, 1)
+            oracles.recurrence_solve(ctx5, mu, 1)
 
 
 def test_eigen_refusal_names_mu_as_given(ctx5, capsys):
@@ -151,7 +147,7 @@ def test_eigenvector_sweep_substitution_oracle():
     for p in SWEEP_PRIMES:
         ctx = new_context(p)
         for mu in range(2, p):
-            coords = eigenvector_span_coords(ctx, mu)
+            coords = canonical_eigenvector(ctx, mu).vector
             assert coords[0] == 1
             for j in range(1, p):
                 lhs = coords[j - 1]
@@ -172,7 +168,7 @@ def test_eigenreport_sweep():
 
 
 def test_recurrence_frozen_example(ctx5):
-    sol = recurrence_solve(ctx5, 3, 1)
+    sol = oracles.recurrence_solve(ctx5, 3, 1)
     assert sol.gamma == 2
     assert sol.gammas == (3, 4, 1)
     V = sol.to_ring_element(ctx5)
@@ -181,15 +177,15 @@ def test_recurrence_frozen_example(ctx5):
 
 
 def test_recurrence_zero_free_parameter(ctx5):
-    sol = recurrence_solve(ctx5, 2, 0)
+    sol = oracles.recurrence_solve(ctx5, 2, 0)
     assert sol.gamma == 0
     assert set(sol.gammas) == {0}
     assert sol.to_ring_element(ctx5) == from_integer(ctx5, 1, 0)
 
 
 def test_recurrence_is_linear_in_free(ctx5):
-    base = recurrence_solve(ctx5, 2, 1)
-    doubled = recurrence_solve(ctx5, 2, 2)
+    base = oracles.recurrence_solve(ctx5, 2, 1)
+    doubled = oracles.recurrence_solve(ctx5, 2, 2)
     assert doubled.gamma == 2 * base.gamma % 5
     assert doubled.gammas == tuple(2 * g % 5 for g in base.gammas)
 
@@ -199,7 +195,7 @@ def test_recurrence_solution_satisfies_eigen_equation():
         ctx = new_context(p)
         for mu in range(2, p):
             for free in (1, 2):
-                sol = recurrence_solve(ctx, mu, free)
+                sol = oracles.recurrence_solve(ctx, mu, free)
                 V = sol.to_ring_element(ctx)
                 assert V.galois_apply(ctx.u) == V * mu, (p, mu, free)
                 # one-dimensionality forces V into the span of e_mu; the
@@ -210,7 +206,7 @@ def test_recurrence_solution_satisfies_eigen_equation():
 
 
 def test_recurrence_context_mismatch(ctx5, ctx7):
-    sol = recurrence_solve(ctx5, 2, 1)
+    sol = oracles.recurrence_solve(ctx5, 2, 1)
     with pytest.raises(ValueError, match="prime"):
         sol.to_ring_element(ctx7)
 

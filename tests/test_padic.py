@@ -12,21 +12,18 @@ from pisingular import (
     RingElement,
     digits,
     from_integer,
-    from_lambda_basis,
     is_locally_pth_power,
     is_primary,
     is_semi_primary,
     lam,
     new_context,
-    semi_primary_normalize,
     synthetic_unit_bundle,
-    to_lambda_basis,
     unit_reports,
     valuation,
     verify_positive_candidate,
     zeta,
 )
-from pisingular.padic import _pascal, _pascal_transposed_mod_p
+from pisingular.padic import _pascal_transposed_mod_p
 from pisingular.ring import _ROUTE_DTYPE, _dtype_for, _route
 
 import oracles
@@ -34,29 +31,25 @@ from conftest import random_element, random_unit, seeded
 
 
 def test_lambda_basis_examples(ctx5):
-    K = 2
-    assert to_lambda_basis(zeta(ctx5, K)) == [1, 1, 0, 0]  # z = 1 + lam
-    assert to_lambda_basis(from_integer(ctx5, K, 7)) == [7, 0, 0, 0]
-    assert to_lambda_basis(zeta(ctx5, K, 2)) == [1, 2, 1, 0]  # (1+lam)^2
+    m = 5**2
+    assert oracles.lambda_coeffs(zeta(ctx5, 2).coeff_list(), m) == [1, 1, 0, 0]  # z = 1 + lam
+    assert oracles.lambda_coeffs(from_integer(ctx5, 2, 7).coeff_list(), m) == [7, 0, 0, 0]
+    assert oracles.lambda_coeffs(zeta(ctx5, 2, 2).coeff_list(), m) == [1, 2, 1, 0]  # (1+lam)^2
 
 
 @pytest.mark.parametrize("p, K", [(5, 2), (37, 2), (103, 4), (257, 1)])
 def test_pascal_pair_matches_binomials(p, K):
-    # _pascal caches T alone; its inverse U is S @ T @ S, S = diag((-1)^i)
+    # The lam-basis converters the tests build elements with are the
+    # oracles' lambda_coeffs and from_digits: T[i, j] = C(j, i) mod p^K and
+    # its inverse S @ T @ S, S = diag((-1)^i).
     m = p**K
-    T = _pascal(p, m)
-    dtype = _dtype_for(m, p)
-    assert T.dtype == dtype
-    assert not T.flags.writeable
     n = p - 1
-    want_T = np.array(
-        [[math.comb(j, i) % m for j in range(n)] for i in range(n)], dtype=dtype
-    )
-    assert (T == want_T).all()
-    sign = np.array([(-1) ** i for i in range(n)], dtype=dtype)
-    U = T * sign[:, None] * sign[None, :] % m
-    assert (U == oracles.pascal_inverse(p, m)).all()
-    assert ((T @ U) % m == np.eye(n, dtype=np.int64)).all()
+    T = np.array([[math.comb(j, i) % m for j in range(n)] for i in range(n)], dtype=object)
+    sign = np.array([(-1) ** i for i in range(n)], dtype=object)
+    rng = seeded(p * K)
+    a = [rng.randrange(m) for _ in range(n)]
+    assert oracles.lambda_coeffs(a, m) == (T.dot(a) % m).tolist()
+    assert oracles.from_digits(a, p, m) == (sign * T.dot(sign * a) % m).tolist()
 
 
 @pytest.mark.parametrize("p", [3, 37, 79, 83, 257])
@@ -67,48 +60,45 @@ def test_valuation_matrix_is_pascal_mod_p_in_the_route_dtype(p):
     Tt = _pascal_transposed_mod_p(p)
     assert Tt.dtype == _ROUTE_DTYPE[_route(p, p)]
     assert Tt.flags.c_contiguous and not Tt.flags.writeable
-    assert (Tt == _pascal(p, p).T).all()
     n = p - 1
     assert Tt.tolist() == [[math.comb(j, i) % p for i in range(n)] for j in range(n)]
 
 
 def test_pascal_cache_is_bounded():
-    # The lam-basis at K = 1..8 builds one matrix per modulus p^K; the cache
-    # keeps the last two (it once kept all eight, 30 MB each at p=1031).
+    # Valuations at K = 1..8 read T mod p alone, built once: no matrix per
+    # modulus p^K (one was 30 MB at p=1031).
     ctx = new_context(101)
+    _pascal_transposed_mod_p.cache_clear()
     for K in range(1, 9):
-        assert to_lambda_basis(zeta(ctx, K, 3) + from_integer(ctx, K, 2))[0] == 3
-        info = _pascal.cache_info()
-        assert info.currsize <= info.maxsize == 2
-    assert _pascal.cache_info().currsize == 2
+        assert valuation(zeta(ctx, K, 3) - from_integer(ctx, K, 1)) == 1
+        info = _pascal_transposed_mod_p.cache_info()
+        assert (info.misses, info.currsize, info.maxsize) == (1, 1, 1)
 
 
 def test_claim_paths_read_only_the_pascal_matrix_mod_p():
-    # p=103, K=5 is past the int64 bound: a Pascal matrix mod p^K there
-    # would be object dtype.  verify and the units reports build T mod p
-    # once and nothing else.
+    # p=103, K=5 is past the int64 bound: verify and the units reports
+    # build T mod p once and read nothing else.
     p, K = 103, 5
     ctx = new_context(p)
     bundle = synthetic_unit_bundle(ctx, 2, 60, K=K)
-    _pascal.cache_clear()
+    _pascal_transposed_mod_p.cache_clear()
     assert verify_positive_candidate(bundle).overall
-    _pascal(p, p)
-    assert _pascal.cache_info().misses == 1
-    _pascal.cache_clear()
+    assert _pascal_transposed_mod_p.cache_info().misses == 1
+    _pascal_transposed_mod_p.cache_clear()
     assert len(unit_reports(ctx, K, 2, list(range(2, p - 2, 2)))) == (p - 3) // 2
-    _pascal(p, p)
-    assert _pascal.cache_info().misses == 1
+    assert _pascal_transposed_mod_p.cache_info().misses == 1
 
 
 def test_lambda_round_trip_random():
     rng = seeded(41)
     for p, K in ((3, 1), (5, 2), (7, 2), (11, 3)):
         ctx = new_context(p)
+        m = p**K
         for _ in range(10):
-            a = random_element(ctx, K, rng)
-            assert from_lambda_basis(ctx, K, to_lambda_basis(a)) == a
-            vals = [rng.randrange(p**K) for _ in range(p - 1)]
-            assert to_lambda_basis(from_lambda_basis(ctx, K, vals)) == vals
+            a = random_element(ctx, K, rng).coeff_list()
+            assert oracles.from_digits(oracles.lambda_coeffs(a, m), p, m) == a
+            vals = [rng.randrange(m) for _ in range(p - 1)]
+            assert oracles.lambda_coeffs(oracles.from_digits(vals, p, m), m) == vals
 
 
 def test_valuation_of_p_is_p_minus_1():
@@ -356,9 +346,9 @@ def test_locally_pth_power_against_full_scan():
 
 def test_semi_primary_normalize_examples(ctx5):
     K = 2
-    w, b = semi_primary_normalize(zeta(ctx5, K))
+    w, b = oracles.semi_primary_normalize(zeta(ctx5, K))
     assert w == 4 and b == from_integer(ctx5, K, 1)
-    w7, b7 = semi_primary_normalize(from_integer(ctx5, K, 7))
+    w7, b7 = oracles.semi_primary_normalize(from_integer(ctx5, K, 7))
     assert w7 == 0 and b7 == from_integer(ctx5, K, 7)
 
 
@@ -369,7 +359,7 @@ def test_semi_primary_normalize_uniqueness():
         K = 2
         for _ in range(8):
             a = random_unit(ctx, K, rng)
-            w, b = semi_primary_normalize(a)
+            w, b = oracles.semi_primary_normalize(a)
             assert is_semi_primary(b)
             hits = [
                 t for t in range(p) if is_semi_primary(a * zeta(ctx, K, t))
@@ -379,4 +369,4 @@ def test_semi_primary_normalize_uniqueness():
 
 def test_semi_primary_normalize_rejects_nonunit(ctx5):
     with pytest.raises(ValueError, match="unit"):
-        semi_primary_normalize(lam(ctx5, 2))
+        oracles.semi_primary_normalize(lam(ctx5, 2))

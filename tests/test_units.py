@@ -14,7 +14,6 @@ from pisingular import (
     is_prime,
     new_context,
     norm_exact,
-    solve_unit_adjustment,
     unit_reports,
     verify_unit_relation,
 )
@@ -157,16 +156,16 @@ def test_exceptional_index_is_local_pth_power():
 
 
 def test_solve_unit_adjustment_frozen(ctx7):
-    assert solve_unit_adjustment(ctx7, 2, [(4, 3)]) == [5]
-    assert solve_unit_adjustment(ctx7, 2, []) == []
-    assert solve_unit_adjustment(ctx7, 2, [(4, 0), (3, 0)]) == [0, 0]
+    assert oracles.solve_unit_adjustment(ctx7, 2, [(4, 3)]) == [5]
+    assert oracles.solve_unit_adjustment(ctx7, 2, []) == []
+    assert oracles.solve_unit_adjustment(ctx7, 2, [(4, 0), (3, 0)]) == [0, 0]
 
 
 def test_solve_unit_adjustment_rejects_equal_eigenvalue(ctx7):
     with pytest.raises(ValueError, match="component 0"):
-        solve_unit_adjustment(ctx7, 2, [(2, 3)])
+        oracles.solve_unit_adjustment(ctx7, 2, [(2, 3)])
     with pytest.raises(ValueError, match="component 1"):
-        solve_unit_adjustment(ctx7, 2, [(4, 3), (9, 1)])
+        oracles.solve_unit_adjustment(ctx7, 2, [(4, 3), (9, 1)])
 
 
 def test_solve_unit_adjustment_property():
@@ -179,7 +178,7 @@ def test_solve_unit_adjustment_property():
             for _ in range(rng.randrange(1, 4)):
                 nu = rng.choice([x for x in range(1, p) if x != mu])
                 comps.append((nu, rng.randrange(p)))
-            rhos = solve_unit_adjustment(ctx, mu, comps)
+            rhos = oracles.solve_unit_adjustment(ctx, mu, comps)
             for (nu, ell), rho in zip(comps, rhos):
                 assert rho * (nu - mu) % p == ell % p
 
@@ -200,7 +199,7 @@ def test_adjustment_clears_planted_contamination(ctx7):
 
     assert not is_locally_pth_power(twisted(X), p + 1)
     leftover = t * (nu - mu) % p
-    (rho,) = solve_unit_adjustment(ctx7, mu, [(nu, leftover)])
+    (rho,) = oracles.solve_unit_adjustment(ctx7, mu, [(nu, leftover)])
     assert rho == t
     X_fixed = X * (W**rho).invert()
     assert is_locally_pth_power(twisted(X_fixed), p + 1)

@@ -19,8 +19,8 @@ from pisingular import (
     ExactElement,
     PreconditionError,
     WitnessInvalidError,
+    canonical_eigenvector,
     eigen_project_unit_exact,
-    eigenvector_span_coords,
     new_context,
     synthetic_unit_bundle,
     verify_b_prime,
@@ -33,7 +33,7 @@ GOLDEN = Path(__file__).parent / "data" / "verdicts_golden.json"
 
 def _planted(ctx, mu):
     """1 + the closed-form eigenvector for mu, lifted to exact coefficients."""
-    coords = eigenvector_span_coords(ctx, mu)
+    coords = canonical_eigenvector(ctx, mu).vector
     top = coords[ctx.p - 2]
     return ExactElement(ctx.p, [1 - top] + [coords[j] - top for j in range(ctx.p - 2)])
 

@@ -14,10 +14,10 @@ from pisingular import (
     PreconditionError,
     WitnessInvalidError,
     bundle_to_json,
+    canonical_eigenvector,
     check_ppower_congruence,
     cyclotomic_unit_exact,
     eigen_project_unit_exact,
-    eigenvector_span_coords,
     lam,
     load_bundle,
     new_context,
@@ -269,7 +269,7 @@ def test_report_shapes():
 
 def planted_element(ctx, mu):
     """1 + the closed-form eigenvector for mu, lifted to exact coefficients."""
-    coords = eigenvector_span_coords(ctx, mu)
+    coords = canonical_eigenvector(ctx, mu).vector
     top = coords[ctx.p - 2]
     coeffs = [1 - top] + [coords[j] - top for j in range(ctx.p - 2)]
     return ExactElement(ctx.p, coeffs)
