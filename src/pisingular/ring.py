@@ -5,12 +5,11 @@ of the p-th cyclotomic field, where z is a primitive p-th root of unity and
 Phi_p is the p-th cyclotomic polynomial.  Products are reduced with the two
 rewriting steps z^p = 1 and z^(p-1) = -(1 + z + ... + z^(p-2)).
 
-Two element types:
-
-  * RingElement  -- coefficients in Z/p^K for a fixed truncation level K.
-                    K is pinned per element and checked on every binary op.
-  * ExactElement -- coefficients are arbitrary Python integers; no
-                    truncation ever happens.  Norms are only defined here.
+One element class: RingElement holds coefficients in Z/p^K, its truncation
+level K pinned per element and checked on every binary op.  Its subclass
+ExactElement has ctx, K and modulus None: arbitrary Python integers that are
+never reduced, one method set serving both.  Norms are only defined there.
+The two types never compare equal, and refuse to mix with TypeError.
 
 Products mod p^K take one of three routes, fixed once per (p, p^K) by
 _route.  With m = p^K, every coefficient of the folded product of two
@@ -53,8 +52,9 @@ the run recombines the residues.  It refuses, with ValueError, p >= 2049
 (int64 residues) and bounds of more than min(2^18, 2^25/(p-1)) bits.
 
 Conversion is one-way: ExactElement.reduce(ctx, K) projects into the
-truncated ring.  There is deliberately no inverse (a truncated element does
-not determine an exact one).
+truncated ring, and RingElement(ctx, K2, a.coeffs) onto a coarser level K2.
+There is deliberately no inverse (a truncated element does not determine an
+exact one).
 """
 
 from __future__ import annotations
@@ -229,9 +229,15 @@ def _fold(slots, modulus: int | None = None):
     modulus if given.  One vector subtracts a scalar, 0.4 us faster at p=7
     than a broadcast column."""
     out = slots[..., :-1] - (slots[-1] if slots.ndim == 1 else slots[..., -1:])
+    return _mod(out, modulus)
+
+
+def _mod(x, modulus: int | None):
+    """x mod modulus, in place on an array; x itself when modulus is None,
+    the exact case."""
     if modulus is not None:
-        out %= modulus
-    return out
+        x %= modulus
+    return x
 
 
 def _unfold(coeffs):
@@ -291,34 +297,44 @@ def _power(x, e: int, mul=operator.mul):
 
 
 class RingElement:
-    """Element of Z[z]/(Phi_p, p^K) in the power basis 1, z, ..., z^(p-2)."""
+    """Element of Z[z]/(Phi_p, p^K) in the power basis 1, z, ..., z^(p-2).
 
-    __slots__ = ("ctx", "K", "modulus", "coeffs")
+    The methods serve ExactElement too, whose ctx, K and modulus are None."""
+
+    __slots__ = ("ctx", "K", "modulus", "p", "coeffs")
 
     def __init__(self, ctx: PrimeContext, K: int, coeffs):
         if K < 1:
             raise ValueError(f"truncation level K must be >= 1, got {K}")
         self.ctx = ctx
         self.K = K
+        self.p = ctx.p
         self.modulus = ctx.p**K
         dtype = _dtype_for(self.modulus, ctx.p)
         self.coeffs = _as_coeff_array(coeffs, ctx.p - 1, self.modulus, dtype)
 
     # -- plumbing ---------------------------------------------------------
 
+    def _params(self) -> str:
+        return f"p={self.p}" if self.K is None else f"p={self.p}, K={self.K}"
+
     def _check_compat(self, other: "RingElement") -> None:
-        if not isinstance(other, RingElement):
-            raise TypeError(f"expected RingElement, got {type(other).__name__}")
-        if self.K != other.K or (self.ctx is not other.ctx and self.ctx != other.ctx):
+        if type(other) is not type(self):
+            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
+        if (
+            self.K != other.K
+            or self.p != other.p
+            or (self.ctx is not other.ctx and self.ctx != other.ctx)
+        ):
             raise ValueError(
-                f"incompatible elements: (p={self.ctx.p}, K={self.K}) vs "
-                f"(p={other.ctx.p}, K={other.K})"
+                f"incompatible elements: ({self._params()}) vs ({other._params()})"
             )
 
     def _wrap(self, coeffs) -> "RingElement":
-        out = object.__new__(RingElement)
+        out = object.__new__(type(self))
         out.ctx = self.ctx
         out.K = self.K
+        out.p = self.p
         out.modulus = self.modulus
         coeffs.setflags(write=False)
         out.coeffs = coeffs
@@ -328,10 +344,7 @@ class RingElement:
         return [int(c) for c in self.coeffs]
 
     def __repr__(self) -> str:
-        return (
-            f"RingElement(p={self.ctx.p}, K={self.K}, "
-            f"coeffs={self.coeff_list()})"
-        )
+        return f"{type(self).__name__}({self._params()}, coeffs={self.coeff_list()})"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingElement):
@@ -345,29 +358,25 @@ class RingElement:
     def __hash__(self):
         return hash((self.ctx, self.K, tuple(self.coeff_list())))
 
-    def is_zero(self) -> bool:
-        return not np.any(self.coeffs)
-
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other: "RingElement") -> "RingElement":
         self._check_compat(other)
-        return self._wrap((self.coeffs + other.coeffs) % self.modulus)
+        return self._wrap(_mod(self.coeffs + other.coeffs, self.modulus))
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         self._check_compat(other)
-        return self._wrap((self.coeffs - other.coeffs) % self.modulus)
+        return self._wrap(_mod(self.coeffs - other.coeffs, self.modulus))
 
     def __neg__(self) -> "RingElement":
-        return self._wrap((-self.coeffs) % self.modulus)
+        return self._wrap(_mod(-self.coeffs, self.modulus))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return self._wrap(self.coeffs * (other % self.modulus) % self.modulus)
+            return self._wrap(_mod(self.coeffs * _mod(other, self.modulus), self.modulus))
         self._check_compat(other)
-        p = self.ctx.p
         return self._wrap(
-            _fold_mul(self.coeffs, other.coeffs, p, self.modulus, self.coeffs.dtype)
+            _fold_mul(self.coeffs, other.coeffs, self.p, self.modulus, self.coeffs.dtype)
         )
 
     def __rmul__(self, other):
@@ -376,22 +385,16 @@ class RingElement:
     def __pow__(self, e: int) -> "RingElement":
         if e < 0:
             return _power(self.invert(), -e)
-        return _power(self, e) if e else from_integer(self.ctx, self.K, 1)
+        if e:
+            return _power(self, e)
+        return self._wrap(np.array([1] + [0] * (self.p - 2), dtype=self.coeffs.dtype))
 
     def galois_apply(self, j: int) -> "RingElement":
         """Apply the automorphism z -> z^j; j must be nonzero mod p."""
-        return self._wrap(_fold_galois(self.coeffs, j, self.ctx.p, self.modulus))
+        return self._wrap(_fold_galois(self.coeffs, j, self.p, self.modulus))
 
     def conjugate(self) -> "RingElement":
-        return self.galois_apply(self.ctx.p - 1)
-
-    def truncate(self, K2: int) -> "RingElement":
-        """Project to a coarser truncation level K2 <= K."""
-        if K2 > self.K:
-            raise ValueError(f"cannot refine truncation {self.K} to {K2}")
-        if K2 == self.K:
-            return self
-        return RingElement(self.ctx, K2, self.coeff_list())
+        return self.galois_apply(self.p - 1)
 
     def invert(self) -> "RingElement":
         """Multiplicative inverse; errors if the element is not a unit.
@@ -402,7 +405,7 @@ class RingElement:
         1 - a*x at each step, so its lam-adic valuation doubles from 1 until
         it reaches the truncation cap K*(p-1), where the error is 0.
         """
-        p = self.ctx.p
+        p = self.p
         a1 = int(self.coeffs.sum())
         if a1 % p == 0:
             from .padic import valuation
@@ -419,71 +422,27 @@ class RingElement:
         return x
 
 
-class ExactElement:
-    """Element of Z[z]/(Phi_p) with arbitrary-precision integer coefficients."""
+class ExactElement(RingElement):
+    """Element of Z[z]/(Phi_p) with arbitrary-precision integer coefficients:
+    a RingElement whose ctx, K and modulus are None, so nothing is reduced."""
 
-    __slots__ = ("p", "coeffs")
+    __slots__ = ()
+
+    # Own entries, so that perfbench/tracer.py can wrap exact products apart.
+    __mul__ = RingElement.__mul__
+    galois_apply = RingElement.galois_apply
 
     def __init__(self, p: int, coeffs):
+        self.ctx = self.K = self.modulus = None
         self.p = p
-        vals = tuple(int(v) for v in coeffs)
-        if len(vals) != p - 1:
-            raise ValueError(f"expected {p - 1} coefficients, got {len(vals)}")
-        self.coeffs = vals
+        self.coeffs = _as_coeff_array(coeffs, p - 1, None, object)
 
     @classmethod
     def from_integer(cls, p: int, n: int) -> "ExactElement":
         return cls(p, (n,) + (0,) * (p - 2))
 
-    def __repr__(self) -> str:
-        return f"ExactElement(p={self.p}, coeffs={list(self.coeffs)})"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExactElement):
-            return NotImplemented
-        return self.p == other.p and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.p, self.coeffs))
-
-    def _check(self, other):
-        if not isinstance(other, ExactElement):
-            raise TypeError(f"expected ExactElement, got {type(other).__name__}")
-        if self.p != other.p:
-            raise ValueError(f"mixed primes {self.p} and {other.p}")
-
-    def __add__(self, other):
-        self._check(other)
-        return ExactElement(self.p, (x + y for x, y in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return ExactElement(self.p, (x - y for x, y in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return ExactElement(self.p, (-x for x in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return ExactElement(self.p, (x * other for x in self.coeffs))
-        self._check(other)
-        out = _fold_mul(self.coeffs, other.coeffs, self.p, None, object)
-        return ExactElement(self.p, out)
-
-    def __rmul__(self, other):
-        return self.__mul__(other) if isinstance(other, int) else NotImplemented
-
-    def __pow__(self, e: int) -> "ExactElement":
-        if e < 0:
-            raise ValueError("negative powers are not defined exactly")
-        return _power(self, e) if e else ExactElement.from_integer(self.p, 1)
-
-    def galois_apply(self, j: int) -> "ExactElement":
-        coeffs = np.array(self.coeffs, dtype=object)
-        return ExactElement(self.p, _fold_galois(coeffs, j, self.p, None))
-
-    def conjugate(self) -> "ExactElement":
-        return self.galois_apply(self.p - 1)
+    def invert(self):
+        raise ValueError("negative powers are not defined exactly")
 
     def reduce(self, ctx: PrimeContext, K: int) -> RingElement:
         """Project into Z/p^K coefficients.  The inverse direction is not
@@ -772,7 +731,7 @@ def norm_exact(a: ExactElement) -> int:
     that the primes suffice and the CRT stays short.
     Only exact elements have norms; truncated elements lose the integer.
     """
-    if isinstance(a, RingElement):
+    if not isinstance(a, ExactElement):
         raise TypeError(
             "norms are not defined on truncated elements; use ExactElement"
         )

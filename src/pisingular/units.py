@@ -135,7 +135,7 @@ def _bucketed_projection(xi, upow, exps):
     raised to exactly c'.  A gap g costs at most g products (the power
     takes at most g - 1, one more multiplies it into total), the same as
     one product per integer step for g <= 3 and fewer from g = 4 on.
-    Works for RingElement and ExactElement alike.
+    Works on truncated and exact elements alike: one class serves both.
     """
     buckets = {}
     for j, c in enumerate(exps):

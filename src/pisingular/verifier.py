@@ -168,6 +168,15 @@ _PRECISION_LIMIT = 2**14
 # and 8 s at p=257 from a fresh process, and a trial 5.5-7 ms at p=1031, so
 # about a minute there (K=2; the default 1000 trials take a tenth of that).
 _TRIALS_LIMIT = 10**4
+# The witness identity forms beta^p.  Each coefficient of beta^p is at most
+# L^p in absolute value, L = sum |beta_i|: it is (1/p) sum_j beta(z^j)^p z^(-ij)
+# over all p-th roots of unity z^j, and |beta(z^j)| <= L.  So beta^p has at
+# most (p-1) * p * log2(L) bits in all, and a bundle may ask for 2^22.  xi_2
+# (L = 2) fits at every p < 2049, with 4155482 bits at p=2039; there the
+# whole witness check takes 2.2 s, and 1.3-2.1 s for a random beta at the
+# cap at p = 37..257 (in process, shared 2-CPU x86-64 host).
+_WITNESS_POWER_MAX_BITS = 2**22
+_BUNDLE_FIELDS = ("p", "K", "parity", "mu", "B", "eta", "beta", "label")
 
 
 def _check_p(name: str, p: int, error: type[ValueError] = PreconditionError) -> None:
@@ -294,6 +303,12 @@ def load_bundle(source) -> CandidateBundle:
 
     if not isinstance(doc, dict):
         raise BundleError("bundle JSON must be an object")
+    for key in doc:
+        if key not in _BUNDLE_FIELDS:
+            raise BundleError(
+                f"bundle field {_echo(key)}: unknown; a bundle has only the fields "
+                + ", ".join(_BUNDLE_FIELDS)
+            )
     for key in ("p", "K", "parity", "mu", "B"):
         if key not in doc:
             raise BundleError(f"bundle field '{key}': missing")
@@ -344,6 +359,12 @@ def load_bundle(source) -> CandidateBundle:
     if "eta" in doc:
         eta = _parse_coeffs(p, "eta", doc["eta"])
         beta = _parse_coeffs(p, "beta", doc["beta"])
+        bits = (p - 1) * p * math.log2(max(sum(map(abs, beta.coeffs)), 1))
+        if bits > _WITNESS_POWER_MAX_BITS:
+            raise BundleError(
+                f"bundle field 'beta': beta^p may need about {bits:.0f} bits, over the "
+                f"limit of {_WITNESS_POWER_MAX_BITS} bits ((p-1) * p * log2(sum |beta_i|))"
+            )
     label = doc.get("label", "")
     if not isinstance(label, str):
         raise BundleError("bundle field 'label': must be a string")

@@ -383,6 +383,42 @@ def test_verify_p_past_the_limit_exits_2(tmp_path):
     assert elapsed < 2, f"refusal took {elapsed:.1f}s"
 
 
+def test_verify_refuses_a_witness_power_past_the_cap(tmp_path):
+    # p=37, B = eta = 1 and a random beta of 2^13-bit coefficients: beta^37
+    # alone took seconds before the cap; now the load refuses it.
+    rng = seeded(37)
+    one = ["1"] + ["0"] * 35
+    beta = [str(rng.getrandbits(2**13)) for _ in range(36)]
+    ctx = new_context(37)
+    doc = {"p": 37, "K": 2, "parity": "negative", "mu": ctx.upow[3], "B": one, "eta": one,
+           "beta": beta}
+    path = write_bundle(tmp_path, doc)
+    start = time.perf_counter()
+    r = run_cli("verify", "--json", "--file", path)
+    elapsed = time.perf_counter() - start
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: bundle field 'beta': beta^p may need about ")
+    assert "over the limit of 4194304 bits" in r.stderr
+    assert r.stdout == ""
+    assert elapsed < 2, f"refusal took {elapsed:.1f}s"
+
+
+def test_verify_refuses_unknown_fields(tmp_path):
+    # Broken witnesses under "Eta"/"Beta" were ignored, and the bundle passed.
+    ctx = new_context(29)
+    one = ExactElement.from_integer(29, 1)
+    doc = bundle_to_json(CandidateBundle(ctx=ctx, K=2, parity="negative", mu=ctx.upow[3], B=one))
+    assert run_cli("verify", "--file", write_bundle(tmp_path, doc)).returncode == 0
+    broken = {"eta": [str(c) for c in (one + one).coeffs], "beta": doc["B"]}
+    r = run_cli("verify", "--file", write_bundle(tmp_path, dict(doc, **broken), "lower.json"))
+    assert r.returncode == 3
+    renamed = dict(doc, Eta=broken["eta"], Beta=broken["beta"])
+    r = run_cli("verify", "--file", write_bundle(tmp_path, renamed, "upper.json"))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: bundle field 'Eta': unknown; a bundle has only the fields")
+    assert r.stdout == ""
+
+
 @pytest.mark.parametrize("K, code", [(744, 0), (745, 2), (5000, 2), (20000, 2)])
 def test_verify_precision_limit(tmp_path, K, code):
     # K*(p-1) <= 2^14: at p=23, K=744 verifies and K=745 is refused at load

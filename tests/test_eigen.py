@@ -7,6 +7,7 @@ import pytest
 
 from pisingular import (
     CAP,
+    RingElement,
     canonical_eigenvector,
     eigenvector_element,
     expansion_matches,
@@ -285,5 +286,5 @@ def test_expansion_matches_validation(ctx5):
 def test_eigenvector_element_respects_precision(ctx5):
     e1 = eigenvector_element(ctx5, 1, 2)
     e2 = eigenvector_element(ctx5, 2, 2)
-    assert e2.truncate(1) == e1
+    assert RingElement(ctx5, 1, e2.coeffs) == e1
     assert zeta(ctx5, 1, 1).galois_apply(ctx5.u) == zeta(ctx5, 1, 2)

@@ -56,39 +56,58 @@ def test_star_import_binds_exactly_all():
     assert sorted(ns) == sorted(pisingular.__all__)
 
 
-def _source_without_own_lines(path: Path, name: str) -> str:
-    """A module's text without the definition of name (its def or class
-    statement, body included) and without its __all__ entry."""
-    text = path.read_text()
-    lines = text.splitlines()
-    drop = set()
-    for node in ast.parse(text).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
-            drop.update(range(node.lineno - 1, node.end_lineno))
-        elif isinstance(node, ast.Assign) and any(
+def _used_names(tree, skip: str | None = None) -> set[str]:
+    """The names a module uses: Name and Attribute nodes, outside the
+    top-level definition of skip and outside the __all__ assignment.
+    Imports, strings and comments are no use."""
+    nodes = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == skip:
+            continue
+        if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            drop.update(range(node.lineno - 1, node.end_lineno))
-    return "\n".join(line for i, line in enumerate(lines) if i not in drop)
+            continue
+        nodes.append(node)
+    used = set()
+    for node in ast.walk(ast.Module(body=nodes, type_ignores=[])):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
 
 
 def test_every_public_name_is_used_outside_the_tests():
     # A name only the tests call is a second route: it belongs in
     # tests/oracles.py, not in the package's surface.
-    others = [
-        *sorted((ROOT / "demos").glob("*.py")),
-        *sorted((ROOT / "perfbench").glob("*.py")),
-        ROOT / "README.md",
+    readme = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert readme
+    scripts = [*sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]
+    sources = [path.read_text() for path in scripts] + readme
+    outside = set().union(*(_used_names(ast.parse(text)) for text in sources))
+    modules = [ast.parse(m.read_text()) for m in sorted((ROOT / "src" / "pisingular").glob("*.py"))]
+    unused = [
+        name
+        for name in pisingular.__all__
+        if name != "__version__"
+        and name not in outside
+        and not any(name in _used_names(tree, skip=name) for tree in modules)
     ]
-    other_text = "\n".join(path.read_text() for path in others)
-    modules = sorted((ROOT / "src" / "pisingular").glob("*.py"))
-    unused = []
-    for name in pisingular.__all__:
-        if name == "__version__":
-            continue
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        if word.search(other_text):
-            continue
-        if not any(word.search(_source_without_own_lines(m, name)) for m in modules):
-            unused.append(name)
     assert unused == []
+
+
+def test_a_mention_is_not_a_use():
+    tree = ast.parse(
+        '''
+__all__ = ["f", "g"]
+import h
+def f():
+    """Calls g."""
+    return f()  # g
+def g():
+    return h.k(x.attr)
+'''
+    )
+    assert _used_names(tree, skip="f") == {"h", "k", "x", "attr"}
+    assert _used_names(tree, skip="g") == {"f"}

@@ -12,6 +12,7 @@ from pisingular import (
     CandidateBundle,
     ExactElement,
     PreconditionError,
+    RingElement,
     WitnessInvalidError,
     bundle_to_json,
     canonical_eigenvector,
@@ -35,6 +36,7 @@ from pisingular.verifier import (
     _COEFF_MAX_BITS,
     _COEFF_MAX_DIGITS,
     _PRECISION_LIMIT,
+    _WITNESS_POWER_MAX_BITS,
     _decimal_int,
     _decimal_str,
 )
@@ -55,7 +57,8 @@ def test_ppower_congruence_hand_example():
     assert b.coeff_list() == [26, 2]  # 2z - 1 mod 27
     assert valuation(a**3 - b**3) == 4
     # at K=2 the difference reaches the truncation cap
-    assert valuation(a.truncate(2) ** 3 - b.truncate(2) ** 3) is CAP
+    a2, b2 = RingElement(ctx, 2, a.coeffs), RingElement(ctx, 2, b.coeffs)
+    assert valuation(a2**3 - b2**3) is CAP
 
 
 def test_ppower_congruence_trivial_pair(ctx5):
@@ -204,6 +207,40 @@ def test_negative_paths_share_the_reduction_of_B():
     assert Bq == bundle.B.reduce(bundle.ctx, 2) and v == valuation(Bq) == 0
     assert verify_b_prime(bundle).overall
     assert bundle._B_reduced[0] is Bq
+
+
+def test_load_bundle_refuses_unknown_fields():
+    with pytest.raises(BundleError, match=r"^bundle field 'Eta': unknown; .* eta, beta, label$"):
+        load_bundle(good_doc(Eta=["1"] * 6))
+    with pytest.raises(BundleError, match=r"^bundle field 'x{39}\.\.\. \(102 characters\): unknown"):
+        load_bundle(good_doc(**{"x" * 100: 1}))
+
+
+def _witness_doc(p, beta) -> dict:
+    one = ["1"] + ["0"] * (p - 2)
+    return {"p": p, "K": 2, "parity": "negative", "mu": new_context(p).upow[3], "B": one,
+            "eta": one, "beta": [str(c) for c in beta]}
+
+
+def test_witness_power_cap_edge():
+    # (p-1) * p * log2(sum |beta_i|) <= 2^22: at p=37, 1332 * 3148 is at the
+    # cap and 1332 * 3149 past it; the refusal names the estimate and the cap.
+    assert 36 * 37 * 3148 <= _WITNESS_POWER_MAX_BITS < 36 * 37 * 3149
+    assert load_bundle(_witness_doc(37, [2**3148] + [0] * 35)).beta.coeffs[0] == 2**3148
+    split = [2**3147, -(2**3147)] + [0] * 34  # the sum of |beta_i| counts, not the widest
+    assert load_bundle(_witness_doc(37, split)).beta is not None
+    with pytest.raises(BundleError, match=r"about 4194468 bits, over the limit of 4194304 bits"):
+        load_bundle(_witness_doc(37, [2**3149] + [0] * 35))
+
+
+def test_witness_power_cap_admits_xi_2_at_every_p():
+    # xi_2 has sum |beta_i| = 2, so (p-1) * p bits: 4155482 at p=2039, the
+    # largest prime below the bundle limit.
+    assert 2038 * 2039 <= _WITNESS_POWER_MAX_BITS
+    for p in (5, 37, 1031, 2039):
+        beta = cyclotomic_unit_exact(p, 2)
+        assert load_bundle(_witness_doc(p, beta.coeffs)).beta == beta
+    assert load_bundle(bundle_to_json(negative_bundle())).beta == negative_bundle().beta
 
 
 def test_load_bundle_witnesses_must_pair():
