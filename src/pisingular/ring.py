@@ -43,13 +43,19 @@ Powers of either element type, and of a stack of rows, take one
 left-to-right square-and-multiply routine, _power.
 
 norm_exact computes N(B) from residues at primes q = 1 (mod p) below 2^26,
-where Phi_p splits, in three steps: a segmented sieve over m finds the
+where Phi_p splits, in four steps.  A bound: the smaller of the Parseval and
+AM-GM bound N(B) <= ((p*sum b_i^2 - (sum b_i)^2)/(p-1))^((p-1)/2) and the
+product of certified bounds on |B(z^j)|^2 (module conjugates), from a
+float64 pass with a written error bound and an exact fixed-point pass over
+integer roots of unity (pi by Machin, e^(2 pi i/p) by Taylor) for the
+conjugates the float pass leaves open.  A segmented sieve over m finds the
 primes q = 2pm + 1, largest first, and takes the shortest run whose product
-M passes the Parseval and AM-GM bound
-N(B) <= ((p*sum b_i^2 - (sum b_i)^2)/(p-1))^((p-1)/2); numpy computes
-N(B) mod q for a block of primes per pass; a CRT over the product tree of
-the run recombines the residues.  It refuses, with ValueError, p >= 2049
-(int64 residues) and bounds of more than min(2^18, 2^25/(p-1)) bits.
+M passes the bound; roots of order p are formed for the blocks of primes
+that run reaches.  numpy computes N(B) mod q for a block of primes per
+pass.  A CRT over the product tree of the run recombines the residues, with
+each cofactor inverted by pow.  It refuses, with ValueError, p >= 2049
+(int64 residues) and Parseval bounds of more than min(2^18, 2^25/(p-1))
+bits.
 
 Conversion is one-way: ExactElement.reduce(ctx, K) projects into the
 truncated ring, and RingElement(ctx, K2, a.coeffs) onto a coarser level K2.
@@ -65,6 +71,7 @@ import operator
 
 import numpy as np
 
+from .conjugates import _conjugate_bound
 from .context import PrimeContext
 
 __all__ = [
@@ -501,16 +508,14 @@ def _segment_count(p: int) -> int:
 
 
 @functools.lru_cache(maxsize=32)
-def _split_prime_segment(p: int, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """(q, r) for the primes q = 2pm + 1 < 2^26 whose m lies in segment s,
-    largest first, with r of order p mod q.
+def _split_prime_segment(p: int, s: int) -> np.ndarray:
+    """The primes q = 2pm + 1 < 2^26 whose m lies in segment s, largest first.
 
     Segment s holds m in (hi - 2^14, hi] for hi = floor((2^26 - 2)/(2p)) - s*2^14.
     A sieve over m: an odd prime l != p divides 2pm + 1 exactly when
     m = -(2p)^(-1) (mod l), and a composite q < 2^26 has such a factor
     l <= 8192.  Each l strikes those m from the first one with q > l, so a q
-    that is itself a sieving prime stays.  r = g^((q-1)/p) for the least
-    g >= 2 with r != 1.
+    that is itself a sieving prime stays.
     """
     hi = (_Q_LIMIT - 2) // (2 * p) - s * _SEGMENT
     lo = max(hi - _SEGMENT, 0)
@@ -522,16 +527,27 @@ def _split_prime_segment(p: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     keep = np.ones(max(hi - lo, 0), dtype=bool)
     for prime, f in zip(ell.tolist(), (first - lo - 1).tolist()):
         keep[f::prime] = False
-    m = lo + 1 + np.flatnonzero(keep)[::-1]
-    q = 2 * p * m + 1
-    r = np.ones_like(q)
-    g = 2
-    while np.any(todo := r == 1):
-        r[todo] = _powmod(g, 2 * m[todo], q[todo])
-        g += 1
+    q = 2 * p * (lo + 1 + np.flatnonzero(keep)[::-1]) + 1
     q.setflags(write=False)
-    r.setflags(write=False)
-    return q, r
+    return q
+
+
+_ROOT_BLOCK = 64  # primes per cached block of roots of order p
+
+
+@functools.lru_cache(maxsize=256)
+def _root_block(p: int, s: int, c: int) -> np.ndarray:
+    """r of order p mod each prime q of block c (64 primes) of segment s:
+    r = g^((q-1)/p) for the least g >= 2 with r != 1."""
+    roots = []
+    for q in _split_prime_segment(p, s)[c * _ROOT_BLOCK : (c + 1) * _ROOT_BLOCK].tolist():
+        g = 2
+        while (r := pow(g, (q - 1) // p, q)) == 1:
+            g += 1
+        roots.append(r)
+    out = np.array(roots, dtype=np.int64)
+    out.setflags(write=False)
+    return out
 
 
 def _product_tree(q: np.ndarray) -> list:
@@ -551,22 +567,21 @@ def _product_tree(q: np.ndarray) -> list:
 
 
 def _crt_primes(p: int, bound: int) -> tuple[np.ndarray, list]:
-    """r and the product tree for the shortest run of split primes, largest
-    first, whose product M exceeds bound >= 1.
+    """Roots r of order p and the product tree for the shortest run of split
+    primes, largest first, whose product M exceeds bound >= 1.
 
     Summed log2 q pick the length; exact integers confirm M > bound and
-    M/q_last <= bound, so the run is the shortest.
+    M/q_last <= bound, so the run is the shortest.  The roots are formed for
+    the blocks of 64 primes that the run reaches, and cached per block.
     """
     target = math.log2(bound)
-    qs, rs, bits = [], [], 0.0
+    qs, bits = [], 0.0
     for s in range(_segment_count(p)):
-        q, r = _split_prime_segment(p, s)
-        qs.append(q)
-        rs.append(r)
-        bits += float(np.log2(q).sum())
+        qs.append(_split_prime_segment(p, s))
+        bits += float(np.log2(qs[-1]).sum())
         if bits > target + 1:
             break
-    q, r = np.concatenate(qs), np.concatenate(rs)
+    q = np.concatenate(qs)
     k = int(np.searchsorted(np.cumsum(np.log2(q)), target, side="right")) + 1
     while k <= q.size:
         tree = _product_tree(q[:k])
@@ -576,7 +591,12 @@ def _crt_primes(p: int, bound: int) -> tuple[np.ndarray, list]:
         elif M // int(q[k - 1]) > bound:
             k -= 1
         else:
-            return r[:k], tree
+            blocks, left = [], k
+            for s, seg in enumerate(qs):
+                n = min(left, seg.size)
+                blocks += [_root_block(p, s, c) for c in range(-(-n // _ROOT_BLOCK))]
+                left -= n
+            return np.concatenate(blocks)[:k], tree
     raise ValueError(
         f"norm_exact: the primes q = 1 (mod {p}) below 2^26 do not cover "
         f"the norm bound of {bound.bit_length()} bits"
@@ -653,9 +673,9 @@ def _crt(x: np.ndarray, tree: list) -> int:
     x = sum_i c_i M/q_i with c_i = x_i (M/q_i)^(-1) mod q_i.  The cofactors
     M/q_i mod q_i come from a remainder tree: the product of the primes
     outside a node, reduced mod the node's product, descends from the root
-    (1) to the pairs; the last step, and the inverses by Fermat, run in
-    int64 for all primes at once.  The sum is then formed up the product
-    tree, a node's value being v_L * P_R + v_R * P_L.
+    (1) to the pairs, and the last step runs in int64 for all primes at
+    once; each cofactor is inverted by pow(., -1, q).  The sum is then formed
+    up the product tree, a node's value being v_L * P_R + v_R * P_L.
     """
     q = tree[0]
     outside = [1]
@@ -668,7 +688,8 @@ def _crt(x: np.ndarray, tree: list) -> int:
     sibling = np.ones_like(q)
     sibling[:even] = q[:even].reshape(-1, 2)[:, ::-1].ravel()
     cofactor = np.array(outside, dtype=np.int64)[np.arange(q.size) // 2] % q * sibling % q
-    c = x * _powmod(cofactor, q - 2, q) % q
+    inverse = [pow(f, -1, qi) for f, qi in zip(cofactor.tolist(), q.tolist())]
+    c = x * np.array(inverse, dtype=np.int64) % q
     values = (c[:even:2] * q[1:even:2] + c[1:even:2] * q[:even:2]).tolist() + c[even:].tolist()
     for level in tree[1:-1]:
         values = [
@@ -712,23 +733,29 @@ def norm_exact(a: ExactElement) -> int:
     Computed from residues at split primes q = 1 (mod p) below 2^26, where
     N(a) mod q is the product of a(r^j) over j = 1 .. p-1 for r of order p
     mod q:
+      * bound: the smaller of _norm_bound (Parseval and AM-GM, which alone
+        decides the size refusal) and conjugates._conjugate_bound (certified
+        bounds on each |a(z^j)|, from a float64 pass and, for the conjugates
+        it leaves open, an exact fixed-point pass);
       * sieve: the primes q = 2pm + 1 come from a segmented sieve over m,
         largest first, built on first use and cached per segment; the run
-        used is the shortest whose product M exceeds the bound of
-        _norm_bound, checked with exact integers;
+        used is the shortest whose product M exceeds the bound, checked
+        with exact integers, and r is formed for the blocks of primes the
+        run reaches;
       * block residues: each numpy pass takes a block of primes, reduces the
         coefficients from 16-bit limbs, builds the powers of r by doubling,
         evaluates a at all r^j by one gather-and-contract, and multiplies
         the p-1 values by halving;
       * CRT: the cofactors M/q mod q come from a remainder tree and are
-        inverted in int64 for all primes at once, and sum c_q M/q is formed
-        up the product tree.
+        inverted by pow(c, -1, q), and sum c_q M/q is formed up the product
+        tree.
     The field is totally complex, so N(a) = prod over conjugate pairs of
     |a(z^j)|^2 >= 0 and the result is read in [0, M).
 
     Limits (ValueError): an odd prime p < 2049, so that the evaluation sums
-    (p-1)*q^2 stay below 2^63; and the bound must fit in min(2^18, 2^25/(p-1)) bits, so
-    that the primes suffice and the CRT stays short.
+    (p-1)*q^2 stay below 2^63; and the Parseval bound must fit in
+    min(2^18, 2^25/(p-1)) bits, so that the primes suffice and the CRT stays
+    short.
     Only exact elements have norms; truncated elements lose the integer.
     """
     if not isinstance(a, ExactElement):
@@ -744,7 +771,7 @@ def norm_exact(a: ExactElement) -> int:
     bound = _norm_bound(a)
     if bound == 0:  # 0 only for the zero element, whose norm is 0
         return 0
-    r, tree = _crt_primes(p, bound)
+    r, tree = _crt_primes(p, min(bound, _conjugate_bound(p, a.coeffs)))
     return _crt(_norm_residues(a.coeffs, p, tree[0], r), tree)
 
 

@@ -279,8 +279,13 @@ def _parse_coeffs(p: int, name: str, raw) -> ExactElement:
 
 
 def load_bundle(source) -> CandidateBundle:
-    """Parse and structurally validate a bundle (dict, JSON text, or path)."""
+    """Parse and structurally validate a bundle (dict, JSON text, or path).
+
+    A CandidateBundle passes the same checks through bundle_to_json and is
+    returned as it is; the verify functions take their bundle unchecked.
+    """
     if isinstance(source, CandidateBundle):
+        load_bundle(bundle_to_json(source))
         return source
     if isinstance(source, (str, Path)):
         text = None
@@ -383,9 +388,9 @@ def bundle_to_json(bundle: CandidateBundle) -> dict:
         "B": [_decimal_str(c) for c in bundle.B.coeffs],
         "label": bundle.label,
     }
-    if bundle.eta is not None:
-        doc["eta"] = [_decimal_str(c) for c in bundle.eta.coeffs]
-        doc["beta"] = [_decimal_str(c) for c in bundle.beta.coeffs]
+    for key in ("eta", "beta"):
+        if (w := getattr(bundle, key)) is not None:
+            doc[key] = [_decimal_str(c) for c in w.coeffs]
     return doc
 
 

@@ -39,10 +39,9 @@ def seeded(seed):
 
 
 def split_primes(p):
-    """(q, r) for the sieved primes q = 1 (mod p) below 2^26, largest first."""
+    """The sieved primes q = 1 (mod p) below 2^26, largest first."""
     for s in range(_segment_count(p)):
-        q, r = _split_prime_segment(p, s)
-        yield from zip(q.tolist(), r.tolist())
+        yield from _split_prime_segment(p, s).tolist()
 
 
 def bernoulli_fraction_table(nmax):

@@ -15,6 +15,7 @@ coefficient sum a(1) is checked against the valuation.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -40,6 +41,14 @@ from pisingular import (
 )
 from pisingular import padic
 from pisingular.padic import _first_two_digits, _pth_power_to_depth
+from pisingular import conjugates
+from pisingular.conjugates import (
+    _EXACT_MAX_W,
+    _FLOAT_MARGIN,
+    _float_conjugates,
+    _float_roots,
+    _root_table,
+)
 from pisingular.ring import _dtype_for, _fold_mul, _norm_bound
 
 import oracles
@@ -346,11 +355,150 @@ def test_norm_just_below_each_crt_modulus(p):
     primes = split_primes(p)
     M = 1
     for k in range(1, 5):
-        M *= next(primes)[0]
+        M *= next(primes)
         n, _ = sympy.integer_nthroot(M - 1, p - 1)
         assert 2 * n ** (p - 1) > M, k
         for m in (n, -n):
             assert norm_exact(ExactElement.from_integer(p, m)) == n ** (p - 1), k
+
+
+# -- the certified evaluation bound of norm_exact ---------------------------
+
+
+def _conjugate_bound(a):
+    return conjugates._conjugate_bound(a.p, a.coeffs)
+
+
+def _target(a):
+    """The CRT target of norm_exact."""
+    return min(_norm_bound(a), _conjugate_bound(a))
+
+
+@pytest.mark.parametrize("p", NORM_PRIMES)
+@NORM_PROPERTY
+@given(data=st.data())
+def test_conjugate_bound_covers_the_norm(p, data):
+    a = data.draw(exact_elements(p))
+    assume(any(a.coeffs))
+    n = oracles.norm_bareiss(a)
+    assert n <= _conjugate_bound(a) and n <= _target(a) <= _norm_bound(a)
+
+
+@st.composite
+def wide_units(draw, p):
+    """(unit^k * c^p, its norm c^(p(p-1))): a unit of Z[z] has norm 1 (the
+    field is totally complex), and its powers have wide coefficients and
+    conjugates far apart in size."""
+    a = draw(st.integers(2, (p - 1) // 2))
+    if draw(st.booleans()):
+        unit = eigen_project_unit_exact(new_context(p), a, 2 * draw(st.integers(1, (p - 3) // 2)))
+    else:
+        unit = cyclotomic_unit_exact(p, a)
+    c = draw(st.integers(1, 7).filter(lambda c: c % p))
+    return unit ** draw(st.integers(1, 6)) * c**p, c ** (p * (p - 1))
+
+
+@pytest.mark.parametrize("p", (5, 7, 13, 23, 29, 37, 41))
+@NORM_PROPERTY
+@given(data=st.data())
+def test_conjugate_bound_covers_wide_units(p, data):
+    a, n = data.draw(wide_units(p))
+    assert norm_exact(a) == n <= _conjugate_bound(a)
+
+
+@pytest.mark.parametrize("p, w", [(5, 1100), (7, 3000), (37, 1100), (37, 4000)])
+def test_conjugate_bound_on_wide_random_elements(p, w):
+    # Past 1000 bits the float pass shifts the coefficients before it
+    # rounds them; settled conjugates keep the bound within 1 + 2^-8 of N.
+    rng = seeded(p + w)
+    a = ExactElement(p, [rng.randrange(-(2**w), 2**w) for _ in range(p - 1)])
+    n = oracles.norm_bareiss(a) if p < 10 else norm_exact(a)
+    assert n <= _conjugate_bound(a) <= n + (n >> 8)
+
+
+def test_conjugate_bound_past_the_exact_width():
+    # A unit with coefficients past _EXACT_MAX_W bits: its small conjugate
+    # is left open by the float pass and bounded by sum |b_i|.
+    a = cyclotomic_unit_exact(5, 2) ** 7000 * 2**5
+    assert sum(abs(c) for c in a.coeffs).bit_length() > _EXACT_MAX_W
+    t, eps, _ = _float_conjugates(a.p, a.coeffs)
+    assert (t < _FLOAT_MARGIN * eps).any()
+    assert norm_exact(a) == 2**20 <= _conjugate_bound(a)
+
+
+@pytest.mark.parametrize("p", (3, 5, 11, 23, 37))
+@NORM_PROPERTY
+@given(data=st.data())
+def test_conjugate_bound_with_conjugates_near_zero(p, data):
+    # 1 + z is a unit (N(1 + z) = Phi_p(-1) = 1) whose conjugate at
+    # j = (p-1)/2 is 2 sin(pi/2p) in modulus: a high power of it leaves the
+    # float pass, and past k of about 32/log2(1/(2 sin(pi/2p))) it falls
+    # below the exact pass's error radius of 2^-32.
+    k = data.draw(st.integers(1, 40))
+    w = ExactElement(p, data.draw(st.lists(st.integers(-9, 9), min_size=p - 1, max_size=p - 1)))
+    assume(any(w.coeffs))
+    a = ExactElement(p, [1, 1] + [0] * (p - 3)) ** k * w
+    n = oracles.norm_bareiss(w)
+    assert norm_exact(a) == n <= _conjugate_bound(a)
+
+
+@pytest.mark.parametrize("p", NORM_PRIMES)
+def test_target_is_the_norm_on_constants_and_roots(p):
+    # Parseval meets these exactly; the evaluation bound stays within a
+    # factor 1 + 2^-28 of the norm, rounded up.
+    elems = [ExactElement.from_integer(p, n) for n in (1, 2, 3, -7, 2**300 + 1)]
+    for k in range(p - 1):  # +-z^k, and +-z^(p-1) = -+(1 + ... + z^(p-2))
+        elems += [ExactElement(p, [sign * (i == k) for i in range(p - 1)]) for sign in (1, -1)]
+    elems += [ExactElement(p, [sign] * (p - 1)) for sign in (1, -1)]
+    for a in elems:
+        n = oracles.norm_bareiss(a)
+        assert _target(a) == n == norm_exact(a)
+        assert n <= _conjugate_bound(a) <= n + (n >> 28) + 1
+
+
+@pytest.mark.parametrize("p", (5, 13, 37))
+def test_float_to_exact_hand_off(p, monkeypatch):
+    # Put the float pass's margin on each conjugate in turn, and a relative
+    # 2^-40 either side of it: the conjugate is settled by one pass or the
+    # other, and the bound holds either way.
+    a = cyclotomic_unit_exact(p, 2) ** 5 * 3**p
+    n = 3 ** (p * (p - 1))
+    t, eps, _ = _float_conjugates(a.p, a.coeffs)
+    settled = []
+    for tj in t[t > 2**-40]:
+        for m in (tj / eps * (1 - 2**-40), tj / eps, tj / eps * (1 + 2**-40)):
+            monkeypatch.setattr(conjugates, "_FLOAT_MARGIN", m)
+            settled.append(int((t >= m * eps).sum()))
+            assert n <= _conjugate_bound(a)
+    assert len(set(settled)) > 1
+
+
+@pytest.mark.parametrize("p", (37, 41, 257))
+def test_float_pass_settles_random_elements(p):
+    # No exact pass for random coefficients: their conjugates are far above
+    # the float error radius, so random norms pay only the float pass.
+    rng = seeded(p)
+    for w in (8, 64, 260):
+        a = ExactElement(p, [rng.randrange(-(2**w), 2**w) for _ in range(p - 1)])
+        t, eps, _ = _float_conjugates(a.p, a.coeffs)
+        assert (t >= _FLOAT_MARGIN * eps).all()
+
+
+@pytest.mark.parametrize(
+    "p, W", [(3, 64), (3, 1024), (5, 192), (23, 320), (37, 64), (41, 320), (257, 128), (2039, 64)]
+)
+def test_root_table_against_mpmath(p, W):
+    # Each entry within 5/8 of 2^W cos(2 pi k/p), 2^W sin(2 pi k/p) is what
+    # the bound uses; the guard bits put it within 1/2 + 2^-20.
+    C, S = _root_table(p, W)
+    cos, sin = _float_roots(p)
+    with mpmath.workprec(W + 64):
+        for k in range(p):
+            x = 2 * mpmath.pi * k / p
+            c, s = mpmath.cos(x), mpmath.sin(x)
+            assert abs(C[k] - mpmath.ldexp(c, W)) <= 0.5 + 2**-20, k
+            assert abs(S[k] - mpmath.ldexp(s, W)) <= 0.5 + 2**-20, k
+            assert abs(cos[k] - c) <= 1.001 * 2**-53 and abs(sin[k] - s) <= 1.001 * 2**-53, k
 
 
 # -- bucketed unit projection against the per-conjugate power loop --------

@@ -21,7 +21,14 @@ from pisingular import (
 )
 
 from pisingular import is_prime
-from pisingular.ring import _SEGMENT, _crt_primes, _norm_bit_cap, _split_prime_segment
+from pisingular.ring import (
+    _ROOT_BLOCK,
+    _SEGMENT,
+    _crt_primes,
+    _norm_bit_cap,
+    _root_block,
+    _split_prime_segment,
+)
 
 from conftest import random_element, random_unit, seeded, split_primes
 
@@ -371,13 +378,17 @@ def test_norm_limits():
 @pytest.mark.parametrize("p", [3, 257, 1031, 2039])
 def test_split_primes_cover_the_cap(p):
     bits = 0.0
-    for q, r in split_primes(p):
-        assert q < 2**26 and q % p == 1 and r != 1 and pow(r, p, q) == 1
+    for q in split_primes(p):
+        assert q < 2**26 and q % p == 1
         bits += math.log2(q)
         if bits >= _norm_bit_cap(p):
             break
     else:
         pytest.fail(f"primes = 1 mod {p} below 2^26 supply only {bits:.0f} bits")
+    roots, tree = _crt_primes(p, 2 ** _norm_bit_cap(p))
+    assert roots.size == tree[0].size
+    for q, r in zip(tree[0].tolist(), roots.tolist()):
+        assert pow(r, p, q) == 1 != r
 
 
 @pytest.mark.parametrize("p", [3, 5, 23, 41, 257, 2039])
@@ -387,10 +398,11 @@ def test_sieved_primes_match_is_prime(p):
     # reaches m = 1, where q = 4079 is below the sieving bound 8192.
     top = (2**26 - 2) // (2 * p)
     for s in (0, 1):
-        q, r = _split_prime_segment(p, s)
+        q = _split_prime_segment(p, s)
         hi = top - s * _SEGMENT
         cands = (2 * p * m + 1 for m in range(hi, max(hi - _SEGMENT, 0), -1))
         assert q.tolist() == [c for c in cands if is_prime(c)], s
+        r = np.concatenate([_root_block(p, s, c) for c in range(-(-q.size // _ROOT_BLOCK))])
         for qi, ri in zip(q.tolist(), r.tolist()):
             assert pow(ri, p, qi) == 1 != ri
 
@@ -399,13 +411,14 @@ def test_sieved_primes_match_is_prime(p):
 def test_crt_primes_take_the_shortest_run(p):
     # The run is the shortest prefix of the descending split primes whose
     # product M exceeds the bound: k primes for M_k - 1, k + 1 for M_k.
-    q = [qi for _, (qi, _) in zip(range(6), split_primes(p))]
+    q = [qi for _, qi in zip(range(6), split_primes(p))]
     assert _crt_primes(p, 1)[1][0].tolist() == q[:1]
     for k in range(1, 6):
         M = math.prod(q[:k])
         for bound, want in ((M - 1, k), (M, k + 1)):
             r, tree = _crt_primes(p, bound)
             assert tree[0].tolist() == q[:want] and r.size == want, (k, bound == M)
+            assert all(pow(ri, p, qi) == 1 != ri for qi, ri in zip(q, r.tolist()))
             assert tree[-1] == [math.prod(q[:want])]
 
 

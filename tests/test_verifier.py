@@ -2,6 +2,7 @@
 
 import functools
 import json
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -241,6 +242,28 @@ def test_witness_power_cap_admits_xi_2_at_every_p():
         beta = cyclotomic_unit_exact(p, 2)
         assert load_bundle(_witness_doc(p, beta.coeffs)).beta == beta
     assert load_bundle(bundle_to_json(negative_bundle())).beta == negative_bundle().beta
+
+
+def test_load_bundle_checks_a_candidate_bundle():
+    # A bundle built in process meets the caps of JSON input: beta with
+    # 2^12-bit coefficients at p=37 ran 3 s in verify_b_prime to exit 3.
+    ctx, rng = new_context(37), random.Random(50)
+    one = ExactElement.from_integer(37, 1)
+    wide = ExactElement(37, [rng.getrandbits(2**12) for _ in range(36)])
+    bundle = CandidateBundle(ctx=ctx, K=2, parity="negative", mu=ctx.upow[3], B=one,
+                             eta=one, beta=wide)
+    with pytest.raises(BundleError, match=r"^bundle field 'beta': beta\^p may need"):
+        load_bundle(bundle)
+    with pytest.raises(BundleError, match=r"^bundle field 'B': expected 36 coefficients"):
+        load_bundle(CandidateBundle(ctx=ctx, K=2, parity="negative", mu=ctx.upow[3],
+                                    B=ExactElement.from_integer(5, 1)))
+    with pytest.raises(BundleError, match="supplied together"):
+        load_bundle(CandidateBundle(ctx=ctx, K=2, parity="negative", mu=ctx.upow[3], B=one,
+                                    eta=one))
+    with pytest.raises(BundleError, match="bundle field 'K': must be at most 455"):
+        load_bundle(CandidateBundle(ctx=ctx, K=456, parity="negative", mu=ctx.upow[3], B=one))
+    good = negative_bundle()
+    assert load_bundle(good) is good
 
 
 def test_load_bundle_witnesses_must_pair():
