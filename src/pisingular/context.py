@@ -43,7 +43,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # p^4 >= 2^63: below it the table can be checked against int64 power sums
 # mod p^2 (tests/oracles.py).  The transform of _bernoulli_table is exact
 # well past it: its float64 sums stay below (p-1)*p^2, under 2^53 for every
-# p <= 208064.  No command goes past p = 2049 (ring._P_LIMIT).
+# p <= 208064.  No command goes past p = 2049 (norm._P_LIMIT).
 _BERNOULLI_P_LIMIT = math.isqrt(math.isqrt(2**63 - 1)) + 1
 
 

@@ -42,20 +42,8 @@ one-to-one) and folds alike, and _fold_mul multiplies stacks row by row.
 Powers of either element type, and of a stack of rows, take one
 left-to-right square-and-multiply routine, _power.
 
-norm_exact computes N(B) from residues at primes q = 1 (mod p) below 2^26,
-where Phi_p splits, in four steps.  A bound: the smaller of the Parseval and
-AM-GM bound N(B) <= ((p*sum b_i^2 - (sum b_i)^2)/(p-1))^((p-1)/2) and the
-product of certified bounds on |B(z^j)|^2 (module conjugates), from a
-float64 pass with a written error bound and an exact fixed-point pass over
-integer roots of unity (pi by Machin, e^(2 pi i/p) by Taylor) for the
-conjugates the float pass leaves open.  A segmented sieve over m finds the
-primes q = 2pm + 1, largest first, and takes the shortest run whose product
-M passes the bound; roots of order p are formed for the blocks of primes
-that run reaches.  numpy computes N(B) mod q for a block of primes per
-pass.  A CRT over the product tree of the run recombines the residues, with
-each cofactor inverted by pow.  It refuses, with ValueError, p >= 2049
-(int64 residues) and Parseval bounds of more than min(2^18, 2^25/(p-1))
-bits.
+norm_exact, the field norm of an exact element, is computed on its
+coefficients by module norm.
 
 Conversion is one-way: ExactElement.reduce(ctx, K) projects into the
 truncated ring, and RingElement(ctx, K2, a.coeffs) onto a coarser level K2.
@@ -66,13 +54,12 @@ exact one).
 from __future__ import annotations
 
 import functools
-import math
 import operator
 
 import numpy as np
 
-from .conjugates import _conjugate_bound
 from .context import PrimeContext
+from .norm import _norm
 
 __all__ = [
     "RingElement",
@@ -459,320 +446,16 @@ class ExactElement(RingElement):
         return RingElement(ctx, K, self.coeffs)
 
 
-_Q_LIMIT = 2**26  # residue primes for norm_exact lie below this
-# norm_exact needs p below this, 2049: its int64 evaluation sums are below
-# (p-1) * _Q_LIMIT^2, which must stay below 2^63.  Bundles are checked
-# against it when they are loaded.
-_P_LIMIT = 2**63 // _Q_LIMIT**2 + 1
-# Bits of the norm bound that norm_exact accepts at prime p.  2^25/(p-1) is
-# about a third of what the primes q = 1 (mod p) below 2^26 supply (their
-# log2 sum is close to 2^26/(ln 2 * (p-1))), and 2^18 keeps a norm at the cap,
-# whose remainder tree is quadratic in the bit count, to about a second.
-_NORM_MAX_BITS = 2**18
-
-
-def _norm_bit_cap(p: int) -> int:
-    return min(_NORM_MAX_BITS, 2**25 // (p - 1))
-
-
-_SEGMENT = 1 << 14  # multipliers m per sieve segment of the candidates q = 2pm + 1
-_BLOCK_BYTES = 1 << 18  # about 256 KB per int64 temporary of the residue blocks
-
-
-def _powmod(base, exp, mod) -> np.ndarray:
-    """base^exp mod mod elementwise on int64 arrays, by square and multiply
-    over the bits of exp.  mod < 2^26, so each product is below 2^52."""
-    base = np.asarray(base, dtype=np.int64) % mod
-    exp = np.asarray(exp, dtype=np.int64)
-    out = np.ones(np.broadcast_shapes(base.shape, exp.shape, np.shape(mod)), dtype=np.int64)
-    for bit in range(int(exp.max(initial=0)).bit_length()):
-        out = np.where((exp >> bit) & 1 == 1, out * base % mod, out)
-        base = base * base % mod
-    return out
-
-
-@functools.lru_cache(maxsize=1)
-def _sieving_primes() -> np.ndarray:
-    """The odd primes up to sqrt(2^26) = 8192."""
-    n = math.isqrt(_Q_LIMIT) + 1
-    flags = np.ones(n, dtype=bool)
-    flags[:2] = False
-    for i in range(2, math.isqrt(n) + 1):
-        if flags[i]:
-            flags[i * i :: i] = False
-    return np.flatnonzero(flags)[1:]
-
-
-def _segment_count(p: int) -> int:
-    return -(-((_Q_LIMIT - 2) // (2 * p)) // _SEGMENT)
-
-
-@functools.lru_cache(maxsize=32)
-def _split_prime_segment(p: int, s: int) -> np.ndarray:
-    """The primes q = 2pm + 1 < 2^26 whose m lies in segment s, largest first.
-
-    Segment s holds m in (hi - 2^14, hi] for hi = floor((2^26 - 2)/(2p)) - s*2^14.
-    A sieve over m: an odd prime l != p divides 2pm + 1 exactly when
-    m = -(2p)^(-1) (mod l), and a composite q < 2^26 has such a factor
-    l <= 8192.  Each l strikes those m from the first one with q > l, so a q
-    that is itself a sieving prime stays.
-    """
-    hi = (_Q_LIMIT - 2) // (2 * p) - s * _SEGMENT
-    lo = max(hi - _SEGMENT, 0)
-    ell = _sieving_primes()
-    ell = ell[ell != p]
-    m0 = -_powmod(2 * p, ell - 2, ell) % ell
-    start = np.maximum(lo + 1, (ell - 1) // (2 * p) + 1)
-    first = start + (m0 - start) % ell
-    keep = np.ones(max(hi - lo, 0), dtype=bool)
-    for prime, f in zip(ell.tolist(), (first - lo - 1).tolist()):
-        keep[f::prime] = False
-    q = 2 * p * (lo + 1 + np.flatnonzero(keep)[::-1]) + 1
-    q.setflags(write=False)
-    return q
-
-
-_ROOT_BLOCK = 64  # primes per cached block of roots of order p
-
-
-@functools.lru_cache(maxsize=256)
-def _root_block(p: int, s: int, c: int) -> np.ndarray:
-    """r of order p mod each prime q of block c (64 primes) of segment s:
-    r = g^((q-1)/p) for the least g >= 2 with r != 1."""
-    roots = []
-    for q in _split_prime_segment(p, s)[c * _ROOT_BLOCK : (c + 1) * _ROOT_BLOCK].tolist():
-        g = 2
-        while (r := pow(g, (q - 1) // p, q)) == 1:
-            g += 1
-        roots.append(r)
-    out = np.array(roots, dtype=np.int64)
-    out.setflags(write=False)
-    return out
-
-
-def _product_tree(q: np.ndarray) -> list:
-    """Levels of the product tree over the primes q, leaves first.
-
-    Level 0 is q itself; level 1 holds the products of pairs (below 2^52,
-    formed in int64); the levels above are Python ints up to the root [M].
-    A node without a sibling is carried up unchanged.
-    """
-    even = q.size // 2 * 2
-    level = q[:even].reshape(-1, 2).prod(axis=1).tolist() + q[even:].tolist()
-    tree = [q, level]
-    while len(level) > 1:
-        level = [x * y for x, y in zip(level[::2], level[1::2])] + level[len(level) // 2 * 2 :]
-        tree.append(level)
-    return tree
-
-
-def _crt_primes(p: int, bound: int) -> tuple[np.ndarray, list]:
-    """Roots r of order p and the product tree for the shortest run of split
-    primes, largest first, whose product M exceeds bound >= 1.
-
-    Summed log2 q pick the length; exact integers confirm M > bound and
-    M/q_last <= bound, so the run is the shortest.  The roots are formed for
-    the blocks of 64 primes that the run reaches, and cached per block.
-    """
-    target = math.log2(bound)
-    qs, bits = [], 0.0
-    for s in range(_segment_count(p)):
-        qs.append(_split_prime_segment(p, s))
-        bits += float(np.log2(qs[-1]).sum())
-        if bits > target + 1:
-            break
-    q = np.concatenate(qs)
-    k = int(np.searchsorted(np.cumsum(np.log2(q)), target, side="right")) + 1
-    while k <= q.size:
-        tree = _product_tree(q[:k])
-        M = tree[-1][0]
-        if M <= bound:
-            k += 1
-        elif M // int(q[k - 1]) > bound:
-            k -= 1
-        else:
-            blocks, left = [], k
-            for s, seg in enumerate(qs):
-                n = min(left, seg.size)
-                blocks += [_root_block(p, s, c) for c in range(-(-n // _ROOT_BLOCK))]
-                left -= n
-            return np.concatenate(blocks)[:k], tree
-    raise ValueError(
-        f"norm_exact: the primes q = 1 (mod {p}) below 2^26 do not cover "
-        f"the norm bound of {bound.bit_length()} bits"
-    )
-
-
-def _powers(q: np.ndarray, base: np.ndarray, n: int) -> np.ndarray:
-    """(len(q), n) int64: base^k mod q for k = 0 .. n-1, by doubling the
-    filled prefix."""
-    out = np.empty((q.size, n), dtype=np.int64)
-    out[:, 0] = 1
-    k, step = 1, base % q
-    while k < n:
-        m = min(k, n - k)
-        out[:, k : k + m] = out[:, :m] * step[:, None] % q[:, None]
-        step = step * step % q
-        k += m
-    return out
-
-
-def _norm_residues(coeffs, p: int, q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """N(B) mod q for every prime q, as the product of B(r^j), j = 1 .. p-1.
-
-    Blocks of primes share each numpy call; a block's (rows, p) and
-    (rows, limbs) arrays, each gather and each slice of the exponent table
-    stay within _BLOCK_BYTES.  Up to p = 181 a gather takes every j for a
-    sub-block of primes; past it, one prime's j in chunks.  Per block:
-      * B mod q from 16-bit limbs: b = sum_t l_t (2^(16t) mod q).  Terms are
-        below 2^42 and a coefficient has at most about 2^17 bits (it fits
-        the norm bound), so the sums stay far below 2^63.
-      * r^k for k = 0 .. p-1 by doubling, and B(r^j) for all j as one gather
-        of r^((i*j) mod p) contracted with b: p-1 products below q^2 each,
-        below 2^63 as p < 2049.
-      * the product of the p-1 values mod q, halving each row.
-    """
-    n = p - 1
-    T = max(1, -(-max(abs(c).bit_length() for c in coeffs) // 16))
-    raw = b"".join(abs(c).to_bytes(2 * T, "little") for c in coeffs)
-    limbs = np.frombuffer(raw, dtype="<u2").reshape(n, T).T.astype(np.int64)
-    limbs *= np.array([-1 if c < 0 else 1 for c in coeffs], dtype=np.int64)  # signed like c
-    rows = max(1, _BLOCK_BYTES // (8 * max(p, T)))
-    chunk = min(n, max(1, _BLOCK_BYTES // (8 * n)))  # j per gather
-    sub = max(1, _BLOCK_BYTES // (8 * chunk * n))  # primes per gather
-    width = 1 << (n - 1).bit_length()
-    i = np.arange(n)
-    gathered = np.empty((min(sub, q.size), chunk, n), dtype=np.int64)
-    out = np.empty(q.size, dtype=np.int64)
-    for a in range(0, q.size, rows):
-        qb, rb = q[a : a + rows], r[a : a + rows]
-        qc = qb[:, None]
-        b = _powers(qb, np.full(qb.size, 1 << 16), T) @ limbs % qc
-        powers = _powers(qb, rb, p)
-        prod = np.ones((qb.size, width), dtype=np.int64)
-        for j in range(0, n, chunk):
-            js = np.arange(j + 1, min(j + chunk, n) + 1)
-            table = np.multiply.outer(js, i)
-            table %= p  # (i*j) mod p at [j, i]
-            for c in range(0, qb.size, sub):
-                block = powers[c : c + sub]
-                g = gathered[: block.shape[0], : js.size]
-                np.take(block, table, axis=1, out=g, mode="clip")
-                prod[c : c + sub, j : j + js.size] = np.einsum("tji,ti->tj", g, b[c : c + sub])
-        prod[:, :n] %= qc
-        while prod.shape[1] > 1:
-            h = prod.shape[1] // 2
-            prod = prod[:, :h] * prod[:, h:] % qc
-        out[a : a + rows] = prod[:, 0]
-    return out
-
-
-def _crt(x: np.ndarray, tree: list) -> int:
-    """The integer in [0, M) that is x_i mod each prime q_i of tree.
-
-    x = sum_i c_i M/q_i with c_i = x_i (M/q_i)^(-1) mod q_i.  The cofactors
-    M/q_i mod q_i come from a remainder tree: the product of the primes
-    outside a node, reduced mod the node's product, descends from the root
-    (1) to the pairs, and the last step runs in int64 for all primes at
-    once; each cofactor is inverted by pow(., -1, q).  The sum is then formed
-    up the product tree, a node's value being v_L * P_R + v_R * P_L.
-    """
-    q = tree[0]
-    outside = [1]
-    for level in reversed(tree[1:-1]):
-        outside = [
-            outside[i // 2] * level[i ^ 1] % level[i] if i ^ 1 < len(level) else outside[i // 2]
-            for i in range(len(level))
-        ]
-    even = q.size // 2 * 2
-    sibling = np.ones_like(q)
-    sibling[:even] = q[:even].reshape(-1, 2)[:, ::-1].ravel()
-    cofactor = np.array(outside, dtype=np.int64)[np.arange(q.size) // 2] % q * sibling % q
-    inverse = [pow(f, -1, qi) for f, qi in zip(cofactor.tolist(), q.tolist())]
-    c = x * np.array(inverse, dtype=np.int64) % q
-    values = (c[:even:2] * q[1:even:2] + c[1:even:2] * q[:even:2]).tolist() + c[even:].tolist()
-    for level in tree[1:-1]:
-        values = [
-            u * pv + v * pu
-            for u, v, pu, pv in zip(values[::2], values[1::2], level[::2], level[1::2])
-        ] + values[len(values) // 2 * 2 :]
-    return values[0] % tree[-1][0]
-
-
-def _norm_bound(a: ExactElement) -> int:
-    """An integer F >= N(a): the floor of (S/(p-1))^((p-1)/2).
-
-    S = p * sum(b_i^2) - (sum b_i)^2 is the sum of |a(z^j)|^2 over
-    j = 1 .. p-1 (Parseval over the p-th roots of unity, minus the j = 0
-    term), and AM-GM bounds the product of those p-1 squares by
-    (S/(p-1))^(p-1).  Rational constants and roots of unity meet it exactly.
-    Raises ValueError when F has more bits than the cap at p; a float
-    estimate refuses far larger bounds before S^((p-1)/2) is formed.
-    """
-    p = a.p
-    S = p * sum(c * c for c in a.coeffs) - sum(a.coeffs) ** 2
-    if S == 0:
-        return 0
-    h = (p - 1) // 2
-    cap = _norm_bit_cap(p)
-    bits = h * (math.log2(S) - math.log2(p - 1))
-    if bits <= cap + 1:
-        bound = S**h // (p - 1) ** h
-        if bound.bit_length() <= cap:
-            return bound
-        bits = bound.bit_length()
-    raise ValueError(
-        f"norm_exact: the norm bound needs about {bits:.0f} bits, over the "
-        f"limit of {cap} bits at p={p} (min(2^18, 2^25/(p-1)))"
-    )
-
-
 def norm_exact(a: ExactElement) -> int:
-    """Field norm down to Q, the resultant of Phi_p and a's polynomial.
-
-    Computed from residues at split primes q = 1 (mod p) below 2^26, where
-    N(a) mod q is the product of a(r^j) over j = 1 .. p-1 for r of order p
-    mod q:
-      * bound: the smaller of _norm_bound (Parseval and AM-GM, which alone
-        decides the size refusal) and conjugates._conjugate_bound (certified
-        bounds on each |a(z^j)|, from a float64 pass and, for the conjugates
-        it leaves open, an exact fixed-point pass);
-      * sieve: the primes q = 2pm + 1 come from a segmented sieve over m,
-        largest first, built on first use and cached per segment; the run
-        used is the shortest whose product M exceeds the bound, checked
-        with exact integers, and r is formed for the blocks of primes the
-        run reaches;
-      * block residues: each numpy pass takes a block of primes, reduces the
-        coefficients from 16-bit limbs, builds the powers of r by doubling,
-        evaluates a at all r^j by one gather-and-contract, and multiplies
-        the p-1 values by halving;
-      * CRT: the cofactors M/q mod q come from a remainder tree and are
-        inverted by pow(c, -1, q), and sum c_q M/q is formed up the product
-        tree.
-    The field is totally complex, so N(a) = prod over conjugate pairs of
-    |a(z^j)|^2 >= 0 and the result is read in [0, M).
-
-    Limits (ValueError): an odd prime p < 2049, so that the evaluation sums
-    (p-1)*q^2 stay below 2^63; and the Parseval bound must fit in
-    min(2^18, 2^25/(p-1)) bits, so that the primes suffice and the CRT stays
-    short.
-    Only exact elements have norms; truncated elements lose the integer.
-    """
+    """Field norm down to Q, the resultant of Phi_p and a's polynomial, by
+    residues at split primes (module norm: the method and its limits, each
+    a ValueError).  Only exact elements have norms; truncated elements lose
+    the integer."""
     if not isinstance(a, ExactElement):
         raise TypeError(
             "norms are not defined on truncated elements; use ExactElement"
         )
-    p = a.p
-    if p < 3 or p >= _P_LIMIT:
-        raise ValueError(
-            f"norm_exact: p={p} is out of range; it needs an odd prime p < {_P_LIMIT}, "
-            f"so that int64 residues keep (p-1) * (2^26)^2 < 2^63"
-        )
-    bound = _norm_bound(a)
-    if bound == 0:  # 0 only for the zero element, whose norm is 0
-        return 0
-    r, tree = _crt_primes(p, min(bound, _conjugate_bound(p, a.coeffs)))
-    return _crt(_norm_residues(a.coeffs, p, tree[0], r), tree)
+    return _norm(a)
 
 
 def from_integer(ctx: PrimeContext, K: int, n: int) -> RingElement:

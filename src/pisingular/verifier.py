@@ -38,6 +38,7 @@ import numpy as np
 
 from .context import PrimeContext, new_context
 from .eigen import expansion_matches
+from .norm import _BLOCK_BYTES, _NORM_MAX_BITS, _P_LIMIT
 from .padic import (
     _lam_read,
     _val_json,
@@ -47,9 +48,6 @@ from .padic import (
     valuation,
 )
 from .ring import (
-    _BLOCK_BYTES,
-    _NORM_MAX_BITS,
-    _P_LIMIT,
     ExactElement,
     RingElement,
     _dtype_for,

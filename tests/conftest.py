@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from pisingular import RingElement, new_context
-from pisingular.ring import _segment_count, _split_prime_segment
+from pisingular.norm import _segment_count, _split_prime_segment
 
 
 @pytest.fixture(scope="session")

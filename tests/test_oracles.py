@@ -41,15 +41,16 @@ from pisingular import (
 )
 from pisingular import padic
 from pisingular.padic import _first_two_digits, _pth_power_to_depth
-from pisingular import conjugates
-from pisingular.conjugates import (
+from pisingular import norm
+from pisingular.norm import (
     _EXACT_MAX_W,
     _FLOAT_MARGIN,
     _float_conjugates,
     _float_roots,
+    _norm_bound,
     _root_table,
 )
-from pisingular.ring import _dtype_for, _fold_mul, _norm_bound
+from pisingular.ring import _dtype_for, _fold_mul
 
 import oracles
 from oracles import _eigenspace_dimension
@@ -366,7 +367,7 @@ def test_norm_just_below_each_crt_modulus(p):
 
 
 def _conjugate_bound(a):
-    return conjugates._conjugate_bound(a.p, a.coeffs)
+    return norm._conjugate_bound(a.p, a.coeffs)
 
 
 def _target(a):
@@ -442,6 +443,17 @@ def test_conjugate_bound_with_conjugates_near_zero(p, data):
     assert norm_exact(a) == n <= _conjugate_bound(a)
 
 
+@pytest.mark.parametrize("p, k, c", [(257, 40, 3), (1031, 20, 3), (2039, 8, 1)])
+def test_conjugate_bound_closed_form_at_large_p(p, k, c):
+    # N((1 + z)^k * c) = c^(p-1), as 1 + z is a unit: a closed form past the
+    # primes Bareiss reaches.  The small conjugates of (1 + z)^k leave the
+    # float pass, so the exact pass runs; k stays below the Parseval refusal.
+    a = ExactElement(p, [1, 1] + [0] * (p - 3)) ** k * c
+    t, eps, _ = _float_conjugates(a.p, a.coeffs)
+    assert (t < _FLOAT_MARGIN * eps).any()
+    assert norm_exact(a) == c ** (p - 1) <= _conjugate_bound(a)
+
+
 @pytest.mark.parametrize("p", NORM_PRIMES)
 def test_target_is_the_norm_on_constants_and_roots(p):
     # Parseval meets these exactly; the evaluation bound stays within a
@@ -467,7 +479,7 @@ def test_float_to_exact_hand_off(p, monkeypatch):
     settled = []
     for tj in t[t > 2**-40]:
         for m in (tj / eps * (1 - 2**-40), tj / eps, tj / eps * (1 + 2**-40)):
-            monkeypatch.setattr(conjugates, "_FLOAT_MARGIN", m)
+            monkeypatch.setattr(norm, "_FLOAT_MARGIN", m)
             settled.append(int((t >= m * eps).sum()))
             assert n <= _conjugate_bound(a)
     assert len(set(settled)) > 1

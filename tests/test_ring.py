@@ -21,7 +21,7 @@ from pisingular import (
 )
 
 from pisingular import is_prime
-from pisingular.ring import (
+from pisingular.norm import (
     _ROOT_BLOCK,
     _SEGMENT,
     _crt_primes,

@@ -32,7 +32,7 @@ from pisingular import (
 )
 
 from pisingular import CAP
-from pisingular.ring import _P_LIMIT, _norm_bound
+from pisingular.norm import _P_LIMIT, _norm_bound
 from pisingular.verifier import (
     _COEFF_MAX_BITS,
     _COEFF_MAX_DIGITS,
