@@ -19,6 +19,9 @@ Introduction to Cyclotomic Fields, ch. 5).  Summed along the orbit a = u^i,
 this is one transform of the q_a over F_p for every k at once (see
 PrimeContext._bernoulli_table), the way Buhler, Crandall, Ernvall and
 Metsankyla scan for irregular primes.
+
+_check_even_index, the range check of an even index 2 <= 2m <= p-3, lives
+here for bernoulli_mod_p and for the unit projections of units.
 """
 
 from __future__ import annotations
@@ -101,6 +104,13 @@ def smallest_primitive_root(p: int) -> int:
         if _is_primitive_root(u, p, factors) is None:
             return u
     raise ValueError(f"no primitive root found mod {p}; is {p} prime?")
+
+
+def _check_even_index(what: str, p: int, two_m: int) -> None:
+    """Refuse an index 2m that is odd or outside [2, p-3], the range of the
+    Bernoulli table and of the unit projections; what leads the message."""
+    if two_m % 2 != 0 or not (2 <= two_m <= p - 3):
+        raise ValueError(f"{what} must be even in [2, {p - 3}], got {two_m}")
 
 
 class PrimeContext:
@@ -202,11 +212,7 @@ class PrimeContext:
 
     def bernoulli_mod_p(self, two_m: int) -> int:
         """B_{2m} mod p for even 2m with 2 <= 2m <= p-3."""
-        if two_m % 2 != 0 or not (2 <= two_m <= self.p - 3):
-            raise ValueError(
-                f"bernoulli_mod_p: index must be even in [2, {self.p - 3}], "
-                f"got {two_m}"
-            )
+        _check_even_index("bernoulli_mod_p: index", self.p, two_m)
         return self._bernoulli_table[two_m // 2 - 1]
 
     def irregular_pairs(self) -> list[int]:

@@ -24,6 +24,9 @@ l_0^(p-1) = 1 mod p^2 (the p-th powers among the 1-units of Z_p are
 
 The digits need no lam-basis: since z = 1 mod lam, the next digit of r is
 r(1) mod p, and r minus it divides exactly by lam = z - 1 (see digits).
+
+_check_depth, the refusal of a K whose cap K*(p-1) is below a claim's
+depth, lives here for is_primary, units and the p-th power campaign.
 """
 
 from __future__ import annotations
@@ -196,13 +199,20 @@ def _pth_power_to_depth(a: RingElement, depth: int) -> bool:
     return depth <= p - 1 or pow(l0, p - 1, p * p) == 1
 
 
+def _check_depth(
+    what: str, p: int, K: int, depth: int, error: type[ValueError] = ValueError
+) -> None:
+    """Refuse a truncation K whose cap K*(p-1) is below depth; what leads
+    the message."""
+    if K * (p - 1) < depth:
+        raise error(f"{what} needs depth {depth}; K={K} caps at {K * (p - 1)}")
+
+
 def is_primary(a: RingElement) -> bool:
     """True iff a is a unit and a = c^p mod lam^p for some rational c."""
     _require_unit(a, "is_primary")
-    p, K = a.ctx.p, a.K
-    if K * (p - 1) < p:
-        raise ValueError(f"is_primary needs depth {p}; K={K} caps at {K * (p - 1)}")
-    return _pth_power_to_depth(a, p)
+    _check_depth("is_primary", a.ctx.p, a.K, a.ctx.p)
+    return _pth_power_to_depth(a, a.ctx.p)
 
 
 def is_locally_pth_power(a: RingElement, depth: int | None = None) -> bool:

@@ -257,23 +257,15 @@ def _normal_coords(ctx: PrimeContext, coeffs):
     return _unfold(coeffs)[..., ctx.upow]
 
 
-@functools.lru_cache(maxsize=1024)
-def _galois_index(p: int, j: int) -> np.ndarray:
-    """Slot i*j mod p of each exponent i = 0 .. p-2 under z -> z^j; i -> i*j
-    is one-to-one, so slot p-j stays empty."""
-    out = np.arange(p - 1, dtype=np.int64) * j % p
-    out.setflags(write=False)
-    return out
-
-
 def _fold_galois(coeffs, j: int, p: int, modulus: int | None):
     """Apply z -> z^j, j nonzero mod p, to power-basis coefficients on the
     last axis, one vector or a stack of rows: a permutation into slots, then
-    the fold."""
+    the fold.  Exponent i goes to slot i*j mod p, one-to-one, so slot p-j
+    stays empty."""
     if j % p == 0:
         raise ValueError("galois_apply: exponent must be nonzero mod p")
     slots = np.zeros(coeffs.shape[:-1] + (p,), dtype=coeffs.dtype)
-    slots[..., _galois_index(p, j % p)] = coeffs
+    slots[..., np.arange(p - 1) * (j % p) % p] = coeffs
     return _fold(slots, modulus)
 
 

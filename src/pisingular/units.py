@@ -53,6 +53,9 @@ of the exponents c_j with L's coordinates.  L itself is computed once per
 argument).  The bucket route stays for the projected unit itself, which
 the synthetic bundles need, and for verify_unit_relation; the tests use the
 two together as the oracle for unit_reports.
+
+The unit index a is checked here; the even index 2m by
+context._check_even_index and the depth p+1 by padic._check_depth.
 """
 
 from __future__ import annotations
@@ -62,9 +65,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .context import PrimeContext
+from .context import PrimeContext, _check_even_index
 from .eigen import _inverse_powers, _match_expansion, _shared_ints, expansion_matches
-from .padic import CAP, _lam_read, _val_json, _vp, is_locally_pth_power, valuation
+from .padic import CAP, _check_depth, _lam_read, _val_json, _vp, is_locally_pth_power, valuation
 from .ring import _ROUTE_DTYPE, ExactElement, RingElement, _exact_route, _fold, _power, from_integer
 from .ring import _normal_coords, _normal_slots
 
@@ -83,18 +86,6 @@ __all__ = [
 def _check_unit_index(p: int, a: int) -> None:
     if not (2 <= a <= (p - 1) // 2):
         raise ValueError(f"unit index must lie in [2, {(p - 1) // 2}], got {a}")
-
-
-def _check_even_index(p: int, two_m: int) -> None:
-    if two_m % 2 != 0 or not (2 <= two_m <= p - 3):
-        raise ValueError(
-            f"projection index must be even in [2, {p - 3}], got {two_m}"
-        )
-
-
-def _check_depth(p: int, K: int) -> None:
-    if K * (p - 1) < p + 1:
-        raise ValueError(f"verification needs depth {p + 1}; K={K} caps at {K * (p - 1)}")
 
 
 def _xi_coeffs(p: int, a: int) -> list[int]:
@@ -162,7 +153,7 @@ def eigen_project_unit(
     raised to the gap before the next occupied exponent.
     """
     xi = cyclotomic_unit(ctx, K, a)  # checks a
-    _check_even_index(ctx.p, two_m)
+    _check_even_index("projection index", ctx.p, two_m)
     (exps,) = _shared_ints(ctx, _inverse_powers(ctx, [two_m]))
     eta = _bucketed_projection(xi, ctx.upow, exps)
     return eta, UnitExponentVector(base_index=a, exponents=exps)
@@ -177,7 +168,7 @@ def eigen_project_unit_exact(
     mod p^K gives eigen_project_unit's eta.
     """
     xi = cyclotomic_unit_exact(ctx.p, a)  # checks a
-    _check_even_index(ctx.p, two_m)
+    _check_even_index("projection index", ctx.p, two_m)
     return _bucketed_projection(xi, ctx.upow, _inverse_powers(ctx, [two_m])[0].tolist())
 
 
@@ -236,8 +227,8 @@ def verify_unit_relation(eta: RingElement, two_m: int) -> UnitReport:
     oracle for unit_reports.
     """
     ctx, p = eta.ctx, eta.ctx.p
-    _check_even_index(p, two_m)
-    _check_depth(p, eta.K)
+    _check_even_index("projection index", p, two_m)
+    _check_depth("verification", p, eta.K, p + 1)
     mu = ctx.upow[two_m]
     relation_holds = is_locally_pth_power(_twisted_quotient(eta, mu), p + 1)
     local = is_locally_pth_power(eta, p + 1)
@@ -366,8 +357,8 @@ def unit_reports(
     p = ctx.p
     _check_unit_index(p, a)
     for two_m in two_ms:
-        _check_even_index(p, two_m)
-    _check_depth(p, K)  # so K >= 2
+        _check_even_index("projection index", p, two_m)
+    _check_depth("verification", p, K, p + 1)  # so K >= 2
     if not two_ms:
         return []
     ell = _unit_log(ctx, 2, a)

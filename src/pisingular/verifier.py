@@ -40,8 +40,11 @@ from .context import PrimeContext, new_context
 from .eigen import expansion_matches
 from .norm import _BLOCK_BYTES, _NORM_MAX_BITS, _P_LIMIT
 from .padic import (
+    _check_depth,
+    _is_unit,
     _lam_read,
     _val_json,
+    _vp,
     is_locally_pth_power,
     is_primary,
     is_semi_primary,
@@ -164,7 +167,7 @@ _PRECISION_LIMIT = 2**14
 # The p-th power campaign may have up to 10^4 trials.  Run in lockstep, a
 # campaign at the cap takes about 0.4 s at p=7, 1.2 s at p=37, 4 s at p=101
 # and 8 s at p=257 from a fresh process, and a trial 5.5-7 ms at p=1031, so
-# about a minute there (K=2; the default 1000 trials take a tenth of that).
+# about a minute there, at every K, as it computes mod p^2.
 _TRIALS_LIMIT = 10**4
 # The witness identity forms beta^p.  Each coefficient of beta^p is at most
 # L^p in absolute value, L = sum |beta_i|: it is (1/p) sum_j beta(z^j)^p z^(-ij)
@@ -221,8 +224,6 @@ def _decimal_int(s: str) -> int:
         )
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not a decimal integer: {_echo(s)}")
-    if len(t) <= _INT_STR_CHUNK:
-        return int(t)
     return (-1 if t[0] == "-" else 1) * _digits_to_int(digits)
 
 
@@ -469,10 +470,13 @@ def check_ppower_congruence(
     again while their sum is 0 mod p, i.e. while x is not a unit), then g's
     p-1 residues.
 
-    The trials run in lockstep, in blocks whose rows of [x; y] stay within
-    _BLOCK_BYTES: y = x + z*g - g by one fold, one square-and-multiply chain
-    (ring._power over ring._fold_mul) raises all 2 * block rows to the p-th
-    power, and one _lam_read of x^p - y^p reads every trial's valuation.
+    The draws are reduced mod p^2 and the rest runs at K=2 whatever K is:
+    p+1 <= 2(p-1), so v >= p+1 is decided mod p^2, and a failing valuation,
+    below p+1, reads the same at every K.  The trials run in lockstep, in
+    blocks whose rows of [x; y] stay within _BLOCK_BYTES: y = x + z*g - g
+    by one fold, one square-and-multiply chain (ring._power over
+    ring._fold_mul) raises all 2 * block rows to the p-th power, and one
+    _lam_read of x^p - y^p reads every trial's valuation.
     """
     p = ctx.p
     if trials < 1:
@@ -481,14 +485,11 @@ def check_ppower_congruence(
         raise PreconditionError(
             f"check takes at most {_TRIALS_LIMIT} trials, got {trials}"
         )
-    if K * (p - 1) < p + 1:
-        raise PreconditionError(
-            f"check needs depth {p + 1}; K={K} caps at {K * (p - 1)}"
-        )
+    _check_depth("check", p, K, p + 1, PreconditionError)
     rng = random.Random(seed)
-    modulus = p**K
-    dtype = _dtype_for(modulus, p)
-    mul = functools.partial(_fold_mul, p=p, modulus=modulus, dtype=dtype)
+    modulus, m = p**K, p * p
+    dtype = _dtype_for(m, p)
+    mul = functools.partial(_fold_mul, p=p, modulus=m, dtype=dtype)
     block = max(1, _BLOCK_BYTES // (32 * p))  # 2*block rows of 2p-3 int64 per product
     failures = []
     for start in range(0, trials, block):
@@ -497,13 +498,13 @@ def check_ppower_congruence(
         for _ in range(n):
             draws.append(_random_unit(p, modulus, rng))
             draws.append(_draw_residues(rng, modulus, p - 1))
-        xg = np.array(draws, dtype=dtype)
+        xg = (np.array(draws, dtype=_dtype_for(modulus, p)) % m).astype(dtype, copy=False)
         x, g = xg[0::2], xg[1::2]
         slots = np.zeros((n, p), dtype=dtype)  # y = x + z*g - g: z*g is g one slot on
         slots[:, :-1] = x - g
         slots[:, 1:] += g
-        powers = _power(np.concatenate([x, _fold(slots, modulus)]), p, mul)
-        vals, _ = _lam_read(p, K, (powers[:n] - powers[n:]) % modulus)
+        powers = _power(np.concatenate([x, _fold(slots, m)]), p, mul)
+        vals, _ = _lam_read(p, 2, (powers[:n] - powers[n:]) % m)
         failures += [
             {"trial": start + i, "valuation": _val_json(v)}
             for i, v in enumerate(vals)
@@ -530,11 +531,8 @@ def _norm_claim(bundle: CandidateBundle) -> ClaimResult:
     ref = "abs(norm(B)) = p^t * n^p for integers t >= 0, n >= 1"
     if N == 0:
         return ClaimResult("norm-shape", ref, False, {"norm": "0"})
-    t = 0
-    rest = abs(N)
-    while rest % p == 0:
-        rest //= p
-        t += 1
+    t = _vp(N, p)
+    rest = abs(N) // p**t
     root = _integer_root(rest, p)
     data = {
         "sign": 1 if N > 0 else -1,
@@ -590,7 +588,7 @@ def _derive_adjusted(bundle: CandidateBundle):
     ]
     Bq, v = bundle._B_reduced
     etaq = bundle.eta.reduce(bundle.ctx, bundle.K)
-    if v != 0 or valuation(etaq) != 0:
+    if v != 0 or not _is_unit(etaq):
         raise WitnessInvalidError(
             "adjusted element undefined: B or eta is not a unit at the ramified prime"
         )

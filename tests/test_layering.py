@@ -1,7 +1,7 @@
 """The package's module layering, read from the source with ast: its
 relative imports form a DAG, the exact norm's module imports nothing from
-the package, the norm's names stay out of the ring, and the README's
-layout lists every module."""
+the package, the norm's names stay out of the ring, each shared check has
+one owner, and the README's layout lists every module."""
 
 import ast
 import graphlib
@@ -19,6 +19,11 @@ NORM_NAMES = (
     "_crt*", "_split_prime*", "_root_*", "_norm_*", "_conjugate*",
     "_Q_LIMIT", "_P_LIMIT", "_NORM_MAX_BITS",
 )
+
+# Checks with one owning module, which the others import, and a helper that
+# no module defines again.
+OWNERS = {"_check_depth": "padic", "_check_even_index": "context"}
+GONE = ("_galois_index",)
 
 
 def _trees() -> dict[str, ast.Module]:
@@ -104,6 +109,14 @@ def test_the_norm_names_live_in_norm_only():
     for pattern in NORM_NAMES:
         assert any(fnmatch(n, pattern) for n in in_norm), pattern
         assert not [n for n in in_ring if fnmatch(n, pattern)], pattern
+
+
+def test_each_check_has_one_owner():
+    trees = _trees()
+    for name, owner in OWNERS.items():
+        assert [m for m, tree in trees.items() if name in _defined(tree)] == [owner], name
+    for name in GONE:
+        assert not [m for m, tree in trees.items() if name in _defined(tree)], name
 
 
 def test_readme_layout_lists_every_module():

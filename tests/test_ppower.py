@@ -1,13 +1,14 @@
 """The p-th power campaign in lockstep against its per-trial oracle.
 
-check_ppower_congruence draws every trial's residues in the per-trial
-order, then raises a block of rows [x; y] to the p-th power by one
-square-and-multiply chain over stacked products and reads all valuations
-with one padic._lam_read.  These tests compare it, trial by trial, with the
-loop over RingElement that it replaced (tests/oracles.py), on every product
-route, across block boundaries and at the sweep workload's settings; force
-the failure branch, which no real trial reaches; and bound its memory and
-time.
+check_ppower_congruence draws every trial's residues mod p^K in the
+per-trial order, reduces them mod p^2, then raises a block of rows [x; y]
+to the p-th power by one square-and-multiply chain over stacked products
+and reads all valuations with one padic._lam_read at K=2.  These tests
+compare it, trial by trial, with the loop over RingElement at the full K
+that it replaced (tests/oracles.py), on both of its product routes, at K
+whose full modulus takes every route, across block boundaries and at the
+sweep workload's settings; check that its products run mod p^2; force the
+failure branch, which no real trial reaches; and bound its memory and time.
 """
 
 import json
@@ -19,6 +20,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pisingular import CAP, check_ppower_congruence, cli, new_context
@@ -73,9 +75,10 @@ def _block(p: int) -> int:
 SETTINGS = (
     [(p, K, 12, 100 * p + K) for p in (3, 5, 7, 23, 37, 79, 83, 101) for K in (2, 3)]
     + [
+        # wide K, to show that the report does not depend on K
         (79, 4, 12, 1),  # the largest K on int64 at p=79
-        (5, 14, 12, 2),  # object dtype
-        (103, 5, 3, 3),  # object dtype
+        (5, 14, 12, 2),  # object dtype at the full modulus
+        (103, 5, 3, 3),  # object dtype at the full modulus
         (2039, 2, 2, 4),  # int64 past the float bound
         (101, 2, _block(101), 5),  # ends on a block boundary
         (101, 2, _block(101) + 1, 6),  # one trial past it
@@ -93,16 +96,34 @@ def test_lockstep_matches_per_trial_oracle(monkeypatch, p, K, trials, seed):
     seen, blocks = _record(monkeypatch)
     rep = check_ppower_congruence(ctx, K=K, trials=trials, seed=seed)
     want = oracles.ppower_valuations(ctx, K, trials, seed)
-    assert seen == want
+    # the campaign reads at K=2, where valuations from 2(p-1) on read CAP;
+    # the report, against the full-K oracle, is the same at every K
+    assert seen == [v if v < 2 * (p - 1) else CAP for v in want]
     assert rep.to_json_dict() == _expected_report(p, K, trials, seed, want)
     assert blocks == [min(_block(p), trials - s) for s in range(0, trials, _block(p))]
 
 
 def test_settings_cover_every_route():
-    routes = {_route(p**K, p) for p, K, _, _ in SETTINGS}
-    assert routes == {"int64", "float", "object"}
+    # the campaign computes mod p^2 at every K, so its route is _route(p^2, p);
+    # the full moduli p^K still take every route, as the draws are mod p^K
+    assert {_route(p * p, p) for p, _, _, _ in SETTINGS} == {"int64", "float"}
+    assert {_route(p**K, p) for p, K, _, _ in SETTINGS} == {"int64", "float", "object"}
     assert _route(2039**2, 2039) == "int64" and _route(79**4, 79) == "int64"
     assert _route(79**5, 79) == "object"
+
+
+@pytest.mark.parametrize("p, K", [(5, 14), (7, 3), (103, 5)])
+def test_products_run_mod_p_squared(monkeypatch, p, K):
+    # 5^14 and 103^5 are object dtype at the full modulus, 7^3 is int64
+    real, seen = verifier._fold_mul, []
+
+    def spy(a, b, p, modulus, dtype):
+        seen.append((modulus, dtype, a.dtype, b.dtype))
+        return real(a, b, p, modulus, dtype)
+
+    monkeypatch.setattr(verifier, "_fold_mul", spy)
+    check_ppower_congruence(new_context(p), K=K, trials=3, seed=1)
+    assert set(seen) == {(p * p, np.int64, np.dtype(np.int64), np.dtype(np.int64))}
 
 
 @pytest.mark.parametrize(
