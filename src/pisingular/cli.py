@@ -16,6 +16,7 @@ import functools
 import json
 import os
 import sys
+from pathlib import Path
 
 from .context import is_prime, new_context
 from .eigen import _eigen_reports
@@ -212,7 +213,7 @@ def _cmd_units(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    bundle = load_bundle(args.file)
+    bundle = load_bundle(Path(args.file))  # a file name, even one that starts with '{'
     if bundle.parity == "negative":
         report = verify_negative_candidate(bundle)
         if bundle.eta is not None:

@@ -7,10 +7,9 @@ residues at the split primes q = 1 (mod p) below 2^26, where N(a) mod q is
 the product of a(r^j), j = 1 .. p-1, for r of order p mod q, in four steps:
   * bound: the smaller of _norm_bound (Parseval and AM-GM, which alone
     decides the size refusal) and _conjugate_bound, the product of
-    certified bounds u_j >= |a(z^j)|.  A float64 pass with a written error
-    bound settles most j; an exact fixed-point pass over a table of roots
-    of unity built from integers only (pi by Machin, e^(2 pi i/p) by
-    Taylor) settles those it leaves open, the small conjugates of units;
+    certified bounds u_j >= |a(z^j)| from one exact fixed-point pass over a
+    table of roots of unity built from integers only (pi by Machin,
+    e^(2 pi i/p) by Taylor);
   * sieve: a segmented sieve over m finds the primes q = 2pm + 1, largest
     first, built on first use and cached per segment; the run used is the
     shortest whose product M exceeds the bound, checked with exact
@@ -30,8 +29,7 @@ suffice and the CRT stays short.
 ring.norm_exact is the element-level entry: it refuses truncated elements
 and calls _norm.  This module imports nothing from the package.  Each
 docstring carries the error analysis of its step; no result is checked
-against a run-time distance.  Refs: Higham, Accuracy and Stability of
-Numerical Algorithms, ch. 3; Brent and Zimmermann, Modern Computer
+against a run-time distance.  Ref: Brent and Zimmermann, Modern Computer
 Arithmetic, ch. 1-2 and 4.
 """
 
@@ -59,16 +57,13 @@ def _norm_bit_cap(p: int) -> int:
 
 
 _SEGMENT = 1 << 14  # multipliers m per sieve segment of the candidates q = 2pm + 1
-# About 256 KB per int64 temporary of the residue blocks, of both conjugate
-# passes and of verifier.check_ppower_congruence's blocks of rows.
+# About 256 KB per int64 temporary of the residue blocks, of the conjugate
+# pass and of verifier.check_ppower_congruence's blocks of rows.
 _BLOCK_BYTES = 1 << 18
 _GUARD = 64  # bits that _root_table carries below its W bits
-# The float pass settles a conjugate whose modulus is at least this many times
-# its error radius; the others go to the exact fixed-point pass.
-_FLOAT_MARGIN = 2.0**16
 # The widest table the exact pass builds.  A table costs about P^2.3: 4-13 ms
 # at P = 4096 and 0.11-0.2 s at P = 16384 (p = 3 .. 2039, shared 2-CPU x86-64
-# host), so wider coefficients bound their open conjugates by sum |b_i|.
+# host), so wider coefficients bound each conjugate by sum |b_i|.
 _EXACT_MAX_W = 2**12
 
 
@@ -199,106 +194,36 @@ def _root_table(p: int, W: int) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
-@functools.lru_cache(maxsize=16)
-def _float_roots(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of 2 pi k/p, k = 0 .. p-1, as read-only float64 arrays:
-    the W = 64 table rounded to double, so each entry is within
-    5/8 2^-64 + u (1 + 2^-64) < 1.001u of its value, u = 2^-53."""
-    out = tuple(t.astype(np.float64) * 2.0**-64 for t in _root_table(p, 64))
-    for t in out:
-        t.setflags(write=False)
-    return out
-
-
-def _exponent_rows(p: int, js: np.ndarray) -> np.ndarray:
-    """(i*j) mod p at [j, i], for the given j and i = 0 .. p-2."""
-    idx = np.multiply.outer(js, np.arange(p - 1))
-    idx %= p
-    return idx
-
-
-def _float_conjugates(p: int, b) -> tuple[np.ndarray, float, int]:
-    """(t, eps, s) for nonzero integer coefficients b of a, with
-    |a(z^j)|/2^s <= t_j (1 + 3u) + eps for j = 1 .. (p-1)/2 wherever
-    t_j > 2^-40; z = e^(2 pi i/p), u = 2^-53.
-
-    s is the largest bit length of the n = p-1 coefficients b_i, and
-    beta_i = fl(floor(b_i/2^k)) 2^(k-s) with k = max(0, s - 1000): the
-    integer is below 2^1000, so float() rounds it once and the scaling is
-    exact, and |beta_i - b_i/2^s| <= u |b_i|/2^s + 2^-1000 (the floor, when
-    k > 0).  y_j = sum_i beta_i
-    z^(ij mod p) is two float64 dot products over _float_roots (BLAS, in
-    any order, with or without FMA).  With Lambda = sum |b_i|/2^s, each
-    component of y_j - a(z^j)/2^s is at most
-      gamma_n (1 + 1.001u) sum |beta_i|   (the dot product; Higham,
-                                           Accuracy and Stability of
-                                           Numerical Algorithms, 3.1)
-      + 1.001u sum |beta_i|               (the table)
-      + u Lambda + n 2^-1000              (the rounding of beta),
-    with gamma_n = nu/(1 - nu) <= nu (1 + 2^-41) for n < 2^11.  That is
-    below (n + 3) u Lambda' + 2^-980, Lambda' = fl(sum |beta_i|) >= 1/2
-    (the largest |beta_i| is at least 1/2), so the complex error is below
-    eps = fl((n + 4) 2^-52 Lambda'), with room for its own rounding.
-    t_j = fl(sqrt(fl(yr^2) + fl(yi^2))) takes three roundings, so
-    |y_j| <= t_j (1 + 3u) while t_j > 2^-40 (no square underflows).
-    Blocks of j keep each temporary within _BLOCK_BYTES.
-    """
-    n = p - 1
-    s = max(abs(c).bit_length() for c in b)
-    k = max(0, s - 1000)
-    beta = (b >> k).astype(np.float64) * 2.0 ** (k - s)
-    cos, sin = _float_roots(p)
-    rows = max(1, _BLOCK_BYTES // (8 * n))
-    t = np.empty(n // 2)
-    for j in range(0, t.size, rows):
-        idx = _exponent_rows(p, np.arange(j + 1, min(j + rows, t.size) + 1))
-        yr, yi = cos[idx] @ beta, sin[idx] @ beta
-        t[j : j + idx.shape[0]] = np.sqrt(yr * yr + yi * yi)
-    return t, (n + 4) * 2.0**-52 * float(np.abs(beta).sum()), s
-
-
 def _conjugate_bound(p: int, b) -> int:
-    """An integer E >= N(a) for the element a with nonzero integer
-    coefficients b (an object array), from certified bounds u_j >= |a(z^j)|,
+    """An integer E >= N(a) for the element a with integer coefficients b
+    (an object array, not all zero), from certified bounds u_j >= |a(z^j)|,
     j = 1 .. (p-1)/2: N(a) = prod_j |a(z^j)|^2, so E = ceil(prod_j u_j^2).
 
-    The float pass (_float_conjugates) settles each j with
-    t_j >= _FLOAT_MARGIN eps:
-      u_j = 2^s fl(fl(t_j + eps) (1 + 2^-48)) >= 2^s (|y_j| + eps) >= |a(z^j)|,
-    as (1 - u)^2 (1 + 2^-48) > 1 + 3u.  Such a u_j exceeds |a(z^j)| by a
-    factor below 1 + 2^-15, which over at most 1024 conjugates adds under
-    0.1 bits to E.
-
-    The exact pass takes the other j.  At W = bits(L) + 32 rounded up to a
-    multiple of 64, L = sum |b_i|, the integers
-    X_j + i Y_j = sum_i b_i (C + i S)_(ij mod p) over _root_table(p, W) are
-    within L of 2^W a(z^j), each entry being within 1 of 2^W z^(ij), so
-      u_j = (isqrt(X_j^2 + Y_j^2) + 1 + L) / 2^W,
-    an error radius of at most 2^-32 + 2^-W.  It settles the small
-    conjugates of units, which the float pass can only bound by 2^s eps.
-    Past W = _EXACT_MAX_W the other j take u_j = L instead.
+    At W = bits(L) + 32 rounded up to a multiple of 64, L = sum |b_i|, the
+    integers X_j + i Y_j = sum_i b_i (C + i S)_(ij mod p) over the nonzero
+    b_i and _root_table(p, W) are within L of 2^W a(z^j), each entry being
+    within 1 of 2^W z^(ij), so
+      u_j = (isqrt(X_j^2 + Y_j^2) + 1 + L) / 2^W >= |a(z^j)|,
+    as isqrt(n) + 1 > sqrt(n); and u_j exceeds |a(z^j)| by at most
+    (2L + 1)/2^W < 2^-31 + 2^-W.  Past W = _EXACT_MAX_W it returns
+    L^(p-1) (|a(z^j)| <= L), and the Parseval bound decides.  Blocks of j
+    keep each index temporary within _BLOCK_BYTES.
     """
-    t, eps, s = _float_conjugates(p, b)
-    settled = t >= _FLOAT_MARGIN * eps
-    mant, expo = np.frexp((t[settled] + eps) * (1 + 2.0**-48))
-    X = math.prod((mant * 2.0**53).astype(np.int64).tolist())
-    shift = int(expo.sum()) + (s - 53) * int(settled.sum())
-    rest = np.flatnonzero(~settled) + 1
-    if rest.size:
-        L = sum(abs(c) for c in b)
-        W = -(-(L.bit_length() + 32) // 64) * 64
-        if W > _EXACT_MAX_W:
-            X *= L**rest.size  # |a(z^j)| <= sum |b_i|
-        else:
-            C, S = _root_table(p, W)
-            rows = max(1, _BLOCK_BYTES // (8 * (p - 1)))
-            for j in range(0, rest.size, rows):
-                idx = _exponent_rows(p, rest[j : j + rows])
-                for x, y in zip((C[idx] @ b).tolist(), (S[idx] @ b).tolist()):
-                    X *= math.isqrt(x * x + y * y) + 1 + L
-            shift -= W * rest.size
-    E = X * X
-    return E << 2 * shift if shift >= 0 else -(-E >> -2 * shift)
+    L = sum(abs(c) for c in b)
+    W = -(-(L.bit_length() + 32) // 64) * 64
+    if W > _EXACT_MAX_W:
+        return L ** (p - 1)
+    C, S = _root_table(p, W)
+    i = np.flatnonzero(b)
+    b = b[i]
+    half = (p - 1) // 2
+    rows = max(1, _BLOCK_BYTES // (8 * i.size))
+    X = 1
+    for j in range(1, half + 1, rows):
+        idx = np.multiply.outer(np.arange(j, min(j + rows, half + 1)), i) % p
+        for x, y in zip((C[idx] @ b).tolist(), (S[idx] @ b).tolist()):
+            X *= math.isqrt(x * x + y * y) + 1 + L
+    return -(-(X * X) >> 2 * W * half)
 
 
 def _powmod(base, exp, mod) -> np.ndarray:
@@ -473,7 +398,7 @@ def _norm_residues(coeffs, p: int, q: np.ndarray, r: np.ndarray) -> np.ndarray:
         prod = np.ones((qb.size, width), dtype=np.int64)
         for j in range(0, n, chunk):
             js = np.arange(j + 1, min(j + chunk, n) + 1)
-            table = _exponent_rows(p, js)
+            table = np.multiply.outer(js, np.arange(n)) % p
             for c in range(0, qb.size, sub):
                 block = powers[c : c + sub]
                 g = gathered[: block.shape[0], : js.size]
@@ -522,7 +447,9 @@ def _crt(x: np.ndarray, tree: list) -> int:
 
 def _norm(a) -> int:
     """N(a) for an exact element a (read through a.p and a.coeffs), by the
-    four steps of the module docstring; ValueError past its limits."""
+    four steps of the module docstring; ValueError past its limits.  Both
+    _norm_bound and _conjugate_bound are integers >= N(a), so the run of
+    primes whose product M passes the smaller one reads N(a) in [0, M)."""
     p = a.p
     if p < 3 or p >= _P_LIMIT:
         raise ValueError(

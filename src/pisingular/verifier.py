@@ -280,25 +280,26 @@ def _parse_coeffs(p: int, name: str, raw) -> ExactElement:
 def load_bundle(source) -> CandidateBundle:
     """Parse and structurally validate a bundle (dict, JSON text, or path).
 
-    A CandidateBundle passes the same checks through bundle_to_json and is
+    A str that starts with "{" after leading whitespace is JSON text; any
+    other str, and every Path, names a file, read as UTF-8.  A
+    CandidateBundle passes the same checks through bundle_to_json and is
     returned as it is; the verify functions take their bundle unchecked.
     """
     if isinstance(source, CandidateBundle):
         load_bundle(bundle_to_json(source))
         return source
     if isinstance(source, (str, Path)):
-        text = None
         if isinstance(source, Path) or not source.lstrip().startswith("{"):
             path = Path(source)
             try:
-                text = path.read_text()
-            except OSError as e:
+                text = path.read_text(encoding="utf-8")  # the encoding JSON requires
+            except (OSError, UnicodeDecodeError) as e:
                 raise BundleError(f"cannot read bundle file {path}: {e}") from None
         else:
             text = source
         try:
             doc = json.loads(text, parse_int=_decimal_int)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:  # nesting too deep
             raise BundleError(f"bundle is not valid JSON: {e}") from None
     elif isinstance(source, dict):
         doc = source
@@ -372,6 +373,10 @@ def load_bundle(source) -> CandidateBundle:
     label = doc.get("label", "")
     if not isinstance(label, str):
         raise BundleError("bundle field 'label': must be a string")
+    try:
+        label.encode("utf-8")  # both output modes print it
+    except UnicodeEncodeError as e:
+        raise BundleError(f"bundle field 'label': not valid Unicode text: {e}") from None
     return CandidateBundle(
         ctx=ctx, K=K, parity=parity, mu=mu, B=B, eta=eta, beta=beta, label=label
     )

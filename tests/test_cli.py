@@ -30,7 +30,7 @@ from conftest import seeded
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, cwd=None):
     env = {k: v for k, v in os.environ.items() if k != "PI_SINGULAR_SEED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
@@ -40,6 +40,7 @@ def run_cli(*args, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        cwd=cwd,
     )
 
 
@@ -335,6 +336,66 @@ def test_verify_structural_errors(tmp_path):
     r = run_cli("verify", "--file", path)
     assert r.returncode == 2
     assert "K >= 2" in r.stderr
+
+
+SAMPLE_BUNDLE = Path(__file__).resolve().parent.parent / "demos" / "data" / "sample_bundle.json"
+
+
+def test_verify_reads_a_file_name_that_starts_with_a_brace(tmp_path, monkeypatch):
+    # load_bundle reads a string that starts with "{" as JSON text; --file
+    # always names a file.
+    want = run_cli("verify", "--file", str(SAMPLE_BUNDLE))
+    assert want.returncode == 0
+    names = ("{a}.json", " {a}.json")
+    for name in names:
+        (tmp_path / name).write_bytes(SAMPLE_BUNDLE.read_bytes())
+        r = run_cli("verify", "--file", name, cwd=tmp_path)
+        assert (r.returncode, r.stdout, r.stderr) == (0, want.stdout, ""), name
+    monkeypatch.chdir(tmp_path)
+    for name in names:
+        assert _main_in_process(("verify", "--file", name)) == (0, want.stdout, ""), name
+
+
+def test_verify_malformed_bundle_files_exit_2(tmp_path, monkeypatch):
+    # Exit 1 means a claim failed: a file too deeply nested for json.loads
+    # and a file that is not UTF-8 are refused with exit 2 instead.
+    (tmp_path / "deep.json").write_text("[" * 100000)
+    (tmp_path / "notutf8.json").write_bytes(b"\xff\xfe{}")
+    cases = [
+        ("deep.json", "error: bundle is not valid JSON: maximum recursion depth"),
+        ("notutf8.json", "error: cannot read bundle file notutf8.json: 'utf-8' codec"),
+    ]
+    for name, message in cases:
+        r = run_cli("verify", "--file", name, cwd=tmp_path)
+        assert r.returncode == 2 and r.stdout == "" and r.stderr.startswith(message), name
+    monkeypatch.chdir(tmp_path)
+    for name, message in cases:
+        code, out, err = _main_in_process(("verify", "--file", name))
+        assert code == 2 and out == "" and err.startswith(message), name
+
+
+def test_verify_reads_utf8_under_an_ascii_locale(tmp_path):
+    doc = json.loads(SAMPLE_BUNDLE.read_text())
+    doc["label"] = "\u03b6 unit"
+    path = tmp_path / "utf8.json"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    ascii_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    code, payload = run_json("verify", "--file", str(path), env_extra=ascii_locale)
+    assert code == 0 and payload["overall"] is True
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_verify_refuses_a_lone_surrogate_label_in_both_modes(tmp_path, mode):
+    # --json escaped the label and passed, while plain output failed to
+    # encode it after every claim had run.
+    doc = json.loads(SAMPLE_BUNDLE.read_text())
+    doc["label"] = "x\ud800"
+    path = write_bundle(tmp_path, doc)
+    message = "error: bundle field 'label': not valid Unicode text"
+    r = run_cli("verify", "--file", path, *mode)
+    assert r.returncode == 2 and r.stdout == "" and r.stderr.startswith(message)
+    code, out, err = _main_in_process(("verify", "--file", path, *mode))
+    assert code == 2 and out == "" and err.startswith(message)
 
 
 def test_verify_p101_norm(tmp_path):

@@ -20,10 +20,10 @@ NORM_NAMES = (
     "_Q_LIMIT", "_P_LIMIT", "_NORM_MAX_BITS",
 )
 
-# Checks with one owning module, which the others import, and a helper that
-# no module defines again.
+# Checks with one owning module, which the others import, and removed
+# helpers that no module defines again.
 OWNERS = {"_check_depth": "padic", "_check_even_index": "context"}
-GONE = ("_galois_index",)
+GONE = ("_galois_index", "_float_conjugates", "_float_roots", "_FLOAT_MARGIN")
 
 
 def _trees() -> dict[str, ast.Module]:

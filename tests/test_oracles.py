@@ -37,6 +37,7 @@ from pisingular import (
     new_context,
     norm_exact,
     sigma_matrix,
+    synthetic_unit_bundle,
     valuation,
 )
 from pisingular import padic
@@ -44,9 +45,6 @@ from pisingular.padic import _first_two_digits, _pth_power_to_depth
 from pisingular import norm
 from pisingular.norm import (
     _EXACT_MAX_W,
-    _FLOAT_MARGIN,
-    _float_conjugates,
-    _float_roots,
     _norm_bound,
     _root_table,
 )
@@ -409,8 +407,8 @@ def test_conjugate_bound_covers_wide_units(p, data):
 
 @pytest.mark.parametrize("p, w", [(5, 1100), (7, 3000), (37, 1100), (37, 4000)])
 def test_conjugate_bound_on_wide_random_elements(p, w):
-    # Past 1000 bits the float pass shifts the coefficients before it
-    # rounds them; settled conjugates keep the bound within 1 + 2^-8 of N.
+    # Random conjugates lie far above the exact pass's 2^-32 radius, so the
+    # bound stays within 1 + 2^-8 of N at any width up to _EXACT_MAX_W.
     rng = seeded(p + w)
     a = ExactElement(p, [rng.randrange(-(2**w), 2**w) for _ in range(p - 1)])
     n = oracles.norm_bareiss(a) if p < 10 else norm_exact(a)
@@ -418,12 +416,10 @@ def test_conjugate_bound_on_wide_random_elements(p, w):
 
 
 def test_conjugate_bound_past_the_exact_width():
-    # A unit with coefficients past _EXACT_MAX_W bits: its small conjugate
-    # is left open by the float pass and bounded by sum |b_i|.
+    # A unit with coefficients past _EXACT_MAX_W bits: no exact pass runs,
+    # and every conjugate is bounded by sum |b_i|.
     a = cyclotomic_unit_exact(5, 2) ** 7000 * 2**5
     assert sum(abs(c) for c in a.coeffs).bit_length() > _EXACT_MAX_W
-    t, eps, _ = _float_conjugates(a.p, a.coeffs)
-    assert (t < _FLOAT_MARGIN * eps).any()
     assert norm_exact(a) == 2**20 <= _conjugate_bound(a)
 
 
@@ -432,9 +428,9 @@ def test_conjugate_bound_past_the_exact_width():
 @given(data=st.data())
 def test_conjugate_bound_with_conjugates_near_zero(p, data):
     # 1 + z is a unit (N(1 + z) = Phi_p(-1) = 1) whose conjugate at
-    # j = (p-1)/2 is 2 sin(pi/2p) in modulus: a high power of it leaves the
-    # float pass, and past k of about 32/log2(1/(2 sin(pi/2p))) it falls
-    # below the exact pass's error radius of 2^-32.
+    # j = (p-1)/2 is 2 sin(pi/2p) in modulus: past k of about
+    # 32/log2(1/(2 sin(pi/2p))) a power of it falls below the exact pass's
+    # error radius of 2^-32.
     k = data.draw(st.integers(1, 40))
     w = ExactElement(p, data.draw(st.lists(st.integers(-9, 9), min_size=p - 1, max_size=p - 1)))
     assume(any(w.coeffs))
@@ -445,13 +441,26 @@ def test_conjugate_bound_with_conjugates_near_zero(p, data):
 
 @pytest.mark.parametrize("p, k, c", [(257, 40, 3), (1031, 20, 3), (2039, 8, 1)])
 def test_conjugate_bound_closed_form_at_large_p(p, k, c):
-    # N((1 + z)^k * c) = c^(p-1), as 1 + z is a unit: a closed form past the
-    # primes Bareiss reaches.  The small conjugates of (1 + z)^k leave the
-    # float pass, so the exact pass runs; k stays below the Parseval refusal.
-    a = ExactElement(p, [1, 1] + [0] * (p - 3)) ** k * c
-    t, eps, _ = _float_conjugates(a.p, a.coeffs)
-    assert (t < _FLOAT_MARGIN * eps).any()
-    assert norm_exact(a) == c ** (p - 1) <= _conjugate_bound(a)
+    # N((1 + z)^k * c) = c^(p-1), as 1 + z is a unit, and so is its
+    # conjugate 1 + z^5: closed forms past the primes Bareiss reaches, on
+    # sparse coefficients; k stays below the Parseval refusal.  The small
+    # conjugates sit below the exact pass's 2^-32 radius, so no tight upper
+    # bound applies.
+    for unit in ([1, 1] + [0] * (p - 3), [1, 0, 0, 0, 0, 1] + [0] * (p - 7)):
+        a = ExactElement(p, unit) ** k * c
+        assert norm_exact(a) == c ** (p - 1) <= _conjugate_bound(a)
+
+
+@pytest.mark.parametrize(
+    "p, a, two_m, c, primes",
+    [(23, 3, 4, 3, 31), (29, 2, 2, 2, 36), (31, 4, 8, 2, 41), (37, 5, 32, 2, 111), (41, 4, 28, 2, 84)],
+)
+def test_crt_primes_of_the_verify_unit_bundles(p, a, two_m, c, primes):
+    # The positive bundles of the perfbench verify workload: a looser
+    # conjugate bound would take more primes for the same norm.
+    B = synthetic_unit_bundle(new_context(p), a, two_m, k=1, c=c).B
+    r, tree = norm._crt_primes(p, _target(B))
+    assert r.size == tree[0].size == primes
 
 
 @pytest.mark.parametrize("p", NORM_PRIMES)
@@ -468,34 +477,6 @@ def test_target_is_the_norm_on_constants_and_roots(p):
         assert n <= _conjugate_bound(a) <= n + (n >> 28) + 1
 
 
-@pytest.mark.parametrize("p", (5, 13, 37))
-def test_float_to_exact_hand_off(p, monkeypatch):
-    # Put the float pass's margin on each conjugate in turn, and a relative
-    # 2^-40 either side of it: the conjugate is settled by one pass or the
-    # other, and the bound holds either way.
-    a = cyclotomic_unit_exact(p, 2) ** 5 * 3**p
-    n = 3 ** (p * (p - 1))
-    t, eps, _ = _float_conjugates(a.p, a.coeffs)
-    settled = []
-    for tj in t[t > 2**-40]:
-        for m in (tj / eps * (1 - 2**-40), tj / eps, tj / eps * (1 + 2**-40)):
-            monkeypatch.setattr(norm, "_FLOAT_MARGIN", m)
-            settled.append(int((t >= m * eps).sum()))
-            assert n <= _conjugate_bound(a)
-    assert len(set(settled)) > 1
-
-
-@pytest.mark.parametrize("p", (37, 41, 257))
-def test_float_pass_settles_random_elements(p):
-    # No exact pass for random coefficients: their conjugates are far above
-    # the float error radius, so random norms pay only the float pass.
-    rng = seeded(p)
-    for w in (8, 64, 260):
-        a = ExactElement(p, [rng.randrange(-(2**w), 2**w) for _ in range(p - 1)])
-        t, eps, _ = _float_conjugates(a.p, a.coeffs)
-        assert (t >= _FLOAT_MARGIN * eps).all()
-
-
 @pytest.mark.parametrize(
     "p, W", [(3, 64), (3, 1024), (5, 192), (23, 320), (37, 64), (41, 320), (257, 128), (2039, 64)]
 )
@@ -503,14 +484,12 @@ def test_root_table_against_mpmath(p, W):
     # Each entry within 5/8 of 2^W cos(2 pi k/p), 2^W sin(2 pi k/p) is what
     # the bound uses; the guard bits put it within 1/2 + 2^-20.
     C, S = _root_table(p, W)
-    cos, sin = _float_roots(p)
     with mpmath.workprec(W + 64):
         for k in range(p):
             x = 2 * mpmath.pi * k / p
             c, s = mpmath.cos(x), mpmath.sin(x)
             assert abs(C[k] - mpmath.ldexp(c, W)) <= 0.5 + 2**-20, k
             assert abs(S[k] - mpmath.ldexp(s, W)) <= 0.5 + 2**-20, k
-            assert abs(cos[k] - c) <= 1.001 * 2**-53 and abs(sin[k] - s) <= 1.001 * 2**-53, k
 
 
 # -- bucketed unit projection against the per-conjugate power loop --------

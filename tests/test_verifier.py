@@ -3,6 +3,7 @@
 import functools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -120,6 +121,29 @@ def test_load_bundle_from_file(tmp_path):
     path.write_text(json.dumps(good_doc()))
     assert load_bundle(path).ctx.p == 7
     assert load_bundle(str(path)).ctx.p == 7
+
+
+def test_load_bundle_refuses_deep_nesting_and_bad_bytes(tmp_path):
+    # json.loads raises RecursionError, not JSONDecodeError, past its depth
+    # limit; and a bundle file is read as UTF-8 whatever the locale.
+    deep = '{"p": ' + "[" * 100000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    for source in (deep, path):
+        with pytest.raises(BundleError, match="^bundle is not valid JSON: maximum recursion depth"):
+            load_bundle(source)
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(BundleError, match=f"^cannot read bundle file {re.escape(str(path))}: 'utf-8' codec"):
+        load_bundle(path)
+    path.write_bytes(json.dumps(good_doc(label="\u03b6"), ensure_ascii=False).encode("utf-8"))
+    assert load_bundle(path).label == "\u03b6"
+
+
+def test_load_bundle_refuses_a_lone_surrogate_in_the_label():
+    # Plain output would fail to encode it only after every claim had run.
+    for source in (good_doc(label="x\ud800"), json.dumps(good_doc(label="x\ud800"))):
+        with pytest.raises(BundleError, match="^bundle field 'label': not valid Unicode text"):
+            load_bundle(source)
 
 
 def test_load_bundle_missing_fields():
