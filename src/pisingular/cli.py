@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Every subcommand takes --json for machine-readable output; with a fixed
+Every subcommand takes --json for machine-readable output, in the bytes of
+json.dumps(payload, indent=2, sort_keys=True) and a newline; with a fixed
 seed the bytes on stdout are identical across runs.  Diagnostics go to
 stderr.  Exit codes: 0 success, 1 a verified claim failed, 2 usage or
 format error, 3 invalid witness data, 141 (128 + SIGPIPE) when the reader
@@ -41,13 +42,65 @@ from .verifier import (
 
 _DEFAULT_K = 2
 
+_quote = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_INT = {int}
+
+
+def _write_json(o, nl: str, out: list) -> None:
+    """Append o's JSON text to out as json.dumps(o, indent=2, sort_keys=True)
+    writes it, byte for byte.  nl is a newline and the indent of o's line.
+    A payload holds dicts with str keys, lists, tuples, str, int, bool and
+    None; any other value is a TypeError."""
+    t = type(o)
+    if t is str:
+        out.append(_quote(o))
+    elif t is int:
+        out.append(int.__repr__(o))
+    elif o is None or o is True or o is False:
+        out.append(_CONSTANTS[o])
+    elif not o and (t is dict or t is list or t is tuple):
+        out.append("{}" if t is dict else "[]")
+    elif t is dict:
+        inner = nl + "  "
+        sep = "," + inner
+        head = "{" + inner
+        for key in sorted(o):
+            out.append(head + _quote(key) + ": ")
+            _write_json(o[key], inner, out)
+            head = sep
+        out.append(nl + "}")
+    elif t is list or t is tuple:
+        inner = nl + "  "
+        sep = "," + inner
+        if _INT.issuperset(map(type, o)):  # bools are not ints here
+            out.append("[" + inner + sep.join(map(int.__repr__, o)) + nl + "]")
+            return
+        head = "[" + inner
+        for x in o:
+            out.append(head)
+            _write_json(x, inner, out)
+            head = sep
+        out.append(nl + "]")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
 
 def _emit(payload: dict, as_json: bool, text_lines) -> None:
+    """Print payload as JSON, or the text lines.  A character that stdout's
+    encoding cannot carry, as in a label under an ASCII locale, is printed
+    as a backslash escape; a stdout without an encoding (a StringIO) takes
+    every line as it is."""
     if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+        out = []
+        _write_json(payload, "\n", out)
+        print("".join(out))
+        return
+    encoding = getattr(sys.stdout, "encoding", None)
+    for line in text_lines:
+        if encoding:
+            line = line.encode(encoding, "backslashreplace").decode(encoding)
+        print(line)
 
 
 def _int_arg(s: str) -> int:

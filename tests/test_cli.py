@@ -10,6 +10,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pisingular import (
     CandidateBundle,
@@ -384,6 +386,23 @@ def test_verify_reads_utf8_under_an_ascii_locale(tmp_path):
     assert code == 0 and payload["overall"] is True
 
 
+def test_verify_prints_a_non_ascii_label_under_an_ascii_locale(tmp_path):
+    # Plain output escapes what stdout's encoding cannot carry, and leaves
+    # a UTF-8 stdout and a StringIO (no encoding) the label as it is.
+    doc = json.loads(SAMPLE_BUNDLE.read_text())
+    doc["label"] = "\u03b6 unit"
+    path = write_bundle(tmp_path, doc)
+    ascii_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    r = run_cli("verify", "--file", path, env_extra=ascii_locale)
+    assert r.returncode == 0 and r.stderr == ""
+    assert r.stdout.splitlines()[0] == "bundle: \\u03b6 unit (parity=positive, mu=5)"
+    r = run_cli("verify", "--file", path, env_extra={"PYTHONUTF8": "1"})
+    assert r.returncode == 0
+    assert r.stdout.splitlines()[0] == "bundle: \u03b6 unit (parity=positive, mu=5)"
+    code, out, _ = _main_in_process(("verify", "--file", path))
+    assert code == 0 and out == r.stdout
+
+
 @pytest.mark.parametrize("mode", [(), ("--json",)])
 def test_verify_refuses_a_lone_surrogate_label_in_both_modes(tmp_path, mode):
     # --json escaped the label and passed, while plain output failed to
@@ -673,19 +692,72 @@ print(len(built), built[0])
     assert r.stdout.split() == ["8", "pisingular"]
 
 
-def test_json_purity():
-    """--json output must be exactly one parseable JSON document."""
-    for args in (
-        ("ctx", "--p", "5"),
-        ("irregular", "--max", "10"),
-        ("eigen", "--p", "5", "--all"),
-        ("expand", "--p", "5", "--coeffs", "1,2,3,4"),
-        ("ppower", "--p", "5", "--trials", "5", "--seed", "1"),
-        ("units", "--p", "5", "--all"),
+def test_json_purity(tmp_path):
+    """--json output is exactly one JSON document, in the bytes of
+    json.dumps(payload, indent=2, sort_keys=True) and a newline."""
+    corrupted = bundle_to_json(synthetic_unit_bundle(new_context(7), 2, 2))
+    corrupted["B"][0] = str(int(corrupted["B"][0]) + 1)
+    ctx7 = new_context(7)
+    nonunit = CandidateBundle(
+        ctx=ctx7, K=2, parity="negative", mu=ctx7.upow[3], B=ExactElement.from_integer(7, 7)
+    )
+    for args, code in (
+        (("ctx", "--p", "5"), 0),
+        (("ctx", "--p", "11"), 0),  # None in uindex, empty irregular_pairs
+        (("irregular", "--max", "10"), 0),  # empty pairs
+        (("irregular", "--max", "40"), 0),
+        (("eigen", "--p", "5", "--all"), 0),
+        (("eigen", "--p", "13", "--mu", "5"), 0),
+        (("expand", "--p", "5", "--coeffs", "1,2,3,4"), 0),
+        (("expand", "--p", "5", "--coeffs", "0,0,0,0"), 0),  # valuation "cap"
+        (("ppower", "--p", "5", "--trials", "5", "--seed", "1"), 0),
+        (("units", "--p", "5", "--all"), 0),
+        (("units", "--p", "37", "--two-m", "32"), 0),
+        # passes, with a skipped claim
+        (("verify", "--file", str(SAMPLE_BUNDLE)), 0),
+        (("verify", "--file", write_bundle(tmp_path, corrupted, "bad.json")), 1),
+        # skips the quotient claims: B is not a unit
+        (("verify", "--file", write_bundle(tmp_path, bundle_to_json(nonunit), "nonunit.json")), 1),
     ):
         r = run_cli(*args, "--json")
-        assert r.returncode == 0, args
-        json.loads(r.stdout)
+        assert r.returncode == code, args
+        assert r.stdout == json.dumps(json.loads(r.stdout), indent=2, sort_keys=True) + "\n", args
+
+
+# Text with non-ASCII and control characters, quotes and backslashes.
+_JSON_TEXT = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u2028\U0001f600'))
+_JSON_SCALARS = (
+    _JSON_TEXT
+    | st.booleans()
+    | st.none()
+    | st.integers()
+    | st.integers(min_value=2**64 - 2, max_value=2**64 + 2)
+    | st.integers(max_value=-(2**64))
+)
+
+
+def _json_containers(children):
+    return (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.lists(st.integers(), max_size=5)  # the all-int route
+        | st.lists(st.booleans() | st.integers(-1, 2), max_size=5)  # bools beside ints
+        | st.dictionaries(_JSON_TEXT, children, max_size=5)
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(payload=st.recursive(_JSON_SCALARS, _json_containers, max_leaves=30))
+def test_json_writer_matches_json_dumps(payload):
+    out = []
+    cli._write_json(payload, "\n", out)
+    assert "".join(out) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_json_writer_refuses_values_outside_the_payload_types():
+    for payload in ({"x": 1.5}, [object()], {1: 2}):
+        with pytest.raises(TypeError):
+            cli._write_json(payload, "\n", [])
 
 
 @pytest.mark.parametrize(

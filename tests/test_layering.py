@@ -1,7 +1,8 @@
 """The package's module layering, read from the source with ast: its
-relative imports form a DAG, the exact norm's module imports nothing from
-the package, the norm's names stay out of the ring, each shared check has
-one owner, and the README's layout lists every module."""
+relative imports form a DAG and all run at import time, the exact norm's
+module imports nothing from the package, the norm's names stay out of the
+ring, each shared check has one owner, and the README's layout lists every
+module."""
 
 import ast
 import graphlib
@@ -73,16 +74,15 @@ def test_import_time_imports_form_a_dag():
     _check_dag(graph)
 
 
-def test_the_one_deferred_import():
-    # ring.invert reads padic.valuation for its error message only.  A
-    # function-level import runs at call time, once both modules are loaded;
-    # any other would hide a cycle from the DAG above.
+def test_no_deferred_imports():
+    # A function-level import runs at call time, once both modules are
+    # loaded, and so would hide a cycle from the DAG above.
     deferred = {}
     for name, tree in _trees().items():
         late = _relative_imports(ast.walk(tree)) - _relative_imports(_import_time(tree))
         if late:
             deferred[name] = late
-    assert deferred == {"ring": {"padic"}}
+    assert deferred == {}
 
 
 def test_a_cycle_fails_the_dag_check():
