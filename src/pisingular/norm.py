@@ -11,9 +11,10 @@ the product of a(r^j), j = 1 .. p-1, for r of order p mod q, in four steps:
     table of roots of unity built from integers only (pi by Machin,
     e^(2 pi i/p) by Taylor);
   * sieve: a segmented sieve over m finds the primes q = 2pm + 1, largest
-    first, built on first use and cached per segment; the run used is the
-    shortest whose product M exceeds the bound, checked with exact
-    integers, and r is formed for the blocks of 64 primes the run reaches;
+    first, and a root r of order p mod each, by one numpy search over the
+    segment; segments are built on first use and cached; the run used is
+    the shortest whose product M exceeds the bound, checked with exact
+    integers;
   * block residues: each numpy pass takes a block of primes, reduces the
     coefficients from 16-bit limbs, builds the powers of r by doubling,
     evaluates a at all r^j by one gather-and-contract, and multiplies the
@@ -56,7 +57,9 @@ def _norm_bit_cap(p: int) -> int:
     return min(_NORM_MAX_BITS, 2**25 // (p - 1))
 
 
-_SEGMENT = 1 << 14  # multipliers m per sieve segment of the candidates q = 2pm + 1
+# Multipliers m per sieve segment of the candidates q = 2pm + 1: about 450
+# primes near 2^26, more than any verify-workload norm takes (20-134).
+_SEGMENT = 1 << 12
 # About 256 KB per int64 temporary of the residue blocks, of the conjugate
 # pass and of verifier.check_ppower_congruence's blocks of rows.
 _BLOCK_BYTES = 1 << 18
@@ -254,15 +257,21 @@ def _segment_count(p: int) -> int:
     return -(-((_Q_LIMIT - 2) // (2 * p)) // _SEGMENT)
 
 
-@functools.lru_cache(maxsize=32)
-def _split_prime_segment(p: int, s: int) -> np.ndarray:
-    """The primes q = 2pm + 1 < 2^26 whose m lies in segment s, largest first.
+# The most segments that a norm at the bit cap reads: 23 at p = 61, 97, 107 and
+# 127, 22 at p = 23 .. 37.  So a second such norm sieves nothing again.
+@functools.lru_cache(maxsize=23)
+def _split_prime_segment(p: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primes q = 2pm + 1 < 2^26 whose m lies in segment s, largest
+    first, and r of order p mod each: r = g^((q-1)/p) for the least g >= 2
+    with r != 1.
 
-    Segment s holds m in (hi - 2^14, hi] for hi = floor((2^26 - 2)/(2p)) - s*2^14.
+    Segment s holds m in (hi - 2^12, hi] for hi = floor((2^26 - 2)/(2p)) - s*2^12.
     A sieve over m: an odd prime l != p divides 2pm + 1 exactly when
     m = -(2p)^(-1) (mod l), and a composite q < 2^26 has such a factor
     l <= 8192.  Each l strikes those m from the first one with q > l, so a q
-    that is itself a sieving prime stays.
+    that is itself a sieving prime stays.  The roots come from g = 2 on
+    every prime, then from g = 3 .. 10, 11 .. 18, ... at once on the primes
+    still at 1, each taking its first g with r != 1.
     """
     hi = (_Q_LIMIT - 2) // (2 * p) - s * _SEGMENT
     lo = max(hi - _SEGMENT, 0)
@@ -275,26 +284,15 @@ def _split_prime_segment(p: int, s: int) -> np.ndarray:
     for prime, f in zip(ell.tolist(), (first - lo - 1).tolist()):
         keep[f::prime] = False
     q = 2 * p * (lo + 1 + np.flatnonzero(keep)[::-1]) + 1
+    e = (q - 1) // p
+    r, g = _powmod(2, e, q), 3
+    while (left := np.flatnonzero(r == 1)).size:  # about 1 in p; 8 g at a time
+        R = _powmod(np.arange(g, g + 8)[:, None], e[left], q[left])
+        r[left] = R[(R != 1).argmax(axis=0), np.arange(left.size)]
+        g += 8
     q.setflags(write=False)
-    return q
-
-
-_ROOT_BLOCK = 64  # primes per cached block of roots of order p
-
-
-@functools.lru_cache(maxsize=256)
-def _root_block(p: int, s: int, c: int) -> np.ndarray:
-    """r of order p mod each prime q of block c (64 primes) of segment s:
-    r = g^((q-1)/p) for the least g >= 2 with r != 1."""
-    roots = []
-    for q in _split_prime_segment(p, s)[c * _ROOT_BLOCK : (c + 1) * _ROOT_BLOCK].tolist():
-        g = 2
-        while (r := pow(g, (q - 1) // p, q)) == 1:
-            g += 1
-        roots.append(r)
-    out = np.array(roots, dtype=np.int64)
-    out.setflags(write=False)
-    return out
+    r.setflags(write=False)
+    return q, r
 
 
 def _product_tree(q: np.ndarray) -> list:
@@ -318,14 +316,16 @@ def _crt_primes(p: int, bound: int) -> tuple[np.ndarray, list]:
     primes, largest first, whose product M exceeds bound >= 1.
 
     Summed log2 q pick the length; exact integers confirm M > bound and
-    M/q_last <= bound, so the run is the shortest.  The roots are formed for
-    the blocks of 64 primes that the run reaches, and cached per block.
+    M/q_last <= bound, so the run is the shortest.  The roots are those of
+    the segments read, cut to the run.
     """
     target = math.log2(bound)
-    qs, bits = [], 0.0
+    qs, rs, bits = [], [], 0.0
     for s in range(_segment_count(p)):
-        qs.append(_split_prime_segment(p, s))
-        bits += float(np.log2(qs[-1]).sum())
+        q, r = _split_prime_segment(p, s)
+        qs.append(q)
+        rs.append(r)
+        bits += float(np.log2(q).sum())
         if bits > target + 1:
             break
     q = np.concatenate(qs)
@@ -338,12 +338,7 @@ def _crt_primes(p: int, bound: int) -> tuple[np.ndarray, list]:
         elif M // int(q[k - 1]) > bound:
             k -= 1
         else:
-            blocks, left = [], k
-            for s, seg in enumerate(qs):
-                n = min(left, seg.size)
-                blocks += [_root_block(p, s, c) for c in range(-(-n // _ROOT_BLOCK))]
-                left -= n
-            return np.concatenate(blocks)[:k], tree
+            return np.concatenate(rs)[:k], tree
     raise ValueError(
         f"norm_exact: the primes q = 1 (mod {p}) below 2^26 do not cover "
         f"the norm bound of {bound.bit_length()} bits"
@@ -451,7 +446,7 @@ def _norm(a) -> int:
     _norm_bound and _conjugate_bound are integers >= N(a), so the run of
     primes whose product M passes the smaller one reads N(a) in [0, M)."""
     p = a.p
-    if p < 3 or p >= _P_LIMIT:
+    if not 3 <= p < _P_LIMIT or p not in _sieving_primes():
         raise ValueError(
             f"norm_exact: p={p} is out of range; it needs an odd prime p < {_P_LIMIT}, "
             f"so that int64 residues keep (p-1) * (2^26)^2 < 2^63"

@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ring import _ROUTE_DTYPE, RingElement, _route, from_integer
+from .ring import RingElement, from_integer
 
 __all__ = [
     "CAP",
@@ -60,13 +60,13 @@ def _val_json(v) -> int | str:
 
 @lru_cache(maxsize=1)
 def _pascal_transposed_mod_p(p: int):
-    """T.T mod p, T[i, j] = C(j, i), in the dtype of sums of p-1 products
-    of residues mod p (_route: float64, so BLAS, from p = 80 on), the
-    matrix of every _lam_read.  Built in that dtype, so that no read copies
-    the (p-1)^2 matrix (8.5 MB at p=1031) into float64 per call.  One
-    Pascal row per column, formed in int64 and cast as it is stored; a
-    float64 recurrence would take twice as long (fmod)."""
-    T = np.zeros((p - 1, p - 1), dtype=_ROUTE_DTYPE[_route(p, p)]).T  # T.T C-contiguous
+    """T.T mod p, T[i, j] = C(j, i), in float64, the matrix of every
+    _lam_read, so that each read is one BLAS product.  A read sums p-1
+    products of residues below p, exact in float64 while (p-1)^3 < 2^53,
+    that is for p <= 208064 (below 2^33 at p < 2049).  One Pascal row per
+    column, formed in int64 and cast as it is stored; a float64 recurrence
+    would take twice as long (fmod)."""
+    T = np.zeros((p - 1, p - 1)).T  # T.T C-contiguous
     row = np.zeros(p - 1, dtype=np.int64)  # C(j, .)
     row[0] = 1
     for j in range(p - 1):
@@ -95,7 +95,7 @@ def _lam_read(p: int, K: int, rows: np.ndarray) -> tuple[list, np.ndarray]:
     t = [_vp(g, p) if g else K for g in np.gcd.reduce(rows, axis=1).tolist()]
     q = rows // np.array([p**ti for ti in t], dtype=rows.dtype)[:, None]
     Tt = _pascal_transposed_mod_p(p)
-    lam_coeffs = ((q % p).astype(Tt.dtype, copy=False) @ Tt % p).astype(np.int64, copy=False)
+    lam_coeffs = ((q % p).astype(np.float64) @ Tt % p).astype(np.int64)
     first = (lam_coeffs != 0).argmax(axis=1).tolist()
     vals = [CAP if ti >= K else n * ti + fi for ti, fi in zip(t, first)]
     return vals, lam_coeffs

@@ -162,7 +162,8 @@ _INT_STR_CHUNK = 4000  # digits int() and str() convert under CPython's 4300 lim
 # A bundle's truncation K may have K*(p-1), its precision in powers of lam,
 # up to 2^14.  verify at that precision takes under a second up to p=257
 # (p=23: K=744; p=101: K=163), against 5 s at p=23, K=5000; past p=1000 the
-# cost is mostly p itself (p=2039: 0.8 s at K=2, 1.9-2.1 s at K=8).
+# cost is mostly p itself (p=2039, B = 1 + z: 0.3-0.5 s at K=2 and
+# 0.45-0.7 s at K=8 as a command, shared 2-CPU x86-64 host).
 _PRECISION_LIMIT = 2**14
 # The p-th power campaign may have up to 10^4 trials.  Run in lockstep, a
 # campaign at the cap takes about 0.4 s at p=7, 1.2 s at p=37, 4 s at p=101

@@ -39,9 +39,11 @@ def seeded(seed):
 
 
 def split_primes(p):
-    """The sieved primes q = 1 (mod p) below 2^26, largest first."""
+    """The sieved primes q = 1 (mod p) below 2^26, largest first, each as a
+    pair (q, r) with r of order p mod q."""
     for s in range(_segment_count(p)):
-        yield from _split_prime_segment(p, s).tolist()
+        q, r = _split_prime_segment(p, s)
+        yield from zip(q.tolist(), r.tolist())
 
 
 def bernoulli_fraction_table(nmax):

@@ -328,6 +328,35 @@ def test_verify_witness_bundle(tmp_path):
     assert r.returncode == 3
     assert "witness invalid" in r.stderr
 
+    # B = beta^p and eta = conj(beta)^p: the product identity holds, but
+    # eta is not real.
+    beta = ExactElement(7, [2, 1, 0, 0, 0, 0])
+    unreal = CandidateBundle(
+        ctx=ctx, K=2, parity="negative", mu=ctx.upow[3],
+        B=beta**7, eta=beta.galois_apply(6) ** 7, beta=beta,
+    )
+    r = run_cli("verify", "--file", write_bundle(tmp_path, bundle_to_json(unreal), "unreal.json"))
+    assert r.returncode == 3
+    assert r.stderr == "witness invalid: witness identity conj(eta) = eta fails exactly\n"
+
+
+@pytest.mark.parametrize("parity", ["positive", "negative"])
+def test_verify_zero_candidate_fails(tmp_path, parity):
+    # B = 0: the valuation reads the cap, the norm is 0, which has no
+    # p^t * n^p shape with n >= 1, and the quotient claims are skipped.
+    ctx = new_context(7)
+    mu = 2 if parity == "positive" else ctx.upow[3]
+    B = ExactElement.from_integer(7, 0)
+    doc = bundle_to_json(CandidateBundle(ctx=ctx, K=2, parity=parity, mu=mu, B=B))
+    code, payload = run_json("verify", "--file", write_bundle(tmp_path, doc))
+    assert code == 1 and payload["overall"] is False
+    semi, norm, *quotient = payload["claims"]
+    assert (semi["id"], semi["holds"], semi["data"]) == ("semi-primary", False, {"valuation": "cap"})
+    assert (norm["id"], norm["holds"], norm["data"]) == ("norm-shape", False, {"norm": "0"})
+    assert len(quotient) == 3
+    for claim in quotient:
+        assert claim["holds"] is None and "not a unit" in claim["data"]["skipped"]
+
 
 def test_verify_structural_errors(tmp_path):
     r = run_cli("verify", "--file", str(tmp_path / "missing.json"))

@@ -354,7 +354,7 @@ def test_norm_just_below_each_crt_modulus(p):
     primes = split_primes(p)
     M = 1
     for k in range(1, 5):
-        M *= next(primes)
+        M *= next(primes)[0]
         n, _ = sympy.integer_nthroot(M - 1, p - 1)
         assert 2 * n ** (p - 1) > M, k
         for m in (n, -n):

@@ -24,7 +24,7 @@ from pisingular import (
     zeta,
 )
 from pisingular.padic import _pascal_transposed_mod_p
-from pisingular.ring import _ROUTE_DTYPE, _dtype_for, _route
+from pisingular.ring import _dtype_for, _route
 
 import oracles
 from conftest import random_element, random_unit, seeded
@@ -54,11 +54,11 @@ def test_pascal_pair_matches_binomials(p, K):
 
 @pytest.mark.parametrize("p", [3, 37, 79, 83, 257])
 def test_valuation_matrix_is_pascal_mod_p_in_the_route_dtype(p):
-    # _lam_read contracts with its own T.T mod p, built in the dtype of
-    # sums of p-1 products mod p (float64 from p = 80 on), so no read
+    # _lam_read contracts with its own T.T mod p, built in float64 at every
+    # p: sums of p-1 products of residues mod p are exact there, and no read
     # copies the matrix per call.
     Tt = _pascal_transposed_mod_p(p)
-    assert Tt.dtype == _ROUTE_DTYPE[_route(p, p)]
+    assert Tt.dtype == np.float64
     assert Tt.flags.c_contiguous and not Tt.flags.writeable
     n = p - 1
     assert Tt.tolist() == [[math.comb(j, i) % p for i in range(n)] for j in range(n)]

@@ -1,5 +1,6 @@
 """Ring arithmetic mod p^K and exact, cross-checked against sympy."""
 
+import itertools
 import math
 import operator
 import tracemalloc
@@ -22,11 +23,10 @@ from pisingular import (
 
 from pisingular import is_prime
 from pisingular.norm import (
-    _ROOT_BLOCK,
     _SEGMENT,
     _crt_primes,
     _norm_bit_cap,
-    _root_block,
+    _segment_count,
     _split_prime_segment,
 )
 
@@ -375,10 +375,28 @@ def test_norm_limits():
         norm_exact(ExactElement.from_integer(257, 2**k))
 
 
+@pytest.mark.parametrize("p", [4, 9, 15, 25, 2047])
+def test_norm_refuses_a_composite_p(p):
+    # The residues assume Phi_p: at p=15 the split primes read 11979 for
+    # 2 + z, whose resultant with Phi_15 is 331.
+    with pytest.raises(ValueError, match=f"p={p} is out of range; it needs an odd prime"):
+        norm_exact(ExactElement(p, [2, 1] + [0] * (p - 3)))
+
+
+def test_segment_cache_holds_a_norm_at_the_cap():
+    # A norm at the bit cap reads 23 segments at p=127, the most at any
+    # p < 2049; the cache holds them, so a second such norm sieves nothing.
+    _split_prime_segment.cache_clear()
+    for _ in range(2):
+        _crt_primes(127, 2 ** _norm_bit_cap(127) - 1)
+    info = _split_prime_segment.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (23, 23, 23)
+
+
 @pytest.mark.parametrize("p", [3, 257, 1031, 2039])
 def test_split_primes_cover_the_cap(p):
     bits = 0.0
-    for q in split_primes(p):
+    for q, _ in split_primes(p):
         assert q < 2**26 and q % p == 1
         bits += math.log2(q)
         if bits >= _norm_bit_cap(p):
@@ -391,34 +409,45 @@ def test_split_primes_cover_the_cap(p):
         assert pow(r, p, q) == 1 != r
 
 
+def _least_root(p, q):
+    """r = g^((q-1)/p) mod q for the least g >= 2 with r != 1."""
+    g = 2
+    while (r := pow(g, (q - 1) // p, q)) == 1:
+        g += 1
+    return r
+
+
 @pytest.mark.parametrize("p", [3, 5, 23, 41, 257, 2039])
 def test_sieved_primes_match_is_prime(p):
-    # Segment s covers m in (top - (s+1)*2^14, top - s*2^14] with
-    # top = floor((2^26 - 2)/(2p)); at p=2039 the second one is partial and
-    # reaches m = 1, where q = 4079 is below the sieving bound 8192.
+    # Segment s covers m in (top - (s+1)*2^12, top - s*2^12] with
+    # top = floor((2^26 - 2)/(2p)); the last one is partial and reaches
+    # m = 1, where q = 2p + 1 is below the sieving bound 8192 (4079 at
+    # p=2039, itself a sieving prime).
     top = (2**26 - 2) // (2 * p)
-    for s in (0, 1):
-        q = _split_prime_segment(p, s)
+    last = _segment_count(p) - 1
+    for s in (0, 1, last):
+        q, r = _split_prime_segment(p, s)
         hi = top - s * _SEGMENT
         cands = (2 * p * m + 1 for m in range(hi, max(hi - _SEGMENT, 0), -1))
         assert q.tolist() == [c for c in cands if is_prime(c)], s
-        r = np.concatenate([_root_block(p, s, c) for c in range(-(-q.size // _ROOT_BLOCK))])
-        for qi, ri in zip(q.tolist(), r.tolist()):
-            assert pow(ri, p, qi) == 1 != ri
+        assert r.tolist() == [_least_root(p, qi) for qi in q.tolist()], s
+    assert hi <= _SEGMENT  # the last segment reaches m = 1
+    if p == 2039:
+        assert q[-1] == 4079
 
 
 @pytest.mark.parametrize("p", [3, 41, 257])
 def test_crt_primes_take_the_shortest_run(p):
     # The run is the shortest prefix of the descending split primes whose
     # product M exceeds the bound: k primes for M_k - 1, k + 1 for M_k.
-    q = [qi for _, qi in zip(range(6), split_primes(p))]
-    assert _crt_primes(p, 1)[1][0].tolist() == q[:1]
+    q, roots = zip(*itertools.islice(split_primes(p), 6))
+    assert _crt_primes(p, 1)[1][0].tolist() == list(q[:1])
     for k in range(1, 6):
         M = math.prod(q[:k])
         for bound, want in ((M - 1, k), (M, k + 1)):
             r, tree = _crt_primes(p, bound)
-            assert tree[0].tolist() == q[:want] and r.size == want, (k, bound == M)
-            assert all(pow(ri, p, qi) == 1 != ri for qi, ri in zip(q, r.tolist()))
+            assert tree[0].tolist() == list(q[:want]), (k, bound == M)
+            assert r.tolist() == list(roots[:want]), (k, bound == M)
             assert tree[-1] == [math.prod(q[:want])]
 
 
