@@ -20,8 +20,8 @@ this is one transform of the q_a over F_p for every k at once (see
 PrimeContext._bernoulli_table), the way Buhler, Crandall, Ernvall and
 Metsankyla scan for irregular primes.
 
-_check_even_index, the range check of an even index 2 <= 2m <= p-3, lives
-here for bernoulli_mod_p and for the unit projections of units.
+Two checks live here: _check_odd_prime for PrimeContext and ring.ExactElement,
+and _check_even_index (2 <= 2m <= p-3) for bernoulli_mod_p and units.
 """
 
 from __future__ import annotations
@@ -106,6 +106,11 @@ def smallest_primitive_root(p: int) -> int:
     raise ValueError(f"no primitive root found mod {p}; is {p} prime?")
 
 
+def _check_odd_prime(p: int) -> None:
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+
+
 def _check_even_index(what: str, p: int, two_m: int) -> None:
     """Refuse an index 2m that is odd or outside [2, p-3], the range of the
     Bernoulli table and of the unit projections; what leads the message."""
@@ -129,8 +134,7 @@ class PrimeContext:
     """
 
     def __init__(self, p: int, u: int | None = None):
-        if p == 2 or not is_prime(p):
-            raise ValueError(f"p must be an odd prime, got {p}")
+        _check_odd_prime(p)
         factors = _prime_factors(p - 1)
         if u is None:
             u = smallest_primitive_root(p)

@@ -22,8 +22,8 @@ the product of a(r^j), j = 1 .. p-1, for r of order p mod q, in four steps:
   * CRT: the cofactors M/q mod q come from a remainder tree and are
     inverted by pow(c, -1, q), and sum c_q M/q is formed up the product
     tree; the result is read in [0, M).
-Limits (ValueError): an odd prime p < _P_LIMIT = 2049, so that the
-evaluation sums (p-1) * q^2 stay below 2^63; and the Parseval bound must fit
+Limits (ValueError): p < _P_LIMIT = 2049 (ring.ExactElement takes only an
+odd prime), so that the evaluation sums (p-1) * q^2 stay below 2^63; and the Parseval bound must fit
 in _norm_bit_cap(p) = min(2^18, 2^25/(p-1)) bits, so that the primes
 suffice and the CRT stays short.
 
@@ -446,9 +446,9 @@ def _norm(a) -> int:
     _norm_bound and _conjugate_bound are integers >= N(a), so the run of
     primes whose product M passes the smaller one reads N(a) in [0, M)."""
     p = a.p
-    if not 3 <= p < _P_LIMIT or p not in _sieving_primes():
+    if p >= _P_LIMIT:  # ring.ExactElement refuses a p that is not an odd prime
         raise ValueError(
-            f"norm_exact: p={p} is out of range; it needs an odd prime p < {_P_LIMIT}, "
+            f"norm_exact: p={p} is out of range; it needs p < {_P_LIMIT}, "
             f"so that int64 residues keep (p-1) * (2^26)^2 < 2^63"
         )
     bound = _norm_bound(a)

@@ -58,7 +58,7 @@ import operator
 
 import numpy as np
 
-from .context import PrimeContext
+from .context import PrimeContext, _check_odd_prime
 from .norm import _norm
 
 __all__ = [
@@ -415,6 +415,7 @@ class ExactElement(RingElement):
     galois_apply = RingElement.galois_apply
 
     def __init__(self, p: int, coeffs):
+        _check_odd_prime(p)  # the ring is cyclotomic, and its norm exact, only then
         self.ctx = self.K = self.modulus = None
         self.p = p
         self.coeffs = _as_coeff_array(coeffs, p - 1, None, object)

@@ -216,8 +216,8 @@ def verify_unit_relation(eta: RingElement, two_m: int) -> UnitReport:
     """Check the twisted relation and measure the unit's local behavior.
 
     The relation claim is that sigma(eta) * eta^(-mu) is a p-th power
-    locally to depth p+1.  Failure of the valuation dichotomy is data,
-    not an error: the report records what was measured.
+    locally to depth p+1 <= 2(p-1), decided mod p^2.  Failure of the
+    valuation dichotomy is data, not an error: the report records it.
 
     It keeps its own route, not unit_reports' logarithm: eta is known only
     mod p^K, and a logarithm of eta^(p-1) divides by p (in the terms with
@@ -230,19 +230,16 @@ def verify_unit_relation(eta: RingElement, two_m: int) -> UnitReport:
     _check_even_index("projection index", p, two_m)
     _check_depth("verification", p, eta.K, p + 1)
     mu = ctx.upow[two_m]
-    relation_holds = is_locally_pth_power(_twisted_quotient(eta, mu), p + 1)
+    twisted = _twisted_quotient(RingElement(ctx, 2, eta.coeffs), mu)
+    relation_holds = is_locally_pth_power(twisted, p + 1)
     local = is_locally_pth_power(eta, p + 1)
     power = eta ** (p - 1)
     val = valuation(power - from_integer(ctx, eta.K, 1))
     # (False, None) when the expansion does not match
     delta = expansion_matches(power, mu, p - 1)[1] if two_m > (p - 1) // 2 else None
     return UnitReport(
-        two_m=two_m,
-        mu=mu,
-        relation_holds=relation_holds,
-        local_pth_power=local,
-        valuation_of_eta_pm1=val,
-        expansion_delta=delta,
+        two_m=two_m, mu=mu, relation_holds=relation_holds, local_pth_power=local,
+        valuation_of_eta_pm1=val, expansion_delta=delta,
     )
 
 

@@ -14,6 +14,10 @@ witnesses' B' = B^2/eta, or B -- with the leading claims (semi-primary and
 norm shape, or the witness identities).  The loop checks parity and K, then
 makes the same claims on X (or X^(p-1)): the twisted local p-th power, the
 valuation unless X is primary, and the eigen-expansion if the spec has one.
+Each claim reads a depth below 2(p-1), so all run on B and eta mod p^2 at
+every K; a valuation read when X is not primary is below p (else X is its
+Teichmueller lift, a rational p-th power, mod lam^p).  K gives only the
+reported semi-primary valuation of B.
 
 Three failure modes are kept distinct:
 
@@ -145,12 +149,6 @@ class CandidateBundle:
     def index_s(self) -> int:
         return self.ctx.index_of(self.mu)
 
-    @functools.cached_property
-    def _B_reduced(self) -> tuple[RingElement, int | float]:
-        """B mod p^K and its valuation, shared by the verify paths."""
-        Bq = self.B.reduce(self.ctx, self.K)
-        return Bq, valuation(Bq)
-
 
 # Coefficients may have at most 2^17 + 1 bits.  Any B that the norm accepts
 # fits: its coefficients are b_i = (1/p) sum_{j>=1} B(z^j) (z^(-ij) - z^j),
@@ -160,10 +158,10 @@ _COEFF_MAX_BITS = _NORM_MAX_BITS // 2 + 1
 _COEFF_MAX_DIGITS = math.floor(_COEFF_MAX_BITS * math.log10(2)) + 1  # digits of 2^bits
 _INT_STR_CHUNK = 4000  # digits int() and str() convert under CPython's 4300 limit
 # A bundle's truncation K may have K*(p-1), its precision in powers of lam,
-# up to 2^14.  verify at that precision takes under a second up to p=257
-# (p=23: K=744; p=101: K=163), against 5 s at p=23, K=5000; past p=1000 the
-# cost is mostly p itself (p=2039, B = 1 + z: 0.3-0.5 s at K=2 and
-# 0.45-0.7 s at K=8 as a command, shared 2-CPU x86-64 host).
+# up to 2^14.  The claims run mod p^2 at every K, so K costs one reduction
+# and one lam-read of B: verify takes about as long at p=23, K=744 (1-3 ms),
+# p=101, K=163 (60-90 ms, mostly the norm) and p=2039, K=8 (B = 1 + z,
+# 0.15-0.29 s) as at K=2 (in process, shared 2-CPU x86-64 host).
 _PRECISION_LIMIT = 2**14
 # The p-th power campaign may have up to 10^4 trials.  Run in lockstep, a
 # campaign at the cap takes about 0.4 s at p=7, 1.2 s at p=37, 4 s at p=101
@@ -550,21 +548,21 @@ def _norm_claim(bundle: CandidateBundle) -> ClaimResult:
 
 
 def _leading_claims(bundle: CandidateBundle):
-    """Semi-primary and norm-shape claims on B; B mod p^K when it is a unit.
+    """Semi-primary and norm-shape claims on B; B mod p^2 when it is a unit.
 
     This is also the derive of the positive path, whose X is B itself.
     """
-    Bq, v = bundle._B_reduced
+    Bq = bundle.B.reduce(bundle.ctx, 2)
     claims = [
         ClaimResult(
             "semi-primary",
             "B is semi-primary in the truncated ring",
             holds=is_semi_primary(Bq),
-            data={"valuation": _val_json(v)},
+            data={"valuation": _val_json(valuation(bundle.B.reduce(bundle.ctx, bundle.K)))},
         ),
         _norm_claim(bundle),
     ]
-    return claims, (Bq if v == 0 else None)
+    return claims, (Bq if _is_unit(Bq) else None)
 
 
 def _derive_ratio(bundle: CandidateBundle):
@@ -592,9 +590,8 @@ def _derive_adjusted(bundle: CandidateBundle):
         ClaimResult("witness-product", "B * conj(B) = eta * beta^p exactly", True, {}),
         ClaimResult("witness-real", "conj(eta) = eta exactly", True, {}),
     ]
-    Bq, v = bundle._B_reduced
-    etaq = bundle.eta.reduce(bundle.ctx, bundle.K)
-    if v != 0 or not _is_unit(etaq):
+    Bq, etaq = (w.reduce(bundle.ctx, 2) for w in (bundle.B, bundle.eta))
+    if not (_is_unit(Bq) and _is_unit(etaq)):
         raise WitnessInvalidError(
             "adjusted element undefined: B or eta is not a unit at the ramified prime"
         )
@@ -664,7 +661,7 @@ def _verify(bundle: CandidateBundle, spec: _ClaimSpec) -> VerdictReport:
         on_x = (spec.local, spec.valuation, spec.expansion)
         return _verdict(claims + [_skip(*c, reason) for c in on_x if c])
 
-    ctx, K, p = bundle.ctx, bundle.K, bundle.ctx.p
+    ctx, p = bundle.ctx, bundle.ctx.p
     s, mu = bundle.index_s, bundle.mu
     twisted = _twisted_quotient(X, mu)
     claims.append(
@@ -677,7 +674,7 @@ def _verify(bundle: CandidateBundle, spec: _ClaimSpec) -> VerdictReport:
     if prim:
         claims.append(_skip(*spec.valuation, f"{spec.name} is primary"))
     else:
-        v = valuation(Y - from_integer(ctx, K, 1))
+        v = valuation(Y - from_integer(ctx, 2, 1))
         data = {"expected": s, "measured": _val_json(v)}
         claims.append(ClaimResult(*spec.valuation, holds=v == s, data=data))
     if expand:

@@ -15,8 +15,10 @@ the lam-basis valuation of e_mu that the
 eigen report once measured, the logarithm of xi_a^(p-1) by its plain
 series with no argument reduction, and the per-mu eigen report (e_mu built
 coordinate by coordinate as one RingElement, sigma applied by galois_apply)
-with the hand-written Phi_p fold and constant elimination beside it, and
-the p-th power campaign one trial at a time.
+with the hand-written Phi_p fold and constant elimination beside it,
+the p-th power campaign one trial at a time, and the verify claims
+evaluated at the bundle's full K (verify_full_k), with every inverse by
+Gauss-Jordan.
 Nothing at runtime needs them; the property tests compare the package
 against them.  The ring oracles compute with Python
 ints (object dtype) at every modulus, so a wrong machine-word bound in the
@@ -44,6 +46,7 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
+from sympy import integer_nthroot, multiplicity
 
 from pisingular import (
     CAP,
@@ -53,9 +56,13 @@ from pisingular import (
     PrimeContext,
     RingElement,
     eigenvector_element,
+    expansion_matches,
     from_integer,
+    is_locally_pth_power,
+    is_primary,
     is_semi_primary,
     lam,
+    norm_exact,
     zeta,
 )
 from pisingular.eigen import _indices, _inverse_powers
@@ -542,6 +549,86 @@ def ppower_valuations(ctx: PrimeContext, K: int, trials: int, seed: int) -> list
         g = RingElement(ctx, K, [rng.randrange(modulus) for _ in range(p - 1)])
         out.append(_valuation(x**p - (x + lam_K * g) ** p))
     return out
+
+
+# Each verify path's claims on its element X: the ids of the local p-th
+# power, valuation and expansion claims (None: the path has none), the name
+# of X, and whether the valuation and expansion read X^(p-1).
+_VERIFY_PATHS = {
+    "negative": (("twist-local-pth-power", "twist-valuation", "eigen-expansion"), "C", False),
+    "b_prime": (("adjusted-local-pth-power", "adjusted-valuation", None), "B'", True),
+    "positive": (("twist-local-pth-power", "power-valuation", "eigen-expansion"), "B", True),
+}
+
+
+def _json_valuation(v) -> int | str:
+    return "cap" if v is CAP else int(v)
+
+
+def _norm_shape(B: ExactElement) -> tuple[bool, dict]:
+    """The norm-shape claim |N(B)| = p^t * n^p, n read by sympy's integer root."""
+    p, N = B.p, norm_exact(B)
+    if N == 0:
+        return False, {"norm": "0"}
+    t = multiplicity(p, N)
+    rest = abs(N) // p**t
+    root, exact = integer_nthroot(rest, p)
+    data = {
+        "sign": 1 if N > 0 else -1,
+        "p_exponent": t,
+        "p_free_part_digits": len(str(rest)),
+        "root": str(root) if exact else None,
+    }
+    return bool(exact), data
+
+
+def verify_full_k(bundle, path: str) -> dict:
+    """The verdict JSON, refs left out, of the verify path "negative",
+    "b_prime" or "positive", with every claim evaluated on B and eta mod
+    p^K at the bundle's own K: the public predicates on B.reduce(ctx, K),
+    each inverse by Gauss-Jordan (invert), each power by power and each
+    reported valuation by lambda_valuation.  The witness identities read no
+    K; they are checked exactly and must hold."""
+    ctx, K, p = bundle.ctx, bundle.K, bundle.ctx.p
+    s, mu = ctx.index_of(bundle.mu), bundle.mu
+    (local, val_id, exp_id), name, raised = _VERIFY_PATHS[path]
+    B = bundle.B.reduce(ctx, K)
+    if path == "b_prime":
+        assert bundle.B * bundle.B.conjugate() == bundle.eta * bundle.beta**p
+        assert bundle.eta.conjugate() == bundle.eta
+        claims = [("witness-product", True, {}), ("witness-real", True, {})]
+        X = B * B * invert(bundle.eta.reduce(ctx, K))
+    else:
+        v = _valuation(B)
+        claims = [
+            ("semi-primary", is_semi_primary(B), {"valuation": _json_valuation(v)}),
+            ("norm-shape", *_norm_shape(bundle.B)),
+        ]
+        X = None if v else B * invert(B.conjugate()) if path == "negative" else B
+    if X is None:
+        reason = "B is not a unit at the ramified prime; quotient checks undefined"
+        claims += [(c, None, {"skipped": reason}) for c in (local, val_id, exp_id) if c]
+    else:
+        twisted = X.galois_apply(ctx.u) * invert(power(X, mu))
+        claims.append((local, is_locally_pth_power(twisted, p + 1), {}))
+        prim = is_primary(X)
+        Y = power(X, p - 1) if raised else X
+        if prim:
+            claims.append((val_id, None, {"skipped": f"{name} is primary"}))
+        else:
+            v = _valuation(Y - from_integer(ctx, K, 1))
+            claims.append((val_id, v == s, {"expected": s, "measured": _json_valuation(v)}))
+        if exp_id and s > (p - 1) // 2:
+            matched, delta = expansion_matches(Y, mu, p - 1)
+            holds = matched and (prim or (delta is not None and delta % p != 0))
+            claims.append((exp_id, holds, {"matched": matched, "delta": delta, "primary": prim}))
+        elif exp_id:
+            reason = "index within the low range; expansion form not asserted"
+            claims.append((exp_id, None, {"skipped": reason}))
+    return {
+        "overall": all(h for _, h, _ in claims if h is not None),
+        "claims": [{"id": c, "holds": h, "data": d} for c, h, d in claims],
+    }
 
 
 @dataclass(frozen=True)

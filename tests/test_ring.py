@@ -375,12 +375,13 @@ def test_norm_limits():
         norm_exact(ExactElement.from_integer(257, 2**k))
 
 
-@pytest.mark.parametrize("p", [4, 9, 15, 25, 2047])
+@pytest.mark.parametrize("p", [1, 2, 4, 9, 15, 25, 2047])
 def test_norm_refuses_a_composite_p(p):
-    # The residues assume Phi_p: at p=15 the split primes read 11979 for
-    # 2 + z, whose resultant with Phi_15 is 331.
-    with pytest.raises(ValueError, match=f"p={p} is out of range; it needs an odd prime"):
-        norm_exact(ExactElement(p, [2, 1] + [0] * (p - 3)))
+    # Z[z]/(Phi_p) and the norm's residues need an odd prime p: at p=15 the
+    # split primes read 11979 for 2 + z, whose resultant with Phi_15 is 331.
+    # The element itself refuses p, before any product or norm.
+    with pytest.raises(ValueError, match=f"p must be an odd prime, got {p}$"):
+        ExactElement(p, [2, 1] + [0] * (p - 3))
 
 
 def test_segment_cache_holds_a_norm_at_the_cap():

@@ -1,53 +1,67 @@
-"""Verdicts do not depend on the truncation K below the K=2 cap.
+"""verify decides every claim mod p^2, and K reaches only one reported field.
 
 Every claim that verify makes is decided mod p^2: reduction mod p^2 is a
 ring homomorphism, and the depths the claims read (p+1 for the twisted
-local p-th power, p for primary, p-1 for the expansion) are all below
-2(p-1).  Only a reported valuation can tell K apart, and only when it
-reaches 2(p-1), where K=2 reads "cap".  These tests run the same bundles at
-K=2 and at larger K and compare the verdict JSON whenever no reported
-valuation reaches that cap.
+local p-th power, p for primary, 2 for semi-primary, p-1 for the
+expansion) are all below 2(p-1).  A measured valuation is read only when
+its element is not primary, and is then below p.  The one field that reads
+the bundle's K is the semi-primary valuation of B, which reaches the K=2
+cap when B = 0 mod p^2.  These tests compare verify, at K = 2 and above,
+against oracles.verify_full_k, which evaluates every claim at the bundle's
+own K, and check with a spy that the claims' products run mod p^2.
 """
 
 from dataclasses import replace
 
 import pytest
 
+import oracles
 from pisingular import (
     ExactElement,
+    RingElement,
+    from_integer,
     new_context,
     synthetic_unit_bundle,
     verify_b_prime,
     verify_negative_candidate,
     verify_positive_candidate,
+    verify_unit_relation,
 )
+from pisingular import ring, units
 
 from test_verifier import real_witness_bundle
 
 PRIMES = (7, 11, 13, 23, 29)
 DEEPER = (3, 5)
+VERIFY = {
+    "negative": verify_negative_candidate,
+    "b_prime": verify_b_prime,
+    "positive": verify_positive_candidate,
+}
+
+
+def _paths(bundle) -> list[str]:
+    """The verify paths that the verify command runs on bundle."""
+    if bundle.parity == "positive":
+        return ["positive"]
+    return ["negative"] + (["b_prime"] if bundle.eta is not None else [])
 
 
 def _verdicts(bundle) -> list[dict]:
-    """The JSON of every path that the verify command runs on bundle."""
-    if bundle.parity == "positive":
-        reps = [verify_positive_candidate(bundle)]
-    else:
-        reps = [verify_negative_candidate(bundle)]
-        if bundle.eta is not None:
-            reps.append(verify_b_prime(bundle))
-    return [rep.to_json_dict() for rep in reps]
+    """The JSON, refs left out, of every path that the verify command runs."""
+    docs = [VERIFY[path](bundle).to_json_dict() for path in _paths(bundle)]
+    for doc in docs:
+        for c in doc["claims"]:
+            del c["ref"]
+    return docs
 
 
-def _reported(docs) -> list:
-    """The reported valuations: semi-primary's valuation and each measured."""
-    return [
-        c["data"][key]
-        for doc in docs
-        for c in doc["claims"]
-        for key in ("valuation", "measured")
-        if key in c["data"]
-    ]
+def _check(bundle) -> list[dict]:
+    """Assert that verify agrees with the full-K reference on bundle."""
+    docs = _verdicts(bundle)
+    want = [oracles.verify_full_k(bundle, path) for path in _paths(bundle)]
+    assert docs == want, (bundle.label, bundle.K)
+    return docs
 
 
 def _plus(B, i: int, d: int) -> ExactElement:
@@ -70,30 +84,105 @@ def _bundles():
             yield real_witness_bundle(ctx, twist=twist)
 
 
-def test_verdicts_agree_below_the_k2_cap():
-    compared = skipped = 0
+def test_verify_matches_the_full_k_reference():
+    compared = 0
     for bundle in _bundles():
-        p = bundle.ctx.p
-        at2 = _verdicts(bundle)
         for K in DEEPER:
-            deep = _verdicts(replace(bundle, K=K))
-            if any(v == "cap" or v >= 2 * (p - 1) for v in _reported(deep)):
-                skipped += 1
-                continue
-            assert deep == at2, (bundle.label, K)
+            _check(replace(bundle, K=K))
             compared += 1
-    assert (compared, skipped) == (438, 0)
+    assert compared == 438
 
 
-@pytest.mark.parametrize("K", DEEPER)
+@pytest.mark.parametrize("K", (2,) + DEEPER)
 def test_the_semi_primary_valuation_of_b_zero_mod_p2(K):
-    # B = 0 mod p^2 reads "cap" at K=2 and its valuation 2(p-1) at larger K;
-    # every other byte agrees, the quotient claims being skipped alike
+    # B = 0 mod p^2 reads "cap" at K=2 and its valuation 2(p-1) at larger
+    # K, the one field that reads K; the quotient claims are skipped alike
     b = synthetic_unit_bundle(new_context(7), 2, 2, k=1, c=2)
-    b = replace(b, B=b.B * 49)
-    (at2,) = _verdicts(b)
-    (deep,) = _verdicts(replace(b, K=K))
-    assert at2["claims"][0]["data"] == {"valuation": "cap"}
-    assert deep["claims"][0]["data"] == {"valuation": 12}
-    at2["claims"][0]["data"]["valuation"] = 12
-    assert deep == at2
+    (doc,) = _check(replace(b, B=b.B * 49, K=K))
+    assert doc["claims"][0]["data"] == {"valuation": "cap" if K == 2 else 12}
+
+
+@pytest.mark.parametrize("K", [2, 3, 6, 12])
+def test_multiples_of_p(K):
+    # B * 7^k at p=7, both parities: the semi-primary valuation is 6k below
+    # the cap 6K (the witnesses no longer fit B, so they are left out)
+    ctx = new_context(7)
+    for b in (synthetic_unit_bundle(ctx, 2, 2, k=1, c=2), real_witness_bundle(ctx)):
+        for k in range(6):
+            (doc,) = _check(replace(b, B=b.B * 7**k, K=K, eta=None, beta=None))
+            assert doc["claims"][0]["data"] == {"valuation": 6 * k if k < K else "cap"}
+
+
+def test_the_deepest_bundles_at_p23():
+    # K = 744 is the most that K*(p-1) <= 2^14 allows at p=23
+    ctx = new_context(23)
+    for b in (synthetic_unit_bundle(ctx, 2, 18, k=1, c=2), real_witness_bundle(ctx, twist=1)):
+        _check(replace(b, K=744))
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_a_unit_past_the_k2_cap(p):
+    # B = 1 + p^3 w has v(B^(p-1) - 1) >= 3(p-1), past the K=2 cap: it is
+    # primary, so no verdict reports that valuation, at any K
+    ctx = new_context(p)
+    w = [(3 * i + 1) % p for i in range(p - 1)]
+    B = ExactElement(p, [1 + p**3 * w[0]] + [p**3 * c for c in w[1:]])
+    for parity, s in (("positive", 2), ("negative", 3)):
+        for K in (2,) + DEEPER:
+            b = replace(synthetic_unit_bundle(ctx, 2, 2), parity=parity, mu=ctx.upow[s], B=B, K=K)
+            (doc,) = _check(b)
+            assert doc["claims"][3]["data"] == {"skipped": f"{'B' if s == 2 else 'C'} is primary"}
+    Bq = B.reduce(ctx, 5)
+    assert oracles._valuation(oracles.power(Bq, p - 1) - from_integer(ctx, 5, 1)) == 3 * (p - 1)
+
+
+def _record(monkeypatch) -> list:
+    """The modulus of every ring product from here on."""
+    real, seen = ring._fold_mul, []
+
+    def spy(a, b, p, modulus, dtype):
+        seen.append(modulus)
+        return real(a, b, p, modulus, dtype)
+
+    monkeypatch.setattr(ring, "_fold_mul", spy)
+    return seen
+
+
+def test_claims_run_mod_p_squared(monkeypatch):
+    # at K=5 every truncated product of the three paths is mod p^2; the
+    # witness identities are exact (modulus None)
+    ctx = new_context(7)
+    unit = replace(synthetic_unit_bundle(ctx, 2, 2, k=1, c=2), K=5)
+    witness = replace(real_witness_bundle(ctx), K=5)
+    seen = _record(monkeypatch)
+    verify_positive_candidate(unit)
+    verify_negative_candidate(witness)
+    assert set(seen) == {49}
+    del seen[:]
+    verify_b_prime(witness)
+    assert set(seen) == {49, None}
+
+
+def test_the_twisted_quotient_runs_mod_p_squared(monkeypatch):
+    # verify_unit_relation forms sigma(eta) * eta^(-mu) mod p^2, and reads
+    # v(eta^(p-1) - 1) at eta's own K
+    p, K = 7, 5
+    ctx = new_context(p)
+    eta = RingElement(ctx, K, [1 + p**3] + [p**3] * (p - 2))
+    seen, inside = _record(monkeypatch), []
+    real = units._twisted_quotient
+
+    def quotient(x, mu):
+        start = len(seen)
+        out = real(x, mu)
+        inside.extend(seen[start:])
+        return out
+
+    monkeypatch.setattr(units, "_twisted_quotient", quotient)
+    rep = verify_unit_relation(eta, 2)
+    assert inside and set(inside) == {p * p}
+    assert p**K in seen
+    # past the K=2 cap 2(p-1) and below the K=5 cap
+    want = oracles._valuation(oracles.power(eta, p - 1) - from_integer(ctx, K, 1))
+    assert rep.valuation_of_eta_pm1 == want == 3 * (p - 1)
+    assert rep.relation_holds and rep.local_pth_power

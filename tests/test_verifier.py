@@ -224,16 +224,6 @@ def negative_bundle() -> CandidateBundle:
     )
 
 
-def test_negative_paths_share_the_reduction_of_B():
-    # verify_negative_candidate and verify_b_prime reduce B once between them
-    bundle = negative_bundle()
-    assert verify_negative_candidate(bundle).overall
-    Bq, v = bundle._B_reduced
-    assert Bq == bundle.B.reduce(bundle.ctx, 2) and v == valuation(Bq) == 0
-    assert verify_b_prime(bundle).overall
-    assert bundle._B_reduced[0] is Bq
-
-
 def test_load_bundle_refuses_unknown_fields():
     with pytest.raises(BundleError, match=r"^bundle field 'Eta': unknown; .* eta, beta, label$"):
         load_bundle(good_doc(Eta=["1"] * 6))
