@@ -67,7 +67,8 @@ import numpy as np
 
 from .context import PrimeContext, _check_even_index
 from .eigen import _inverse_powers, _match_expansion, _shared_ints, expansion_matches
-from .padic import CAP, _check_depth, _lam_read, _val_json, _vp, is_locally_pth_power, valuation
+from .padic import CAP, _check_depth, _lam_read, _require_unit, _val_json, _vp
+from .padic import is_locally_pth_power, valuation
 from .ring import _ROUTE_DTYPE, ExactElement, RingElement, _exact_route, _fold, _power, from_integer
 from .ring import _normal_coords, _normal_slots
 
@@ -207,28 +208,25 @@ class UnitReport:
 
 
 def _twisted_quotient(x: RingElement, mu: int) -> RingElement:
-    """sigma(x) * x^(-mu), a local p-th power when x satisfies the twisted relation."""
-    ctx = x.ctx
-    return x.galois_apply(ctx.u) * (x**mu).invert()
+    """sigma(x) * x^(p-mu), which is sigma(x) * x^(-mu) times x^p = x(1)^p mod lam^(p+1)."""
+    return x.galois_apply(x.ctx.u) * x ** (x.p - mu)
 
 
 def verify_unit_relation(eta: RingElement, two_m: int) -> UnitReport:
     """Check the twisted relation and measure the unit's local behavior.
 
-    The relation claim is that sigma(eta) * eta^(-mu) is a p-th power
-    locally to depth p+1 <= 2(p-1), decided mod p^2.  Failure of the
-    valuation dichotomy is data, not an error: the report records it.
+    The relation claim, that sigma(eta) * eta^(-mu) is a p-th power locally
+    to depth p+1 <= 2(p-1), is decided mod p^2 on _twisted_quotient's
+    sigma(eta) * eta^(p-mu).  eta must be a unit.  A failed dichotomy is data.
 
-    It keeps its own route, not unit_reports' logarithm: eta is known only
-    mod p^K, and a logarithm of eta^(p-1) divides by p (in the terms with
-    p | n, or by the p^r of an argument reduction), so it would be known to
-    p-1 lam-digits fewer, and a valuation near the cap K(p-1) could not be
-    told from CAP.  Measured on eigen_project_unit's eta, it is the tests'
-    oracle for unit_reports.
+    It keeps its own route, not unit_reports' logarithm, which divides by p
+    and so would know a valuation near the cap K(p-1) too coarsely to tell
+    it from CAP.  It is the tests' oracle for unit_reports.
     """
     ctx, p = eta.ctx, eta.ctx.p
     _check_even_index("projection index", p, two_m)
     _check_depth("verification", p, eta.K, p + 1)
+    _require_unit(eta, "verify_unit_relation")
     mu = ctx.upow[two_m]
     twisted = _twisted_quotient(RingElement(ctx, 2, eta.coeffs), mu)
     relation_holds = is_locally_pth_power(twisted, p + 1)

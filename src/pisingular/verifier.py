@@ -19,6 +19,13 @@ every K; a valuation read when X is not primary is below p (else X is its
 Teichmueller lift, a rational p-th power, mod lam^p).  K gives only the
 reported semi-primary valuation of B.
 
+No claim takes an inverse: each is unchanged when X is multiplied by x^p for
+a unit x, as x^p = x(1)^p mod lam^(p+1).  So the paths form C * conj(B)^p,
+B' * eta^p and sigma(X) * X^(p-mu), and read Z = X * X(1)^(-p) mod p^2,
+which is 1 + y with v(y) >= 1, and 2 - Z = 1 - y for X^(p-1) = 1/(1 + y) mod
+lam^p.  These agree mod lam^(2v(y)), so in the valuation, read below p, and
+mod lam^(p-1) once v(y) >= s > (p-1)/2; below s, neither expands along e_mu.
+
 Three failure modes are kept distinct:
 
   * theorem violation  -- a claim evaluates false; reported in the verdict.
@@ -159,9 +166,9 @@ _COEFF_MAX_DIGITS = math.floor(_COEFF_MAX_BITS * math.log10(2)) + 1  # digits of
 _INT_STR_CHUNK = 4000  # digits int() and str() convert under CPython's 4300 limit
 # A bundle's truncation K may have K*(p-1), its precision in powers of lam,
 # up to 2^14.  The claims run mod p^2 at every K, so K costs one reduction
-# and one lam-read of B: verify takes about as long at p=23, K=744 (1-3 ms),
-# p=101, K=163 (60-90 ms, mostly the norm) and p=2039, K=8 (B = 1 + z,
-# 0.15-0.29 s) as at K=2 (in process, shared 2-CPU x86-64 host).
+# and one lam-read of B: verify takes about as long at p=23, K=744 (0.7-1.3 ms),
+# p=101, K=163 (44-69 ms, mostly the norm) and p=2039, K=8 (B = 1 + z,
+# 0.07-0.18 s) as at K=2 (in process, shared 2-CPU x86-64 host).
 _PRECISION_LIMIT = 2**14
 # The p-th power campaign may have up to 10^4 trials.  Run in lockstep, a
 # campaign at the cap takes about 0.4 s at p=7, 1.2 s at p=37, 4 s at p=101
@@ -567,13 +574,13 @@ def _leading_claims(bundle: CandidateBundle):
 
 def _derive_ratio(bundle: CandidateBundle):
     """The conjugate ratio C = B / conj(B), whose expansion carries the odd
-    eigencomponent directly."""
+    eigencomponent directly, as B * conj(B)^(p-1) = C * conj(B)^p."""
     claims, Bq = _leading_claims(bundle)
-    return claims, (None if Bq is None else Bq * Bq.conjugate().invert())
+    return claims, (None if Bq is None else Bq * Bq.conjugate() ** (bundle.ctx.p - 1))
 
 
 def _derive_adjusted(bundle: CandidateBundle):
-    """The adjusted element B' = B^2 / eta, after the exact witness identities.
+    """The adjusted B' = B^2/eta, as B^2 * eta^(p-1) = B' * eta^p, after the exact identities.
 
     A failed identity means the bundle is self-inconsistent
     (WitnessInvalidError), a different event from a claim evaluating false.
@@ -581,9 +588,7 @@ def _derive_adjusted(bundle: CandidateBundle):
     if bundle.eta is None or bundle.beta is None:
         raise PreconditionError("verify_b_prime: bundle has no eta/beta witnesses")
     if bundle.B * bundle.B.conjugate() != bundle.eta * bundle.beta**bundle.ctx.p:
-        raise WitnessInvalidError(
-            "witness identity B * conj(B) = eta * beta^p fails exactly"
-        )
+        raise WitnessInvalidError("witness identity B * conj(B) = eta * beta^p fails exactly")
     if bundle.eta.conjugate() != bundle.eta:
         raise WitnessInvalidError("witness identity conj(eta) = eta fails exactly")
     claims = [
@@ -595,16 +600,16 @@ def _derive_adjusted(bundle: CandidateBundle):
         raise WitnessInvalidError(
             "adjusted element undefined: B or eta is not a unit at the ramified prime"
         )
-    return claims, Bq * Bq * etaq.invert()
+    return claims, Bq * Bq * etaq ** (bundle.ctx.p - 1)
 
 
 @dataclass(frozen=True)
 class _ClaimSpec:
     """One verify path: the element X it derives and the claims made on X.
 
-    derive returns the leading claims and X, or None for X when X is
-    undefined.  name is X in the "X is primary" skip reason; power says
-    whether the valuation and expansion claims read X^(p-1) rather than X.
+    derive returns the leading claims and X times a p-th power, or None for
+    X when X is undefined.  name is X in the "X is primary" skip reason; power
+    says whether the claims after the first read X^(p-1), as 2 - Z, not X.
     Claims are (id, ref) pairs; a path without the expansion claim has None.
     """
 
@@ -663,21 +668,18 @@ def _verify(bundle: CandidateBundle, spec: _ClaimSpec) -> VerdictReport:
 
     ctx, p = bundle.ctx, bundle.ctx.p
     s, mu = bundle.index_s, bundle.mu
-    twisted = _twisted_quotient(X, mu)
-    claims.append(
-        ClaimResult(*spec.local, holds=is_locally_pth_power(twisted, p + 1), data={})
-    )
-    prim = is_primary(X)
-    expand = spec.expansion is not None and s > (p - 1) // 2
-    # the power is formed only when a claim reads it
-    Y = X ** (p - 1) if spec.power and (expand or not prim) else X
+    Z = X * pow(int(X.coeffs.sum()), -p, p * p)  # X / omega(X(1)) = 1 mod lam
+    twisted = _twisted_quotient(Z, mu)
+    claims.append(ClaimResult(*spec.local, holds=is_locally_pth_power(twisted, p + 1)))
+    prim = is_primary(Z)
+    Y = from_integer(ctx, 2, 2) - Z if spec.power else Z
     if prim:
         claims.append(_skip(*spec.valuation, f"{spec.name} is primary"))
     else:
         v = valuation(Y - from_integer(ctx, 2, 1))
         data = {"expected": s, "measured": _val_json(v)}
         claims.append(ClaimResult(*spec.valuation, holds=v == s, data=data))
-    if expand:
+    if spec.expansion and s > (p - 1) // 2:
         matched, delta = expansion_matches(Y, mu, p - 1)
         holds = matched and (prim or (delta is not None and delta % p != 0))
         data = {"matched": matched, "delta": delta, "primary": prim}

@@ -32,13 +32,14 @@ p-th power, digit and e_mu oracles read every valuation through it, not
 through the package's reader, so a wrong reader cannot pass on both sides
 either.
 
-The last three routes have no closed form in the package beside them, and
-no command runs them; they live here for the tests that read them: the
+Four routes have no closed form in the package beside them, and no
+command runs them; they live here for the tests that read them: the
 first-order recurrence the eigen equation imposes on the normal-basis
 coordinates (RecurrenceSolution and recurrence_solve, acceptance criterion
 4), the twist of a unit to a semi-primary one (semi_primary_normalize),
-and the exponents that absorb leftover eigencomponents of a projected unit
-(solve_unit_adjustment).
+the exponents that absorb leftover eigencomponents of a projected unit
+(solve_unit_adjustment), and the Jacobi sums over F_ell (jacobi_sum), dense
+exact elements whose norm is known at every p.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
-from sympy import integer_nthroot, multiplicity
+from sympy import integer_log, integer_nthroot, multiplicity, primitive_root
 
 from pisingular import (
     CAP,
@@ -452,6 +453,26 @@ def eigen_project_unit_exact(ctx: PrimeContext, a: int, two_m: int) -> ExactElem
     return eta
 
 
+def jacobi_sum(p: int, ell: int, a: int, b: int) -> ExactElement:
+    """J(chi^a, chi^b) = sum_(x != 0, 1) chi^a(x) * chi^b(1 - x) over F_ell,
+    ell = 1 mod p, with chi(g^k) = z^k for sympy's primitive root g mod ell.
+
+    One bincount over F_ell of the exponents a*ind(x) + b*ind(1 - x) mod p,
+    ind the discrete log to base g, gives the counts of z^0, ..., z^(p-1),
+    folded to the power basis by c_i - c_(p-1).
+    """
+    assert (ell - 1) % p == 0, (p, ell)
+    g = primitive_root(ell)
+    ind = np.zeros(ell, dtype=np.int64)
+    gk = 1
+    for k in range(ell - 1):
+        ind[gk] = k
+        gk = gk * g % ell
+    x = np.arange(2, ell)
+    counts = np.bincount((a * ind[x] + b * ind[ell + 1 - x]) % p, minlength=p)
+    return ExactElement(p, fold(counts))
+
+
 def eigenvector_valuation(ctx: PrimeContext, mu: int) -> int | float:
     """v(e_mu) measured over the lam-basis, at K=1."""
     return _valuation(eigenvector_element(ctx, 1, mu))
@@ -566,7 +587,8 @@ def _json_valuation(v) -> int | str:
 
 
 def _norm_shape(B: ExactElement) -> tuple[bool, dict]:
-    """The norm-shape claim |N(B)| = p^t * n^p, n read by sympy's integer root."""
+    """The norm-shape claim |N(B)| = p^t * n^p, n read by sympy's integer root.
+    The digits are counted by integer_log, as str() refuses past 4300 digits."""
     p, N = B.p, norm_exact(B)
     if N == 0:
         return False, {"norm": "0"}
@@ -576,7 +598,7 @@ def _norm_shape(B: ExactElement) -> tuple[bool, dict]:
     data = {
         "sign": 1 if N > 0 else -1,
         "p_exponent": t,
-        "p_free_part_digits": len(str(rest)),
+        "p_free_part_digits": integer_log(rest, 10)[0] + 1,
         "root": str(root) if exact else None,
     }
     return bool(exact), data

@@ -12,6 +12,7 @@ from pisingular import (
     eigen_project_unit_exact,
     is_locally_pth_power,
     is_prime,
+    lam,
     new_context,
     norm_exact,
     unit_reports,
@@ -140,6 +141,14 @@ def test_verification_depth_requirement(ctx7):
     eta, _ = eigen_project_unit(ctx7, 1, 2, 2)
     with pytest.raises(ValueError, match="needs depth"):
         verify_unit_relation(eta, 2)
+
+
+def test_verification_refuses_a_non_unit(ctx7):
+    # refused by its own name before any work, not by an inner helper
+    with pytest.raises(
+        ValueError, match="^verify_unit_relation: element must be a unit, valuation is 1$"
+    ):
+        verify_unit_relation(lam(ctx7, 2), 2)
 
 
 def test_exceptional_index_is_local_pth_power():

@@ -8,17 +8,23 @@ its element is not primary, and is then below p.  The one field that reads
 the bundle's K is the semi-primary valuation of B, which reaches the K=2
 cap when B = 0 mod p^2.  These tests compare verify, at K = 2 and above,
 against oracles.verify_full_k, which evaluates every claim at the bundle's
-own K, and check with a spy that the claims' products run mod p^2.
+own K, on pinned and on random bundles, and check with a spy that the
+claims' products run mod p^2 and that no claim takes an inverse.
 """
 
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from pisingular import (
+    CandidateBundle,
     ExactElement,
     RingElement,
+    eigen_project_unit,
+    eigenvector_element,
     from_integer,
     new_context,
     synthetic_unit_bundle,
@@ -137,14 +143,20 @@ def test_a_unit_past_the_k2_cap(p):
 
 
 def _record(monkeypatch) -> list:
-    """The modulus of every ring product from here on."""
-    real, seen = ring._fold_mul, []
+    """The modulus of every ring product from here on, and "invert" for
+    every RingElement.invert call, x ** -e included."""
+    real, real_invert, seen = ring._fold_mul, RingElement.invert, []
 
     def spy(a, b, p, modulus, dtype):
         seen.append(modulus)
         return real(a, b, p, modulus, dtype)
 
+    def invert(self):
+        seen.append("invert")
+        return real_invert(self)
+
     monkeypatch.setattr(ring, "_fold_mul", spy)
+    monkeypatch.setattr(RingElement, "invert", invert)
     return seen
 
 
@@ -164,7 +176,7 @@ def test_claims_run_mod_p_squared(monkeypatch):
 
 
 def test_the_twisted_quotient_runs_mod_p_squared(monkeypatch):
-    # verify_unit_relation forms sigma(eta) * eta^(-mu) mod p^2, and reads
+    # verify_unit_relation forms sigma(eta) * eta^(p-mu) mod p^2, and reads
     # v(eta^(p-1) - 1) at eta's own K
     p, K = 7, 5
     ctx = new_context(p)
@@ -186,3 +198,88 @@ def test_the_twisted_quotient_runs_mod_p_squared(monkeypatch):
     want = oracles._valuation(oracles.power(eta, p - 1) - from_integer(ctx, K, 1))
     assert rep.valuation_of_eta_pm1 == want == 3 * (p - 1)
     assert rep.relation_holds and rep.local_pth_power
+
+
+@pytest.mark.parametrize("K", [2, 5])
+def test_no_claim_inverts(monkeypatch, K):
+    # the three paths, high-range expansions included, and the twisted
+    # relation multiply only: no RingElement.invert call, and so no x ** -e
+    ctx = new_context(7)
+    unit = replace(synthetic_unit_bundle(ctx, 2, 4, k=1, c=2), K=K)
+    witness = replace(real_witness_bundle(ctx), K=K)
+    eta, _ = eigen_project_unit(ctx, K, 2, 4)
+    seen = _record(monkeypatch)
+    verify_positive_candidate(unit)
+    verify_negative_candidate(witness)
+    verify_b_prime(witness)
+    verify_unit_relation(eta, 4)
+    assert seen and "invert" not in seen
+
+
+# Random bundles against the full-K reference: dense B, planted expansions
+# in the high range, where the sign of delta tells the power paths' Y = 2 - Z
+# from Z, and real witnesses.  Each draws its prime, parity, mu and K.
+RANDOM = settings(
+    max_examples=300, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+SMALL_PRIMES = (5, 7, 11, 13, 17, 19, 23)
+
+
+def _bundle(data, ctx, parity, B, high=False, **witnesses) -> CandidateBundle:
+    """A bundle of B at a drawn K in {2, 3, 4} and a drawn mu = u^s of the
+    parity, s in [2, p-2], past (p-1)/2 when high."""
+    p = ctx.p
+    odd = parity == "negative"
+    low = (p - 1) // 2 + 1 if high else 2
+    s = data.draw(st.sampled_from([s for s in range(low, p - 1) if s % 2 == odd]))
+    K = data.draw(st.sampled_from((2, 3, 4)))
+    return CandidateBundle(ctx=ctx, K=K, parity=parity, mu=ctx.upow[s], B=B, **witnesses)
+
+
+def _coeffs(data, p: int, bits: int) -> list[int]:
+    entries = st.integers(1 - 2**bits, 2**bits - 1)
+    return data.draw(st.lists(entries, min_size=p - 1, max_size=p - 1))
+
+
+@RANDOM
+@given(data=st.data())
+def test_dense_random_bundles(data):
+    # 1- to 40-bit coefficients; about 1 in p is not a unit
+    ctx = new_context(data.draw(st.sampled_from(SMALL_PRIMES)))
+    parity = data.draw(st.sampled_from(("negative", "positive")))
+    B = ExactElement(ctx.p, _coeffs(data, ctx.p, data.draw(st.integers(1, 40))))
+    _check(_bundle(data, ctx, parity, B))
+
+
+@RANDOM
+@given(data=st.data())
+def test_planted_expansions(data):
+    # B = c * (1 - delta * e_mu) + p * w with s > (p-1)/2: C and B^(p-1)
+    # expand along e_mu mod lam^(p-1), with delta times 2 and -1
+    ctx = new_context(data.draw(st.sampled_from(SMALL_PRIMES[1:])))
+    p = ctx.p
+    parity = data.draw(st.sampled_from(("negative", "positive")))
+    bundle = _bundle(data, ctx, parity, None, high=True)
+    e = eigenvector_element(ctx, 1, bundle.mu).coeff_list()
+    c = data.draw(st.integers(1, 2**20).filter(lambda c: c % p))
+    delta = data.draw(st.integers(0, p - 1))
+    w = _coeffs(data, p, data.draw(st.integers(1, 20)))
+    planted = [c * ((i == 0) - delta * ei) + p * wi for i, (ei, wi) in enumerate(zip(e, w))]
+    _check(replace(bundle, B=ExactElement(p, planted)))
+
+
+@RANDOM
+@given(data=st.data())
+def test_real_witnesses(data):
+    # B = z^t * g * beta^((p+1)/2), eta = g^2 * beta with g, beta real units:
+    # B * conj(B) = eta * beta^p and conj(eta) = eta hold exactly
+    ctx = new_context(data.draw(st.sampled_from(SMALL_PRIMES)))
+    p = ctx.p
+    g, beta = (ExactElement(p, _coeffs(data, p, 3)) for _ in range(2))
+    g, beta = g + g.conjugate(), beta + beta.conjugate()
+    assume(all(sum(x.coeff_list()) % p for x in (g, beta)))
+    zt = [0] * (p - 1)
+    zt[data.draw(st.integers(0, p - 2))] = 1
+    B = ExactElement(p, zt) * g * beta ** ((p + 1) // 2)
+    _check(_bundle(data, ctx, "negative", B, eta=g * g * beta, beta=beta))
