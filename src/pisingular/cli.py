@@ -7,7 +7,7 @@ stderr.  Exit codes: 0 success, 1 a verified claim failed, 2 usage or
 format error, 3 invalid witness data, 141 (128 + SIGPIPE) when the reader
 of stdout closed it early, as in `eigen --p 2039 --all | head -1`.  Every
 integer option, and PI_SINGULAR_SEED, must be a decimal integer in ASCII
-(_int_arg), or the call exits 2.
+of at most 4000 digits (_int_arg), or the call exits 2.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .verifier import (
     PreconditionError,
     VerdictReport,
     WitnessInvalidError,
+    _INT_STR_CHUNK,
     _check_K,
     _check_p,
     _decimal_int,
@@ -105,12 +106,20 @@ def _emit(payload: dict, as_json: bool, text_lines) -> None:
 
 def _int_arg(s: str) -> int:
     """An integer option: [+-]?[0-9]+ in ASCII, spaces around it allowed
-    (verifier._decimal_int).  A refusal is argparse's, exit 2, and echoes
-    at most 40 characters of s."""
+    (verifier._decimal_int), of at most _INT_STR_CHUNK digits, which str()
+    prints in the output.  A refusal is argparse's, exit 2, and echoes at
+    most 40 characters of s."""
     try:
-        return _decimal_int(s)
-    except ValueError:  # BundleError too, over the digit limit
+        n = _decimal_int(s)
+    except BundleError:  # over the bundles' digit limit, far past this one
+        n = 10**_INT_STR_CHUNK
+    except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {_echo(s)}") from None
+    if abs(n) >= 10**_INT_STR_CHUNK:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {_echo(s)}, over the limit of {_INT_STR_CHUNK} digits"
+        )
+    return n
 
 
 def _resolve_seed(arg_seed: int | None) -> int:
@@ -120,10 +129,9 @@ def _resolve_seed(arg_seed: int | None) -> int:
     if env is not None:
         try:
             return _int_arg(env)
-        except argparse.ArgumentTypeError:
-            raise PreconditionError(
-                f"PI_SINGULAR_SEED must be an integer, got {_echo(env)}"
-            ) from None
+        except argparse.ArgumentTypeError as e:
+            got = str(e).removeprefix("invalid int value: ")
+            raise PreconditionError(f"PI_SINGULAR_SEED must be an integer, got {got}") from None
     return 1
 
 
@@ -228,8 +236,8 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_ppower(args) -> int:
-    ctx = _context(args.p, K=args.K)
     seed = _resolve_seed(args.seed)
+    ctx = _context(args.p, K=args.K)
     report = check_ppower_congruence(ctx, K=args.K, trials=args.trials, seed=seed)
     payload = report.to_json_dict()
     claim = report.claims[0]

@@ -41,10 +41,12 @@ the logarithm of the (p-1)-th power of sigma(eta) * eta^(-mu):
     logarithm, log(y^(p-1)) / (p-1), has valuation at least p+1;
   * relation_holds is v(sigma(Lambda) - mu*Lambda) >= p+1, by the same
     argument for the real unit sigma(eta) * eta^(-mu);
-  * expansion_delta, in the high range 2m > (p-1)/2, matches the
-    lam-digits of Lambda mod p against e_mu's: for v(Lambda) >= (p-1)/2,
-    eta^(p-1) = exp(Lambda) = 1 + Lambda mod p; below, both Lambda and
-    eta^(p-1) - 1 have a nonzero digit under 2m = v(e_mu): neither matches.
+  * expansion_delta, in the high range 2m > (p-1)/2, is -Lambda_0 mod p,
+    Lambda_0 being Lambda's coordinate at z^(u^0): as c_j = mu^(-j) mod p,
+    Lambda mod p lies in the mu-eigenspace, spanned by e_mu (Washington, ch. 8), whose
+    coordinate there is 1, so Lambda = Lambda_0 * e_mu mod p.  v(Lambda) is
+    then 2m = v(e_mu) or at least p-1, and 4m > p-1, so eta^(p-1) =
+    exp(Lambda) = 1 + Lambda = 1 - delta * e_mu mod lam^(p-1).
 
 In the normal basis z^(u^i), i = 0..p-2, sigma is the cyclic shift
 i -> i+1, so Lambda's coordinates are one cyclic convolution of length p-1
@@ -66,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import PrimeContext, _check_even_index
-from .eigen import _inverse_powers, _match_expansion, _shared_ints, expansion_matches
+from .eigen import _inverse_powers, _shared_ints, expansion_matches
 from .padic import CAP, _check_depth, _lam_read, _require_unit, _val_json, _vp
 from .padic import is_locally_pth_power, valuation
 from .ring import _ROUTE_DTYPE, ExactElement, RingElement, _exact_route, _fold, _power, from_integer
@@ -366,20 +368,13 @@ def unit_reports(
         logs = _unit_logs(ctx, 2, ell, exps)
         # sigma shifts the normal coordinates by one
         twisted = (np.roll(logs, 1, axis=1) - np.array(mus)[:, None] * logs) % (p * p)
-        # the high range matches e_mu, whose normal coordinates are the
-        # exponent row: a residue mod p, so its digits read alike mod p^2
-        high = [i for i, two_m in enumerate(block) if two_m > (p - 1) // 2]
-        vals, digits = _read_normal(ctx, np.concatenate([logs, twisted, exps[high]]), 2)
-        v_twists = vals[r : 2 * r]
+        vals, _ = _read_normal(ctx, np.concatenate([logs, twisted]), 2)
+        v_twists = vals[r:]
         vals = _log_valuations(ctx, K, a, block, exps, vals[:r])
-        deltas = [None] * r
-        for i, e in zip(high, digits[2 * r :]):
-            # Lambda mod p: the digits read below v = p-1, none from there on
-            w = digits[i] if vals[i] < p - 1 else np.zeros_like(e)
-            deltas[i] = _match_expansion(w, e, p)
-        for two_m, mu, v, v_twist, delta, exp_list in zip(
-            block, mus, vals, v_twists, deltas, _shared_ints(ctx, exps)
+        for two_m, mu, v, v_twist, lam0, exp_list in zip(
+            block, mus, vals, v_twists, logs[:, 0].tolist(), _shared_ints(ctx, exps)
         ):
+            delta = -lam0 % p if two_m > (p - 1) // 2 else None  # Lambda = Lambda_0 * e_mu mod p
             report = UnitReport(
                 two_m=two_m, mu=mu, relation_holds=v_twist >= p + 1, local_pth_power=v >= p + 1,
                 valuation_of_eta_pm1=v, expansion_delta=delta,

@@ -14,14 +14,16 @@ witnesses' B' = B^2/eta, or B -- with the leading claims (semi-primary and
 norm shape, or the witness identities).  The loop checks parity and K, then
 makes the same claims on X (or X^(p-1)): the twisted local p-th power, the
 valuation unless X is primary, and the eigen-expansion if the spec has one.
-Each claim reads a depth below 2(p-1), so all run on B and eta mod p^2 at
-every K; a valuation read when X is not primary is below p (else X is its
-Teichmueller lift, a rational p-th power, mod lam^p).  K gives only the
-reported semi-primary valuation of B.
+Each claim reads a depth below 2(p-1), so all run on B mod p^2 at every K,
+and eta enters only the exact identities; a valuation read when X is not
+primary is below p (else X is its Teichmueller lift, a rational p-th power,
+mod lam^p).  K gives only the reported semi-primary valuation of B.
 
 No claim takes an inverse: each is unchanged when X is multiplied by x^p for
-a unit x, as x^p = x(1)^p mod lam^(p+1).  So the paths form C * conj(B)^p,
-B' * eta^p and sigma(X) * X^(p-mu), and read Z = X * X(1)^(-p) mod p^2,
+a unit x, as x^p = x(1)^p mod lam^(p+1).  So the negative and witness paths
+both form C * conj(B)^p, as B' = B^2 * beta^p / (B * conj(B)) = C * beta^p
+once the identities hold, and every path forms sigma(X) * X^(p-mu); they
+read Z = X * X(1)^(-p) mod p^2,
 which is 1 + y with v(y) >= 1, and 2 - Z = 1 - y for X^(p-1) = 1/(1 + y) mod
 lam^p.  These agree mod lam^(2v(y)), so in the valuation, read below p, and
 mod lam^(p-1) once v(y) >= s > (p-1)/2; below s, neither expands along e_mu.
@@ -433,12 +435,22 @@ def synthetic_unit_bundle(
 
 
 def _integer_root(n: int, k: int) -> int | None:
-    """Exact k-th root of n >= 0, or None."""
+    """Exact k-th root of n >= 0, or None.
+
+    Newton's step from any x at or above the root stays there and decreases
+    to it.  x starts at 2^e, e = log2(n)/k + 2^-20, log2(n) read off n's
+    top 64 bits: just above the root, where 2^ceil(bits/k) may be twice it,
+    and then each step shrinks x by only about (k-1)/k.  The margin covers
+    the float error of e, under 2^-30 for n of up to 2^22 bits.
+    """
     if n < 0:
         return None
     if n < 2:
         return n
-    x = 1 << -(-n.bit_length() // k)
+    shift = max(n.bit_length() - 64, 0)
+    e = (math.log2(n >> shift) + shift) / k + 2**-20
+    q = int(e)
+    x = math.ceil(2 ** (e - q + 52)) << q >> 52  # at least floor(2^e)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -477,13 +489,13 @@ def check_ppower_congruence(
 
     Samples units x and perturbations y = x + lam*g, then requires
     v(x^p - y^p) >= p+1.  Fixed seed makes the run bit-reproducible: for
-    each trial in turn, x's p-1 residues mod p^K (the whole vector drawn
+    each trial in turn, x's p-1 residues mod p^2 (the whole vector drawn
     again while their sum is 0 mod p, i.e. while x is not a unit), then g's
     p-1 residues.
 
-    The draws are reduced mod p^2 and the rest runs at K=2 whatever K is:
-    p+1 <= 2(p-1), so v >= p+1 is decided mod p^2, and a failing valuation,
-    below p+1, reads the same at every K.  The trials run in lockstep, in
+    Everything runs mod p^2 whatever K is: p+1 <= 2(p-1), so v >= p+1 is
+    decided mod p^2, and a failing valuation, below p+1, reads the same at
+    every K.  K is checked and reported only.  The trials run in lockstep, in
     blocks whose rows of [x; y] stay within _BLOCK_BYTES: y = x + z*g - g
     by one fold, one square-and-multiply chain (ring._power over
     ring._fold_mul) raises all 2 * block rows to the p-th power, and one
@@ -498,7 +510,7 @@ def check_ppower_congruence(
         )
     _check_depth("check", p, K, p + 1, PreconditionError)
     rng = random.Random(seed)
-    modulus, m = p**K, p * p
+    m = p * p
     dtype = _dtype_for(m, p)
     mul = functools.partial(_fold_mul, p=p, modulus=m, dtype=dtype)
     block = max(1, _BLOCK_BYTES // (32 * p))  # 2*block rows of 2p-3 int64 per product
@@ -507,9 +519,9 @@ def check_ppower_congruence(
         n = min(block, trials - start)
         draws = []
         for _ in range(n):
-            draws.append(_random_unit(p, modulus, rng))
-            draws.append(_draw_residues(rng, modulus, p - 1))
-        xg = (np.array(draws, dtype=_dtype_for(modulus, p)) % m).astype(dtype, copy=False)
+            draws.append(_random_unit(p, m, rng))
+            draws.append(_draw_residues(rng, m, p - 1))
+        xg = np.array(draws, dtype=dtype)
         x, g = xg[0::2], xg[1::2]
         slots = np.zeros((n, p), dtype=dtype)  # y = x + z*g - g: z*g is g one slot on
         slots[:, :-1] = x - g
@@ -572,18 +584,24 @@ def _leading_claims(bundle: CandidateBundle):
     return claims, (Bq if _is_unit(Bq) else None)
 
 
-def _derive_ratio(bundle: CandidateBundle):
+def _ratio(Bq: RingElement | None) -> RingElement | None:
     """The conjugate ratio C = B / conj(B), whose expansion carries the odd
     eigencomponent directly, as B * conj(B)^(p-1) = C * conj(B)^p."""
+    return None if Bq is None else Bq * Bq.conjugate() ** (Bq.p - 1)
+
+
+def _derive_ratio(bundle: CandidateBundle):
     claims, Bq = _leading_claims(bundle)
-    return claims, (None if Bq is None else Bq * Bq.conjugate() ** (bundle.ctx.p - 1))
+    return claims, _ratio(Bq)
 
 
 def _derive_adjusted(bundle: CandidateBundle):
-    """The adjusted B' = B^2/eta, as B^2 * eta^(p-1) = B' * eta^p, after the exact identities.
+    """The adjusted B' = B^2/eta, as _ratio's C * conj(B)^p = B' * (conj(B)/beta)^p,
+    after the exact identities; B' = C * beta^p, and beta is a unit.
 
     A failed identity means the bundle is self-inconsistent
     (WitnessInvalidError), a different event from a claim evaluating false.
+    eta is a unit when B is: eta(1) * beta(1)^p = B(1)^2 mod lam.
     """
     if bundle.eta is None or bundle.beta is None:
         raise PreconditionError("verify_b_prime: bundle has no eta/beta witnesses")
@@ -595,21 +613,23 @@ def _derive_adjusted(bundle: CandidateBundle):
         ClaimResult("witness-product", "B * conj(B) = eta * beta^p exactly", True, {}),
         ClaimResult("witness-real", "conj(eta) = eta exactly", True, {}),
     ]
-    Bq, etaq = (w.reduce(bundle.ctx, 2) for w in (bundle.B, bundle.eta))
-    if not (_is_unit(Bq) and _is_unit(etaq)):
+    Bq = bundle.B.reduce(bundle.ctx, 2)
+    if not _is_unit(Bq):
         raise WitnessInvalidError(
             "adjusted element undefined: B or eta is not a unit at the ramified prime"
         )
-    return claims, Bq * Bq * etaq ** (bundle.ctx.p - 1)
+    return claims, _ratio(Bq)
 
 
 @dataclass(frozen=True)
 class _ClaimSpec:
     """One verify path: the element X it derives and the claims made on X.
 
-    derive returns the leading claims and X times a p-th power, or None for
-    X when X is undefined.  name is X in the "X is primary" skip reason; power
-    says whether the claims after the first read X^(p-1), as 2 - Z, not X.
+    derive returns the leading claims and X times a p-th power of a unit (for
+    B', the ratio C's element), or None for X when X is undefined.  name is X
+    in the "X is primary" skip reason; power says whether the claims after
+    the first read X^(p-1), as 2 - Z, not X.  For B' it changes nothing, as
+    v((2 - Z) - 1) = v(Z - 1) and B' has no expansion claim.
     Claims are (id, ref) pairs; a path without the expansion claim has None.
     """
 

@@ -553,11 +553,11 @@ def canonical_eigenvector(ctx: PrimeContext, mu: int) -> EigenReport:
 
 def ppower_valuations(ctx: PrimeContext, K: int, trials: int, seed: int) -> list:
     """v(x^p - y^p) of each trial of the p-th power campaign, one trial at a
-    time: x a random unit, y = x + lam*g, both raised by RingElement ** and
-    the difference read by lambda_valuation.  The draws are the campaign's,
-    in its order: x's p-1 residues (drawn again while x is not a unit), then
-    g's."""
-    p, modulus = ctx.p, ctx.p**K
+    time: x a random unit, y = x + lam*g, both raised by RingElement ** at
+    the full K and the difference read by lambda_valuation.  The draws are
+    the campaign's, mod p^2 in its order: x's p-1 residues (drawn again
+    while x is not a unit), then g's."""
+    p, modulus = ctx.p, ctx.p**2
     rng = random.Random(seed)
     lam_K = lam(ctx, K)
     out = []

@@ -638,6 +638,65 @@ def test_environment_seed_is_strict(seed, monkeypatch):
     assert len(err.encode()) < 300
 
 
+_PAST_4000 = "7" * 5000
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("ctx", "--p", _PAST_4000),
+        ("ctx", "--p", "7", "--u", _PAST_4000),
+        ("irregular", "--max", _PAST_4000),
+        ("eigen", "--p", "7", "--mu", _PAST_4000),
+        ("expand", "--p", "5", "--coeffs", "1,2,3,4", "--K", _PAST_4000),
+        ("expand", "--p", "5", "--coeffs", "1,2,3,4", "--precision", _PAST_4000),
+        ("ppower", "--p", _PAST_4000),
+        ("ppower", "--p", "7", "--K", _PAST_4000),
+        ("ppower", "--p", "7", "--trials", _PAST_4000),
+        ("ppower", "--p", "7", "--trials", "3", "--seed", _PAST_4000),
+        ("ppower", "--p", "7", "--trials", "3", "--seed", "-" + "1" + "0" * 4000),
+        ("units", "--p", "7", "--all", "--a", _PAST_4000),
+        ("units", "--p", "7", "--two-m", _PAST_4000),
+        ("units", "--p", "7", "--all", "--K", _PAST_4000),
+    ],
+)
+def test_integer_options_past_4000_digits(args, monkeypatch):
+    # str() refuses past 4300 digits, so a 5000-digit seed would run the
+    # whole campaign and then fail to print itself: every option is refused
+    # past 4000 digits, before any context is built.
+    monkeypatch.setattr(cli, "new_context", None)
+    code, out, err = _main_in_process(args)
+    assert (code, out) == (2, "")
+    assert f"invalid int value: {repr(args[-1])[:40]}... ({len(args[-1]) + 2} characters), " in err
+    assert "over the limit of 4000 digits" in err
+    assert len(err.encode()) < 400
+
+
+def test_environment_seed_past_4000_digits(monkeypatch):
+    monkeypatch.setattr(cli, "new_context", None)
+    monkeypatch.setenv("PI_SINGULAR_SEED", _PAST_4000)
+    code, out, err = _main_in_process(("ppower", "--p", "5", "--trials", "10"))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: PI_SINGULAR_SEED must be an integer, got {repr(_PAST_4000)[:40]}... "
+        "(5002 characters), over the limit of 4000 digits\n"
+    )
+
+
+@pytest.mark.parametrize("seed", ["9" * 4000, "-" + "9" * 4000])
+def test_a_4000_digit_seed_runs_and_is_echoed(seed, monkeypatch):
+    monkeypatch.delenv("PI_SINGULAR_SEED", raising=False)
+    args = ("ppower", "--p", "7", "--trials", "3", "--seed", seed)
+    code, out, err = _main_in_process(args)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"trials: 3  seed: {seed}\n")
+    code, out, err = _main_in_process(args + ("--json",))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["claims"][0]["data"]["seed"] == int(seed)
+    monkeypatch.setenv("PI_SINGULAR_SEED", seed)
+    assert _main_in_process(args[:-2] + ("--json",)) == (0, out, "")
+
+
 def test_closed_pipe_exits_141_quietly():
     # eigen --all at p=2039 prints about 110 KB, past the pipe buffer, so
     # its writes after the reader has gone fail (EPIPE), as under `| head -1`.

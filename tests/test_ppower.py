@@ -1,14 +1,15 @@
 """The p-th power campaign in lockstep against its per-trial oracle.
 
-check_ppower_congruence draws every trial's residues mod p^K in the
-per-trial order, reduces them mod p^2, then raises a block of rows [x; y]
-to the p-th power by one square-and-multiply chain over stacked products
-and reads all valuations with one padic._lam_read at K=2.  These tests
-compare it, trial by trial, with the loop over RingElement at the full K
-that it replaced (tests/oracles.py), on both of its product routes, at K
-whose full modulus takes every route, across block boundaries and at the
-sweep workload's settings; check that its products run mod p^2; force the
-failure branch, which no real trial reaches; and bound its memory and time.
+check_ppower_congruence draws every trial's residues mod p^2 in the
+per-trial order, whatever K is, then raises a block of rows [x; y] to the
+p-th power by one square-and-multiply chain over stacked products and
+reads all valuations with one padic._lam_read at K=2.  These tests compare
+it, trial by trial, with the loop over RingElement at the full K that it
+replaced (tests/oracles.py), on the same draws, on both of its product
+routes, at K whose full modulus takes every route in the oracle, across
+block boundaries and at the sweep workload's settings; check that its
+products run mod p^2; force the failure branch, which no real trial
+reaches; and bound its memory and time.
 """
 
 import json
@@ -104,8 +105,9 @@ def test_lockstep_matches_per_trial_oracle(monkeypatch, p, K, trials, seed):
 
 
 def test_settings_cover_every_route():
-    # the campaign computes mod p^2 at every K, so its route is _route(p^2, p);
-    # the full moduli p^K still take every route, as the draws are mod p^K
+    # the campaign draws and computes mod p^2 at every K, so its route is
+    # _route(p^2, p); the oracle computes at the full moduli p^K, which take
+    # every route
     assert {_route(p * p, p) for p, _, _, _ in SETTINGS} == {"int64", "float"}
     assert {_route(p**K, p) for p, K, _, _ in SETTINGS} == {"int64", "float", "object"}
     assert _route(2039**2, 2039) == "int64" and _route(79**4, 79) == "int64"

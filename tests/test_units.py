@@ -279,6 +279,34 @@ def test_log_route_matches_bucket_route_every_index(p):
             ]
 
 
+def _digit_match_deltas(ctx, a, two_ms):
+    """delta as unit_reports once matched it: the lam-digits of Lambda mod p
+    (read mod p^2, none from v = p-1 on) against e_mu's, whose normal
+    coordinates are the exponent row, solved here by trying every delta."""
+    p, r = ctx.p, len(two_ms)
+    exps = _inverse_powers(ctx, two_ms)
+    logs = _unit_logs(ctx, 2, _unit_log(ctx, 2, a), exps)
+    vals, digits = _read_normal(ctx, np.concatenate([logs, exps]), 2)
+    deltas = []
+    for i in range(r):
+        e = digits[r + i]
+        w = digits[i] if vals[i] < p - 1 else np.zeros_like(e)
+        (delta,) = [d for d in range(p) if not ((w + d * e) % p).any()]
+        deltas.append(delta)
+    return deltas
+
+
+@pytest.mark.parametrize("p", [p for p in range(7, 104) if is_prime(p)])
+def test_delta_is_the_digit_match(p):
+    # Lambda = Lambda_0 * e_mu mod p, so the closed form -Lambda_0 is the one
+    # delta that matches every digit, at every high-range index
+    ctx = new_context(p)
+    two_ms = [m for m in range(2, p - 2, 2) if m > (p - 1) // 2]
+    for a in (2, 3, (p - 1) // 2):
+        got = [rep.expansion_delta for rep, _ in unit_reports(ctx, 2, a, two_ms)]
+        assert got == _digit_match_deltas(ctx, a, two_ms), (p, a)
+
+
 def test_log_route_matches_bucket_route_p257():
     # a = 2 has order 16 mod 257, so every multiple of 16 is an index where
     # eta = +-1; 164 is the irregular pair.  Together they are the 16 local

@@ -9,7 +9,9 @@ the bundle's K is the semi-primary valuation of B, which reaches the K=2
 cap when B = 0 mod p^2.  These tests compare verify, at K = 2 and above,
 against oracles.verify_full_k, which evaluates every claim at the bundle's
 own K, on pinned and on random bundles, and check with a spy that the
-claims' products run mod p^2 and that no claim takes an inverse.
+claims' products run mod p^2 and that no claim takes an inverse.  The
+witness path reads the ratio's element, as B' = B^2/eta = C * beta^p: its
+claims are C's, and eta enters only the exact witness identities.
 """
 
 from dataclasses import replace
@@ -269,11 +271,9 @@ def test_planted_expansions(data):
     _check(replace(bundle, B=ExactElement(p, planted)))
 
 
-@RANDOM
-@given(data=st.data())
-def test_real_witnesses(data):
-    # B = z^t * g * beta^((p+1)/2), eta = g^2 * beta with g, beta real units:
-    # B * conj(B) = eta * beta^p and conj(eta) = eta hold exactly
+def _witness_bundle(data) -> CandidateBundle:
+    """B = z^t * g * beta^((p+1)/2), eta = g^2 * beta with g, beta real units:
+    B * conj(B) = eta * beta^p and conj(eta) = eta hold exactly."""
     ctx = new_context(data.draw(st.sampled_from(SMALL_PRIMES)))
     p = ctx.p
     g, beta = (ExactElement(p, _coeffs(data, p, 3)) for _ in range(2))
@@ -282,4 +282,64 @@ def test_real_witnesses(data):
     zt = [0] * (p - 1)
     zt[data.draw(st.integers(0, p - 2))] = 1
     B = ExactElement(p, zt) * g * beta ** ((p + 1) // 2)
-    _check(_bundle(data, ctx, "negative", B, eta=g * g * beta, beta=beta))
+    return _bundle(data, ctx, "negative", B, eta=g * g * beta, beta=beta)
+
+
+@RANDOM
+@given(data=st.data())
+def test_real_witnesses(data):
+    _check(_witness_bundle(data))
+
+
+@RANDOM
+@given(data=st.data())
+def test_b_prime_claims_are_the_ratios(data):
+    # B' = B^2/eta = C * beta^p, and beta is a unit: on test_real_witnesses'
+    # bundles, B''s two claims are C's twist claims, holds and data alike;
+    # only the skip reason names B' for C
+    bundle = _witness_bundle(data)
+    ratio = verify_negative_candidate(bundle).to_json_dict()["claims"][2:4]
+    adjusted = verify_b_prime(bundle).to_json_dict()["claims"][2:]
+    assert [c["id"] for c in adjusted] == ["adjusted-local-pth-power", "adjusted-valuation"]
+    for c, a in zip(ratio, adjusted, strict=True):
+        assert a["holds"] == c["holds"]
+        primary = c["data"] == {"skipped": "C is primary"}
+        assert a["data"] == ({"skipped": "B' is primary"} if primary else c["data"])
+
+
+def test_eta_enters_only_the_identities(monkeypatch):
+    # verify_b_prime reduces B alone, mod p^2; eta takes part in one product
+    # (eta * beta^p) and one conjugation, both exact, and the claims run the
+    # negative path's truncated products, as both derive C * conj(B)^p
+    p = 7
+    bundle = replace(real_witness_bundle(new_context(p), twist=1), K=5)
+    eta, reduced, touched = bundle.eta, [], []
+    real_reduce, real_mul, real_galois = (
+        ExactElement.reduce, ExactElement.__mul__, ExactElement.galois_apply
+    )
+
+    def reduce(self, ctx, K):
+        reduced.append((self, K))
+        return real_reduce(self, ctx, K)
+
+    def mul(self, other):
+        if self is eta or other is eta:
+            touched.append("mul")
+        return real_mul(self, other)
+
+    def galois(self, j):
+        if self is eta:
+            touched.append(("galois", j))
+        return real_galois(self, j)
+
+    monkeypatch.setattr(ExactElement, "reduce", reduce)
+    monkeypatch.setattr(ExactElement, "__mul__", mul)
+    monkeypatch.setattr(ExactElement, "galois_apply", galois)
+    seen = _record(monkeypatch)
+    verify_negative_candidate(bundle)
+    ratio = list(seen)
+    del seen[:], reduced[:]
+    verify_b_prime(bundle)
+    assert len(reduced) == 1 and reduced[0][0] is bundle.B and reduced[0][1] == 2
+    assert touched == ["mul", ("galois", p - 1)]
+    assert ratio and [m for m in seen if m is not None] == ratio == [p * p] * len(ratio)

@@ -6,6 +6,7 @@ import random
 import re
 
 import pytest
+import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -41,6 +42,7 @@ from pisingular.verifier import (
     _WITNESS_POWER_MAX_BITS,
     _decimal_int,
     _decimal_str,
+    _integer_root,
 )
 
 
@@ -390,6 +392,32 @@ def test_norm_shape_failure(ctx5):
     assert by_id["norm-shape"].data["p_exponent"] == 0
     assert by_id["norm-shape"].data["root"] is None
     assert not rep.overall
+
+
+def _root_cases():
+    """(n, k) with k from 3 to 2039 and n of 1 to 262144 bits, the norm's
+    cap (k >= 37 past 16464 bits, to keep the test fast): random n, exact
+    k-th powers and exact powers plus and minus 1."""
+    rng = random.Random(2039)
+    for bits in (1, 2, 5, 63, 64, 65, 127, 1000, 16464, 131072, 262144):
+        for k in (3, 5, 37, 101, 257, 1031, 2039)[2 if bits > 16464 else 0 :]:
+            yield rng.getrandbits(bits) | 1 << (bits - 1), k
+            rbits = max(1, bits // k)
+            r = rng.getrandbits(rbits) | 1 << (rbits - 1)
+            yield from ((r**k + d, k) for d in (-1, 0, 1))
+
+
+def test_integer_root_matches_sympy():
+    # Newton starts just above the root, from a float estimate with a
+    # 2^-20 margin; a margin of 2^-40 started below the root of an exact
+    # cube of 131072 bits, and so returned None for it.
+    cases = list(_root_cases())
+    assert len(cases) == 292
+    for n, k in cases:
+        root, exact = sympy.integer_nthroot(n, k)
+        assert _integer_root(n, k) == (root if exact else None), (n.bit_length(), k)
+    r = random.Random(3).getrandbits(131072 // 3)
+    assert _integer_root(r**3, 3) == r and _integer_root(r**3 + 1, 3) is None
 
 
 def test_nonunit_candidate_skips_quotient_claims(ctx7):
