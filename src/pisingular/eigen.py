@@ -11,9 +11,14 @@ one-dimensional eigenspace spanned by the closed-form vector
 Every e_mu is read off one table, E[s, i] = u^(-s*i mod (p-1)) = mu^(-i)
 for mu = u^s, one numpy index expression per block of rows; the reports of
 a list of mu check sigma(e_mu) = mu * e_mu on a block at once with the
-ring's Galois kernel.  The module also exposes the digit-expansion
-matcher that recognizes elements congruent to 1 - delta * e_mu to a
-requested depth by one linear solve mod p.
+ring's Galois kernel.
+
+The module also recognizes the units congruent to 1 - delta * e_mu mod
+lam^(p-1) (expansion_matches).  As (p) = (lam)^(p-1), that congruence is
+one mod p, where the normal basis z^(u^i) is a basis and e_mu's
+coordinates are the row mu^(-i) of E, 1 at i = 0: it holds iff the normal
+coordinates n_i of a - 1 are n_0 * mu^(-i) mod p, and then delta = -n_0
+(Washington, Introduction to Cyclotomic Fields, ch. 5 and 8).
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import PrimeContext
-from .padic import _lam_read, _require_unit
-from .ring import RingElement, _fold, _fold_galois, _normal_slots
+from .padic import _require_unit
+from .ring import RingElement, _fold, _fold_galois, _normal_coords, _normal_slots
 
 __all__ = [
     "EigenReport",
@@ -140,32 +145,19 @@ def canonical_eigenvector(ctx: PrimeContext, mu: int) -> EigenReport:
     return _eigen_reports(ctx, [mu])[0]
 
 
-def _match_expansion(w, e, p: int) -> int | None:
-    """The delta with w_i + delta * e_i = 0 mod p at every i, solved at the
-    first i with e_i != 0 (0 if e is all zero), or None if none matches."""
-    s = np.flatnonzero(e)
-    delta = -int(w[s[0]]) * pow(int(e[s[0]]), -1, p) % p if s.size else 0
-    return None if ((w + delta * e) % p).any() else delta
+def expansion_matches(a: RingElement, mu: int) -> tuple[bool, int | None]:
+    """Test a = 1 - delta * e_mu mod lam^(p-1); return (matched, delta).
 
-
-def expansion_matches(
-    a: RingElement, mu: int, depth: int | None = None
-) -> tuple[bool, int | None]:
-    """Test a = 1 - delta * e_mu mod lam^depth; return (matched, delta).
-
-    With w, e the lam-digits of a - 1 and e_mu below depth, read together
-    mod p (padic._lam_read), it is w_i + delta * e_i = 0 mod p for
-    i < depth (_match_expansion).  v(e_mu) < p-1, so at depth p-1 a
-    matching delta is unique.
+    Mod lam^(p-1) is mod p (module docstring), so it is a test on the
+    normal coordinates n_i of a - 1 mod p: n_i = n_0 * mu^(-i) at every i,
+    and then delta = -n_0.  delta is unique, as e_mu is nonzero mod p;
+    (False, None) when nothing matches.
     """
-    ctx, p = a.ctx, a.ctx.p
     _require_unit(a, "expansion_matches")
-    if depth is None:
-        depth = p - 1
-    if not (1 <= depth <= p - 1):
-        raise ValueError(f"depth must lie in [1, {p - 1}], got {depth}")
-    rows = [a.coeffs % p, eigenvector_element(ctx, 1, mu).coeffs]
-    _, (w, e) = _lam_read(p, 1, np.array(rows, dtype=np.int64))
-    w[0] -= 1
-    delta = _match_expansion(w[:depth], e[:depth], p)
-    return delta is not None, delta
+    ctx, p = a.ctx, a.ctx.p
+    (e,) = _inverse_powers(ctx, _indices(ctx, [mu]))
+    c = (a.coeffs % p).astype(np.int64)
+    c[0] -= 1
+    n = _normal_coords(ctx, c)
+    matched = not ((n - n[0] * e) % p).any()
+    return matched, (-int(n[0]) % p if matched else None)

@@ -26,7 +26,9 @@ The digits need no lam-basis: since z = 1 mod lam, the next digit of r is
 r(1) mod p, and r minus it divides exactly by lam = z - 1 (see digits).
 
 _check_depth, the refusal of a K whose cap K*(p-1) is below a claim's
-depth, lives here for is_primary, units and the p-th power campaign.
+depth, lives here for is_primary, units and the p-th power campaign, and
+_require_truncated, the refusal of an ExactElement, for every public read
+here and in eigen.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ring import RingElement, from_integer
+from .ring import ExactElement, RingElement, from_integer
 
 __all__ = [
     "CAP",
@@ -85,25 +87,33 @@ def _vp(x: int, p: int) -> int:
     return n
 
 
-def _lam_read(p: int, K: int, rows: np.ndarray) -> tuple[list, np.ndarray]:
-    """v(x) for each row x of power-basis residues in [0, p^K), and the
-    first p-1 lam-digits of x' = x / p^t, t the least exponent of p in x's
-    coefficients: v(x) = (p-1)*t + the index of the first nonzero digit
-    (module docstring).  A zero row, x = 0 mod p^K, reads CAP and 0s."""
+def _lam_read(p: int, K: int, rows: np.ndarray) -> list:
+    """v(x) for each row x of power-basis residues in [0, p^K): with t the
+    least exponent of p in x's coefficients, v(x) = (p-1)*t + the index of
+    the first lam-coefficient of x' = x / p^t that is nonzero mod p (module
+    docstring).  A zero row, x = 0 mod p^K, reads CAP."""
     n = p - 1
     # t is the exponent of p in the gcd of the row; a zero row has gcd 0
     t = [_vp(g, p) if g else K for g in np.gcd.reduce(rows, axis=1).tolist()]
     q = rows // np.array([p**ti for ti in t], dtype=rows.dtype)[:, None]
-    Tt = _pascal_transposed_mod_p(p)
-    lam_coeffs = ((q % p).astype(np.float64) @ Tt % p).astype(np.int64)
+    lam_coeffs = (q % p).astype(np.float64) @ _pascal_transposed_mod_p(p) % p
     first = (lam_coeffs != 0).argmax(axis=1).tolist()
-    vals = [CAP if ti >= K else n * ti + fi for ti, fi in zip(t, first)]
-    return vals, lam_coeffs
+    return [CAP if ti >= K else n * ti + fi for ti, fi in zip(t, first)]
+
+
+def _require_truncated(a: RingElement, opname: str) -> None:
+    """Refuse an ExactElement, which has no ctx or K to read lam-adically
+    at: the mirror of norm_exact's refusal of truncated elements."""
+    if isinstance(a, ExactElement):
+        raise TypeError(
+            f"{opname} needs a truncated element; use ExactElement.reduce(ctx, K)"
+        )
 
 
 def valuation(a: RingElement) -> int | float:
     """Order of vanishing at the ramified prime; CAP when a == 0 mod p^K."""
-    return _lam_read(a.ctx.p, a.K, a.coeffs[None, :])[0][0]
+    _require_truncated(a, "valuation")
+    return _lam_read(a.ctx.p, a.K, a.coeffs[None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -142,6 +152,7 @@ def digits(a: RingElement, N: int) -> LambdaExpansion:
     the prefix sums stay below (p-1)*m, which int64 holds whenever the
     ring's int64 bound (p-1)(m-1)^2 < 2^63 does; object stays object.
     """
+    _require_truncated(a, "digits")
     p, K, m = a.ctx.p, a.K, a.modulus
     nmax = K * (p - 1)
     if not (1 <= N <= nmax):
@@ -176,11 +187,13 @@ def _is_unit(a: RingElement) -> bool:
 
 def is_semi_primary(a: RingElement) -> bool:
     """True iff a is a unit congruent to a rational integer mod lam^2."""
+    _require_truncated(a, "is_semi_primary")
     l0, l1 = _first_two_digits(a)
     return l0 != 0 and l1 == 0
 
 
 def _require_unit(a: RingElement, opname: str) -> None:
+    _require_truncated(a, opname)
     if not _is_unit(a):
         raise ValueError(f"{opname}: element must be a unit, valuation is {valuation(a)}")
 

@@ -236,7 +236,7 @@ def verify_unit_relation(eta: RingElement, two_m: int) -> UnitReport:
     power = eta ** (p - 1)
     val = valuation(power - from_integer(ctx, eta.K, 1))
     # (False, None) when the expansion does not match
-    delta = expansion_matches(power, mu, p - 1)[1] if two_m > (p - 1) // 2 else None
+    delta = expansion_matches(power, mu)[1] if two_m > (p - 1) // 2 else None
     return UnitReport(
         two_m=two_m, mu=mu, relation_holds=relation_holds, local_pth_power=local,
         valuation_of_eta_pm1=val, expansion_delta=delta,
@@ -289,7 +289,7 @@ def _unit_log(ctx: PrimeContext, K: int, a: int) -> list[int]:
     return (_normal_coords(ctx, (series * Z).coeffs) % mK).tolist()
 
 
-def _read_normal(ctx: PrimeContext, rows: np.ndarray, K: int) -> tuple[list, np.ndarray]:
+def _read_normal(ctx: PrimeContext, rows: np.ndarray, K: int) -> list:
     """padic._lam_read of rows of normal-basis coordinates mod p^K."""
     return _lam_read(ctx.p, K, _fold(_normal_slots(ctx, rows), ctx.p**K))
 
@@ -320,7 +320,7 @@ def _log_valuations(ctx: PrimeContext, K: int, a: int, two_ms, exps, vals) -> li
     deep = [i for i, v in enumerate(vals) if v is CAP and pow(a, two_ms[i], p) != 1]
     if deep and K > 2:
         logs = _unit_logs(ctx, K, _unit_log(ctx, K, a), exps[deep])
-        for i, v in zip(deep, _read_normal(ctx, logs, K)[0]):
+        for i, v in zip(deep, _read_normal(ctx, logs, K)):
             vals[i] = v
     return vals
 
@@ -368,7 +368,7 @@ def unit_reports(
         logs = _unit_logs(ctx, 2, ell, exps)
         # sigma shifts the normal coordinates by one
         twisted = (np.roll(logs, 1, axis=1) - np.array(mus)[:, None] * logs) % (p * p)
-        vals, _ = _read_normal(ctx, np.concatenate([logs, twisted]), 2)
+        vals = _read_normal(ctx, np.concatenate([logs, twisted]), 2)
         v_twists = vals[r:]
         vals = _log_valuations(ctx, K, a, block, exps, vals[:r])
         for two_m, mu, v, v_twist, lam0, exp_list in zip(

@@ -12,8 +12,9 @@ The three verify paths are one claim loop, _verify, over a table of claim
 specs.  A spec derives the element X of its path -- C = B/conj(B), the
 witnesses' B' = B^2/eta, or B -- with the leading claims (semi-primary and
 norm shape, or the witness identities).  The loop checks parity and K, then
-makes the same claims on X (or X^(p-1)): the twisted local p-th power, the
-valuation unless X is primary, and the eigen-expansion if the spec has one.
+makes the same claims on X, or X^(p-1) for B' and B, all read on one Z
+(below): the twisted local p-th power, the valuation unless X is primary,
+and the eigen-expansion if the spec has one.
 Each claim reads a depth below 2(p-1), so all run on B mod p^2 at every K,
 and eta enters only the exact identities; a valuation read when X is not
 primary is below p (else X is its Teichmueller lift, a rational p-th power,
@@ -23,10 +24,11 @@ No claim takes an inverse: each is unchanged when X is multiplied by x^p for
 a unit x, as x^p = x(1)^p mod lam^(p+1).  So the negative and witness paths
 both form C * conj(B)^p, as B' = B^2 * beta^p / (B * conj(B)) = C * beta^p
 once the identities hold, and every path forms sigma(X) * X^(p-mu); they
-read Z = X * X(1)^(-p) mod p^2,
-which is 1 + y with v(y) >= 1, and 2 - Z = 1 - y for X^(p-1) = 1/(1 + y) mod
-lam^p.  These agree mod lam^(2v(y)), so in the valuation, read below p, and
-mod lam^(p-1) once v(y) >= s > (p-1)/2; below s, neither expands along e_mu.
+read Z = X * X(1)^(-p) mod p^2, which is 1 + y with v(y) >= 1.  X^(p-1) =
+1/(1 + y) mod lam^p is read on Z too: v(X^(p-1) - 1) = v(y) = v(Z - 1),
+and X^(p-1) - 1 = -(Z - 1) mod lam^(2v(y)), so mod lam^(p-1) once
+v(y) >= s > (p-1)/2, where Z = 1 + delta*e_mu iff X^(p-1) = 1 - delta*e_mu;
+below s, neither expands along e_mu.
 
 Three failure modes are kept distinct:
 
@@ -527,7 +529,7 @@ def check_ppower_congruence(
         slots[:, :-1] = x - g
         slots[:, 1:] += g
         powers = _power(np.concatenate([x, _fold(slots, m)]), p, mul)
-        vals, _ = _lam_read(p, 2, (powers[:n] - powers[n:]) % m)
+        vals = _lam_read(p, 2, (powers[:n] - powers[n:]) % m)
         failures += [
             {"trial": start + i, "valuation": _val_json(v)}
             for i, v in enumerate(vals)
@@ -628,8 +630,8 @@ class _ClaimSpec:
     derive returns the leading claims and X times a p-th power of a unit (for
     B', the ratio C's element), or None for X when X is undefined.  name is X
     in the "X is primary" skip reason; power says whether the claims after
-    the first read X^(p-1), as 2 - Z, not X.  For B' it changes nothing, as
-    v((2 - Z) - 1) = v(Z - 1) and B' has no expansion claim.
+    the first are made on X^(p-1), whose expansion reads -delta on Z (module
+    docstring).  For B' it changes nothing, as B' has no expansion claim.
     Claims are (id, ref) pairs; a path without the expansion claim has None.
     """
 
@@ -692,16 +694,17 @@ def _verify(bundle: CandidateBundle, spec: _ClaimSpec) -> VerdictReport:
     twisted = _twisted_quotient(Z, mu)
     claims.append(ClaimResult(*spec.local, holds=is_locally_pth_power(twisted, p + 1)))
     prim = is_primary(Z)
-    Y = from_integer(ctx, 2, 2) - Z if spec.power else Z
     if prim:
         claims.append(_skip(*spec.valuation, f"{spec.name} is primary"))
     else:
-        v = valuation(Y - from_integer(ctx, 2, 1))
+        v = valuation(Z - from_integer(ctx, 2, 1))
         data = {"expected": s, "measured": _val_json(v)}
         claims.append(ClaimResult(*spec.valuation, holds=v == s, data=data))
     if spec.expansion and s > (p - 1) // 2:
-        matched, delta = expansion_matches(Y, mu, p - 1)
-        holds = matched and (prim or (delta is not None and delta % p != 0))
+        matched, delta = expansion_matches(Z, mu)
+        if matched and spec.power:
+            delta = -delta % p
+        holds = matched and (prim or delta != 0)
         data = {"matched": matched, "delta": delta, "primary": prim}
         claims.append(ClaimResult(*spec.expansion, holds=holds, data=data))
     elif spec.expansion:

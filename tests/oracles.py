@@ -16,9 +16,10 @@ eigen report once measured, the logarithm of xi_a^(p-1) by its plain
 series with no argument reduction, and the per-mu eigen report (e_mu built
 coordinate by coordinate as one RingElement, sigma applied by galois_apply)
 with the hand-written Phi_p fold and constant elimination beside it,
-the p-th power campaign one trial at a time, and the verify claims
-evaluated at the bundle's full K (verify_full_k), with every inverse by
-Gauss-Jordan.
+the p-th power campaign one trial at a time, the lam-digit match of
+1 - delta * e_mu to any depth (expansion_match_digits) that eigen once
+solved, and the verify claims evaluated at the bundle's full K
+(verify_full_k), with every inverse by Gauss-Jordan.
 Nothing at runtime needs them; the property tests compare the package
 against them.  The ring oracles compute with Python
 ints (object dtype) at every modulus, so a wrong machine-word bound in the
@@ -57,7 +58,6 @@ from pisingular import (
     PrimeContext,
     RingElement,
     eigenvector_element,
-    expansion_matches,
     from_integer,
     is_locally_pth_power,
     is_primary,
@@ -478,6 +478,28 @@ def eigenvector_valuation(ctx: PrimeContext, mu: int) -> int | float:
     return _valuation(eigenvector_element(ctx, 1, mu))
 
 
+def expansion_match_digits(
+    a: RingElement, mu: int, depth: int | None = None
+) -> tuple[bool, int | None]:
+    """Test a = 1 - delta * e_mu mod lam^depth (default p-1), digit by digit.
+
+    With w, e the lam-coefficients mod p of a - 1 and e_mu (lambda_coeffs),
+    below depth, it is w_i + delta * e_i = 0 mod p for every i < depth,
+    solved at the first i with e_i != 0 (delta = 0 if there is none).
+    Returns (matched, delta), or (False, None).
+    """
+    ctx, p = a.ctx, a.ctx.p
+    depth = p - 1 if depth is None else depth
+    assert 1 <= depth <= p - 1, depth
+    w = lambda_coeffs((a - from_integer(ctx, a.K, 1)).coeffs, p)[:depth]
+    e = lambda_coeffs(eigenvector_element(ctx, 1, mu).coeffs, p)[:depth]
+    first = next((i for i, ei in enumerate(e) if ei), None)
+    delta = 0 if first is None else -w[first] * pow(e[first], -1, p) % p
+    if any((wi + delta * ei) % p for wi, ei in zip(w, e)):
+        return False, None
+    return True, delta
+
+
 def unit_log(ctx: PrimeContext, K: int, a: int) -> list[int]:
     """Normal-basis coordinates of log(xi_a^(p-1)) mod p^K, the coefficient
     of z^(u^i) at index i, by the plain series sum (-1)^(n+1) Y^n / n with
@@ -609,7 +631,8 @@ def verify_full_k(bundle, path: str) -> dict:
     "b_prime" or "positive", with every claim evaluated on B and eta mod
     p^K at the bundle's own K: the public predicates on B.reduce(ctx, K),
     each inverse by Gauss-Jordan (invert), each power by power and each
-    reported valuation by lambda_valuation.  The witness identities read no
+    reported valuation by lambda_valuation, and the expansion by
+    expansion_match_digits on X or X^(p-1) itself.  The witness identities read no
     K; they are checked exactly and must hold."""
     ctx, K, p = bundle.ctx, bundle.K, bundle.ctx.p
     s, mu = ctx.index_of(bundle.mu), bundle.mu
@@ -641,7 +664,7 @@ def verify_full_k(bundle, path: str) -> dict:
             v = _valuation(Y - from_integer(ctx, K, 1))
             claims.append((val_id, v == s, {"expected": s, "measured": _json_valuation(v)}))
         if exp_id and s > (p - 1) // 2:
-            matched, delta = expansion_matches(Y, mu, p - 1)
+            matched, delta = expansion_match_digits(Y, mu)
             holds = matched and (prim or (delta is not None and delta % p != 0))
             claims.append((exp_id, holds, {"matched": matched, "delta": delta, "primary": prim}))
         elif exp_id:

@@ -173,9 +173,7 @@ def test_criterion_6_high_index_expansion():
                 continue
             exercised += 1
             mu = ctx.upow[two_m]
-            matched, delta = expansion_matches(
-                eta ** (ctx.p - 1), mu, ctx.p - 1
-            )
+            matched, delta = expansion_matches(eta ** (ctx.p - 1), mu)
             assert matched, (ctx.p, two_m)
             assert delta is not None and delta % ctx.p != 0, (ctx.p, two_m)
         assert exercised > 0

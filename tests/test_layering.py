@@ -23,10 +23,13 @@ NORM_NAMES = (
 
 # Checks with one owning module, which the others import, and removed
 # helpers that no module defines again.
-OWNERS = {"_check_depth": "padic", "_check_even_index": "context", "_check_odd_prime": "context"}
+OWNERS = {
+    "_check_depth": "padic", "_check_even_index": "context", "_check_odd_prime": "context",
+    "_require_truncated": "padic",
+}
 GONE = (
     "_galois_index", "_float_conjugates", "_float_roots", "_FLOAT_MARGIN",
-    "_root_block", "_ROOT_BLOCK",
+    "_root_block", "_ROOT_BLOCK", "_match_expansion",
 )
 
 

@@ -30,6 +30,9 @@ from pisingular import (
     digits,
     eigen_project_unit,
     eigen_project_unit_exact,
+    eigenvector_element,
+    expansion_matches,
+    from_integer,
     is_locally_pth_power,
     is_prime,
     is_semi_primary,
@@ -39,6 +42,7 @@ from pisingular import (
     sigma_matrix,
     synthetic_unit_bundle,
     valuation,
+    zeta,
 )
 from pisingular import padic
 from pisingular.padic import _first_two_digits, _pth_power_to_depth
@@ -222,6 +226,38 @@ def test_eigen_valuation_law(p):
     for mu in range(2, p):
         report = canonical_eigenvector(ctx, mu)
         assert report.valuation == oracles.eigenvector_valuation(ctx, mu), mu
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 104) if is_prime(p)])
+@PROPERTY
+@given(data=st.data())
+def test_expansion_coordinates_match_the_digit_oracle(p, data):
+    # The coordinate test mod p against the lam-digit solve at depth p-1, on
+    # a random element and on three planted around 1 - delta*e_mu: + p*w,
+    # which matches; + lam^k * w with k < p-1, which matches to depth k at
+    # least; and + c*z^(u^j), c != 0 mod p, one normal coordinate off, which
+    # never matches.
+    ctx, n = new_context(p), p - 1
+    K = data.draw(st.integers(1, 3))
+    mu = data.draw(st.integers(2, p - 1))
+    delta = data.draw(st.integers(0, p - 1))
+    w = RingElement(ctx, K, data.draw(st.lists(st.integers(0, p**K - 1), min_size=n, max_size=n)))
+    k = data.draw(st.integers(1, p - 2))
+    j = data.draw(st.integers(0, p - 2))
+    c = data.draw(st.integers(1, p - 2))  # c != -1, so the last one is a unit
+    planted = from_integer(ctx, K, 1) - eigenvector_element(ctx, K, mu) * delta
+    cases = [
+        (w, None),
+        (planted + w * p, (True, delta)),
+        (planted + lam(ctx, K) ** k * w, None),
+        (planted + zeta(ctx, K, ctx.upow[j]) * c, (False, None)),
+    ]
+    for i, (a, want) in enumerate(cases):
+        if not padic._is_unit(a):
+            continue
+        got = expansion_matches(a, mu)
+        assert got == oracles.expansion_match_digits(a, mu), i
+        assert want is None or got == want, i
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])

@@ -8,9 +8,11 @@ import pytest
 
 from pisingular import (
     CAP,
+    ExactElement,
     LambdaExpansion,
     RingElement,
     digits,
+    expansion_matches,
     from_integer,
     is_locally_pth_power,
     is_primary,
@@ -370,3 +372,24 @@ def test_semi_primary_normalize_uniqueness():
 def test_semi_primary_normalize_rejects_nonunit(ctx5):
     with pytest.raises(ValueError, match="unit"):
         oracles.semi_primary_normalize(lam(ctx5, 2))
+
+
+@pytest.mark.parametrize(
+    "read, args",
+    [
+        (valuation, ()),
+        (digits, (2,)),
+        (is_semi_primary, ()),
+        (is_primary, ()),
+        (is_locally_pth_power, ()),
+        (expansion_matches, (2,)),
+    ],
+    ids=lambda v: getattr(v, "__name__", ""),
+)
+def test_lam_adic_reads_refuse_an_exact_element(read, args):
+    # An exact element has no K to read at; it names the projection to one.
+    a = ExactElement(5, [2, 0, 1, 0])
+    message = rf"^{read.__name__} needs a truncated element; use ExactElement\.reduce\(ctx, K\)$"
+    with pytest.raises(TypeError, match=message):
+        read(a, *args)
+    read(a.reduce(new_context(5), 2), *args)

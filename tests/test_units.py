@@ -20,6 +20,7 @@ from pisingular import (
 )
 
 from pisingular.eigen import _inverse_powers
+from pisingular.ring import _fold, _normal_slots
 from pisingular.units import (
     _log_valuations,
     _read_normal,
@@ -281,16 +282,17 @@ def test_log_route_matches_bucket_route_every_index(p):
 
 def _digit_match_deltas(ctx, a, two_ms):
     """delta as unit_reports once matched it: the lam-digits of Lambda mod p
-    (read mod p^2, none from v = p-1 on) against e_mu's, whose normal
-    coordinates are the exponent row, solved here by trying every delta."""
-    p, r = ctx.p, len(two_ms)
+    (oracles.lambda_coeffs) against e_mu's, whose normal coordinates are the
+    exponent row, solved here by trying every delta."""
+    p = ctx.p
     exps = _inverse_powers(ctx, two_ms)
     logs = _unit_logs(ctx, 2, _unit_log(ctx, 2, a), exps)
-    vals, digits = _read_normal(ctx, np.concatenate([logs, exps]), 2)
     deltas = []
-    for i in range(r):
-        e = digits[r + i]
-        w = digits[i] if vals[i] < p - 1 else np.zeros_like(e)
+    for log, exp in zip(logs, exps):
+        w, e = (
+            np.array(oracles.lambda_coeffs(_fold(_normal_slots(ctx, row)), p))
+            for row in (log, exp)
+        )
         (delta,) = [d for d in range(p) if not ((w + d * e) % p).any()]
         deltas.append(delta)
     return deltas
@@ -342,7 +344,7 @@ def test_log_at_high_K(p):
             assert _unit_log(ctx, K, a) == oracles.unit_log(ctx, K, a), (K, a)
             expected = _bucket_reports(ctx, K, a, two_ms)
             assert _log_reports(ctx, K, a, two_ms) == expected, (K, a)
-            full, _ = _read_normal(ctx, _unit_logs(ctx, K, _unit_log(ctx, K, a), exps), K)
+            full = _read_normal(ctx, _unit_logs(ctx, K, _unit_log(ctx, K, a), exps), K)
             assert full == [r.valuation_of_eta_pm1 for r in expected], (K, a)
 
 
@@ -352,7 +354,7 @@ def test_log_at_the_bundle_K_limit():
         exps = _inverse_powers(ctx, [two_m])
         expected = _bucket_reports(ctx, K, a, [two_m])
         assert _log_reports(ctx, K, a, [two_m]) == expected
-        (v,), _ = _read_normal(ctx, _unit_logs(ctx, K, _unit_log(ctx, K, a), exps), K)
+        (v,) = _read_normal(ctx, _unit_logs(ctx, K, _unit_log(ctx, K, a), exps), K)
         assert v == expected[0].valuation_of_eta_pm1 == two_m
 
 
@@ -367,7 +369,7 @@ def test_indices_that_read_zero_mod_p2_take_the_full_K():
     expected = [r.valuation_of_eta_pm1 for r in _bucket_reports(ctx, K, a, two_ms)]
     assert [v for m, v in zip(two_ms, expected) if pow(a, m, p) == 1] == [CAP]
     zeros = np.zeros((len(two_ms), p - 1), dtype=np.int64)
-    at_p2, _ = _read_normal(ctx, zeros, 2)
+    at_p2 = _read_normal(ctx, zeros, 2)
     assert at_p2 == [CAP] * len(two_ms)
     assert _log_valuations(ctx, K, a, two_ms, exps, at_p2) == expected
     assert _log_valuations(ctx, 2, a, two_ms, exps, at_p2) == at_p2
