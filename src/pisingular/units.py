@@ -70,7 +70,7 @@ import numpy as np
 from .context import PrimeContext, _check_even_index
 from .eigen import _inverse_powers, _shared_ints, expansion_matches
 from .padic import CAP, _check_depth, _lam_read, _require_unit, _val_json, _vp
-from .padic import is_locally_pth_power, valuation
+from .padic import _require_truncated, is_locally_pth_power, valuation
 from .ring import _ROUTE_DTYPE, ExactElement, RingElement, _exact_route, _fold, _power, from_integer
 from .ring import _normal_coords, _normal_slots
 
@@ -220,11 +220,15 @@ def verify_unit_relation(eta: RingElement, two_m: int) -> UnitReport:
     The relation claim, that sigma(eta) * eta^(-mu) is a p-th power locally
     to depth p+1 <= 2(p-1), is decided mod p^2 on _twisted_quotient's
     sigma(eta) * eta^(p-mu).  eta must be a unit.  A failed dichotomy is data.
+    local_pth_power is v(eta^(p-1) - 1) >= p+1: eta = c^p mod lam^(p+1) for
+    a rational c iff eta / omega(eta(1)) is in U_(p+1), omega the
+    Teichmueller lift, and (1 + y)^(p-1) - 1 has the valuation of y.
 
     It keeps its own route, not unit_reports' logarithm, which divides by p
     and so would know a valuation near the cap K(p-1) too coarsely to tell
     it from CAP.  It is the tests' oracle for unit_reports.
     """
+    _require_truncated(eta, "verify_unit_relation")
     ctx, p = eta.ctx, eta.ctx.p
     _check_even_index("projection index", p, two_m)
     _check_depth("verification", p, eta.K, p + 1)
@@ -232,13 +236,12 @@ def verify_unit_relation(eta: RingElement, two_m: int) -> UnitReport:
     mu = ctx.upow[two_m]
     twisted = _twisted_quotient(RingElement(ctx, 2, eta.coeffs), mu)
     relation_holds = is_locally_pth_power(twisted, p + 1)
-    local = is_locally_pth_power(eta, p + 1)
     power = eta ** (p - 1)
     val = valuation(power - from_integer(ctx, eta.K, 1))
     # (False, None) when the expansion does not match
     delta = expansion_matches(power, mu)[1] if two_m > (p - 1) // 2 else None
     return UnitReport(
-        two_m=two_m, mu=mu, relation_holds=relation_holds, local_pth_power=local,
+        two_m=two_m, mu=mu, relation_holds=relation_holds, local_pth_power=val >= p + 1,
         valuation_of_eta_pm1=val, expansion_delta=delta,
     )
 

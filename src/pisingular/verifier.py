@@ -8,13 +8,12 @@ twisted local p-th power condition, the valuation dichotomy, and the
 leading eigen-expansion.  A bundle that passes is "not refuted"; no
 class-group membership is ever decided here.
 
-The three verify paths are one claim loop, _verify, over a table of claim
-specs.  A spec derives the element X of its path -- C = B/conj(B), the
-witnesses' B' = B^2/eta, or B -- with the leading claims (semi-primary and
-norm shape, or the witness identities).  The loop checks parity and K, then
-makes the same claims on X, or X^(p-1) for B' and B, all read on one Z
-(below): the twisted local p-th power, the valuation unless X is primary,
-and the eigen-expansion if the spec has one.
+Each verify path checks its parity, then K, makes its leading claims
+(semi-primary and norm shape on B, or the witness identities) and hands its
+element X -- C = B/conj(B), the witnesses' B' = B^2/eta, or B -- to one
+reader, _read_claims.  That makes the same claims on X, or X^(p-1) for B'
+and B, all read on one Z (below): the twisted local p-th power, the
+valuation unless X is primary, and the eigen-expansion on C and B.
 Each claim reads a depth below 2(p-1), so all run on B mod p^2 at every K,
 and eta enters only the exact identities; a valuation read when X is not
 primary is below p (else X is its Teichmueller lift, a rational p-th power,
@@ -47,7 +46,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -436,28 +434,33 @@ def synthetic_unit_bundle(
     )
 
 
-def _integer_root(n: int, k: int) -> int | None:
-    """Exact k-th root of n >= 0, or None.
+def _floor_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 0, at doubling precision.
 
     Newton's step from any x at or above the root stays there and decreases
-    to it.  x starts at 2^e, e = log2(n)/k + 2^-20, log2(n) read off n's
-    top 64 bits: just above the root, where 2^ceil(bits/k) may be twice it,
-    and then each step shrinks x by only about (k-1)/k.  The margin covers
-    the float error of e, under 2^-30 for n of up to 2^22 bits.
+    to it.  x starts at (t + 1) * 2^h, t the floor root of n's top bits
+    m = n >> (k*h), h about bits/(2k): (t + 1)^k > m, so x^k > n, and x is
+    at most 2^h above the root, so right in about half the root's bits,
+    and a step or two ends it.  Below 2k bits, where the root has at most
+    2 bits, x starts at 2^ceil(bits/k).
     """
-    if n < 0:
-        return None
     if n < 2:
         return n
-    shift = max(n.bit_length() - 64, 0)
-    e = (math.log2(n >> shift) + shift) / k + 2**-20
-    q = int(e)
-    x = math.ceil(2 ** (e - q + 52)) << q >> 52  # at least floor(2^e)
+    bits = n.bit_length()
+    h = bits // (2 * k)
+    x = (_floor_root(n >> (k * h), k) + 1) << h if h else 1 << -(-bits // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
-            break
+            return x
         x = y
+
+
+def _integer_root(n: int, k: int) -> int | None:
+    """Exact k-th root of n >= 0, or None."""
+    if n < 0:
+        return None
+    x = _floor_root(n, k)
     return x if x**k == n else None
 
 
@@ -569,10 +572,7 @@ def _norm_claim(bundle: CandidateBundle) -> ClaimResult:
 
 
 def _leading_claims(bundle: CandidateBundle):
-    """Semi-primary and norm-shape claims on B; B mod p^2 when it is a unit.
-
-    This is also the derive of the positive path, whose X is B itself.
-    """
+    """Semi-primary and norm-shape claims on B; B mod p^2 when it is a unit."""
     Bq = bundle.B.reduce(bundle.ctx, 2)
     claims = [
         ClaimResult(
@@ -592,16 +592,12 @@ def _ratio(Bq: RingElement | None) -> RingElement | None:
     return None if Bq is None else Bq * Bq.conjugate() ** (Bq.p - 1)
 
 
-def _derive_ratio(bundle: CandidateBundle):
-    claims, Bq = _leading_claims(bundle)
-    return claims, _ratio(Bq)
+def _witness_claims(bundle: CandidateBundle):
+    """The exact witness identities; B mod p^2, a unit, once they hold.
 
-
-def _derive_adjusted(bundle: CandidateBundle):
-    """The adjusted B' = B^2/eta, as _ratio's C * conj(B)^p = B' * (conj(B)/beta)^p,
-    after the exact identities; B' = C * beta^p, and beta is a unit.
-
-    A failed identity means the bundle is self-inconsistent
+    _ratio of it is B' = B^2/eta up to a p-th power of a unit: _ratio's
+    C * conj(B)^p = B' * (conj(B)/beta)^p, as B' = C * beta^p, and beta is
+    a unit.  A failed identity means the bundle is self-inconsistent
     (WitnessInvalidError), a different event from a claim evaluating false.
     eta is a unit when B is: eta(1) * beta(1)^p = B(1)^2 mod lam.
     """
@@ -620,109 +616,102 @@ def _derive_adjusted(bundle: CandidateBundle):
         raise WitnessInvalidError(
             "adjusted element undefined: B or eta is not a unit at the ramified prime"
         )
-    return claims, _ratio(Bq)
+    return claims, Bq
 
 
-@dataclass(frozen=True)
-class _ClaimSpec:
-    """One verify path: the element X it derives and the claims made on X.
-
-    derive returns the leading claims and X times a p-th power of a unit (for
-    B', the ratio C's element), or None for X when X is undefined.  name is X
-    in the "X is primary" skip reason; power says whether the claims after
-    the first are made on X^(p-1), whose expansion reads -delta on Z (module
-    docstring).  For B' it changes nothing, as B' has no expansion claim.
-    Claims are (id, ref) pairs; a path without the expansion claim has None.
-    """
-
-    op: str
-    parity: str
-    derive: Callable[[CandidateBundle], tuple[list[ClaimResult], RingElement | None]]
-    name: str
-    power: bool
-    local: tuple[str, str]
-    valuation: tuple[str, str]
-    expansion: tuple[str, str] | None
-
-
-# The table: (op, parity, derive, name of X, power, local, valuation, expansion).
-_SPECS = {spec.op: spec for spec in (
-    _ClaimSpec(
-        "verify_negative_candidate", "negative", _derive_ratio, "C", False,
-        ("twist-local-pth-power",
-         "sigma(C) * C^(-mu) is a local p-th power to depth p+1, C = B/conj(B)"),
-        ("twist-valuation", "v(C - 1) = 2m+1 when C is not primary"),
-        ("eigen-expansion",
-         "C = 1 - delta*e_mu mod lam^(p-1), delta nonzero when C is not primary"),
-    ),
-    _ClaimSpec(
-        "verify_b_prime", "negative", _derive_adjusted, "B'", True,
-        ("adjusted-local-pth-power",
-         "sigma(B') * B'^(-mu) is a local p-th power to depth p+1, B' = B^2/eta"),
-        ("adjusted-valuation", "v(B'^(p-1) - 1) = 2m+1 when B' is not primary"),
-        None,
-    ),
-    _ClaimSpec(
-        "verify_positive_candidate", "positive", _leading_claims, "B", True,
-        ("twist-local-pth-power", "sigma(B) * B^(-mu) is a local p-th power to depth p+1"),
-        ("power-valuation", "v(B^(p-1) - 1) = 2m when B is not primary"),
-        ("eigen-expansion",
-         "B^(p-1) = 1 - delta*e_mu mod lam^(p-1), delta nonzero when B is not primary"),
-    ),
-)}
-
-
-def _verify(bundle: CandidateBundle, spec: _ClaimSpec) -> VerdictReport:
-    """Run one verify path: preconditions, derive X, then the claims on X."""
-    if bundle.parity != spec.parity:
+def _check_path(bundle: CandidateBundle, op: str, parity: str) -> None:
+    """A verify path's preconditions: its parity, then K >= 2."""
+    if bundle.parity != parity:
         raise PreconditionError(
-            f"{spec.op}: bundle has parity {bundle.parity!r}, needs {spec.parity!r}"
+            f"{op}: bundle has parity {bundle.parity!r}, needs {parity!r}"
         )
     if bundle.K < 2:
         raise PreconditionError(
-            f"{spec.op}: verification needs K >= 2 (congruence depth p+1), got K={bundle.K}"
+            f"{op}: verification needs K >= 2 (congruence depth p+1), got K={bundle.K}"
         )
-    claims, X = spec.derive(bundle)
+
+
+def _read_claims(
+    bundle: CandidateBundle,
+    X: RingElement | None,
+    name: str,
+    local: tuple[str, str],
+    val: tuple[str, str],
+    expansion: tuple[str, str] | None = None,
+    negate: bool = False,
+) -> list[ClaimResult]:
+    """The claims on a path's element X, given up to a p-th power of a unit.
+
+    local, val and expansion are (id, ref) pairs; a path without the
+    expansion claim passes None.  name is X in the "X is primary" skip
+    reason.  negate says the expansion claim is made on X^(p-1), whose
+    delta is minus the one read on Z (module docstring).  X is None when
+    it is undefined, and then every claim is skipped.
+    """
     if X is None:
         reason = "B is not a unit at the ramified prime; quotient checks undefined"
-        on_x = (spec.local, spec.valuation, spec.expansion)
-        return _verdict(claims + [_skip(*c, reason) for c in on_x if c])
+        return [_skip(*c, reason) for c in (local, val, expansion) if c]
 
     ctx, p = bundle.ctx, bundle.ctx.p
     s, mu = bundle.index_s, bundle.mu
     Z = X * pow(int(X.coeffs.sum()), -p, p * p)  # X / omega(X(1)) = 1 mod lam
     twisted = _twisted_quotient(Z, mu)
-    claims.append(ClaimResult(*spec.local, holds=is_locally_pth_power(twisted, p + 1)))
+    claims = [ClaimResult(*local, holds=is_locally_pth_power(twisted, p + 1))]
     prim = is_primary(Z)
     if prim:
-        claims.append(_skip(*spec.valuation, f"{spec.name} is primary"))
+        claims.append(_skip(*val, f"{name} is primary"))
     else:
         v = valuation(Z - from_integer(ctx, 2, 1))
         data = {"expected": s, "measured": _val_json(v)}
-        claims.append(ClaimResult(*spec.valuation, holds=v == s, data=data))
-    if spec.expansion and s > (p - 1) // 2:
+        claims.append(ClaimResult(*val, holds=v == s, data=data))
+    if expansion and s > (p - 1) // 2:
         matched, delta = expansion_matches(Z, mu)
-        if matched and spec.power:
+        if matched and negate:
             delta = -delta % p
         holds = matched and (prim or delta != 0)
         data = {"matched": matched, "delta": delta, "primary": prim}
-        claims.append(ClaimResult(*spec.expansion, holds=holds, data=data))
-    elif spec.expansion:
+        claims.append(ClaimResult(*expansion, holds=holds, data=data))
+    elif expansion:
         reason = "index within the low range; expansion form not asserted"
-        claims.append(_skip(*spec.expansion, reason))
-    return _verdict(claims)
+        claims.append(_skip(*expansion, reason))
+    return claims
 
 
 def verify_negative_candidate(bundle: CandidateBundle) -> VerdictReport:
     """Necessary-condition checks for an odd-index candidate, on C = B/conj(B)."""
-    return _verify(bundle, _SPECS["verify_negative_candidate"])
+    _check_path(bundle, "verify_negative_candidate", "negative")
+    claims, Bq = _leading_claims(bundle)
+    return _verdict(claims + _read_claims(
+        bundle, _ratio(Bq), "C",
+        ("twist-local-pth-power",
+         "sigma(C) * C^(-mu) is a local p-th power to depth p+1, C = B/conj(B)"),
+        ("twist-valuation", "v(C - 1) = 2m+1 when C is not primary"),
+        ("eigen-expansion",
+         "C = 1 - delta*e_mu mod lam^(p-1), delta nonzero when C is not primary"),
+    ))
 
 
 def verify_b_prime(bundle: CandidateBundle) -> VerdictReport:
     """Witness-backed checks for the adjusted element B' = B^2 / eta."""
-    return _verify(bundle, _SPECS["verify_b_prime"])
+    _check_path(bundle, "verify_b_prime", "negative")
+    claims, Bq = _witness_claims(bundle)
+    return _verdict(claims + _read_claims(
+        bundle, _ratio(Bq), "B'",
+        ("adjusted-local-pth-power",
+         "sigma(B') * B'^(-mu) is a local p-th power to depth p+1, B' = B^2/eta"),
+        ("adjusted-valuation", "v(B'^(p-1) - 1) = 2m+1 when B' is not primary"),
+    ))
 
 
 def verify_positive_candidate(bundle: CandidateBundle) -> VerdictReport:
     """Necessary-condition checks for an even-index candidate, on B."""
-    return _verify(bundle, _SPECS["verify_positive_candidate"])
+    _check_path(bundle, "verify_positive_candidate", "positive")
+    claims, Bq = _leading_claims(bundle)
+    return _verdict(claims + _read_claims(
+        bundle, Bq, "B",
+        ("twist-local-pth-power", "sigma(B) * B^(-mu) is a local p-th power to depth p+1"),
+        ("power-valuation", "v(B^(p-1) - 1) = 2m when B is not primary"),
+        ("eigen-expansion",
+         "B^(p-1) = 1 - delta*e_mu mod lam^(p-1), delta nonzero when B is not primary"),
+        negate=True,
+    ))

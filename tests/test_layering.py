@@ -30,6 +30,7 @@ OWNERS = {
 GONE = (
     "_galois_index", "_float_conjugates", "_float_roots", "_FLOAT_MARGIN",
     "_root_block", "_ROOT_BLOCK", "_match_expansion",
+    "_ClaimSpec", "_SPECS", "_verify", "_derive_ratio",
 )
 
 

@@ -23,6 +23,7 @@ from pisingular import (
     unit_reports,
     valuation,
     verify_positive_candidate,
+    verify_unit_relation,
     zeta,
 )
 from pisingular.padic import _pascal_transposed_mod_p
@@ -383,6 +384,7 @@ def test_semi_primary_normalize_rejects_nonunit(ctx5):
         (is_primary, ()),
         (is_locally_pth_power, ()),
         (expansion_matches, (2,)),
+        (verify_unit_relation, (2,)),
     ],
     ids=lambda v: getattr(v, "__name__", ""),
 )

@@ -10,6 +10,7 @@ from pisingular import (
     cyclotomic_unit_exact,
     eigen_project_unit,
     eigen_project_unit_exact,
+    from_integer,
     is_locally_pth_power,
     is_prime,
     lam,
@@ -136,6 +137,18 @@ def test_pth_power_input_reports_local(ctx5):
     assert rep.relation_holds
     assert rep.local_pth_power
     assert rep.dichotomy_holds
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_local_pth_power_is_read_at_depth_p_plus_1(p):
+    """3^p * (1 + lam^k) is a local p-th power to depth p+1 iff k >= p+1,
+    and v(eta^(p-1) - 1) = k: the edge k = p reads False."""
+    ctx = new_context(p)
+    for k in range(p - 1, p + 3):
+        eta = (from_integer(ctx, 3, 1) + lam(ctx, 3) ** k) * 3**p
+        rep = verify_unit_relation(eta, 2)
+        assert rep.valuation_of_eta_pm1 == k, (p, k)
+        assert rep.local_pth_power == (k >= p + 1) == is_locally_pth_power(eta, p + 1), (p, k)
 
 
 def test_verification_depth_requirement(ctx7):

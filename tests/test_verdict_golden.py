@@ -1,4 +1,4 @@
-"""Verdicts pinned byte for byte across every branch of the claim loop.
+"""Verdicts pinned byte for byte across every branch of the verify paths.
 
 Each case runs one verify entry point on a small bundle.  A case that
 returns pins json.dumps(report.to_json_dict(), indent=2, sort_keys=True),

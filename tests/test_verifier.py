@@ -1,5 +1,6 @@
 """Bundle loading, claim checking, and the error taxonomy."""
 
+import dataclasses
 import functools
 import json
 import random
@@ -408,16 +409,19 @@ def _root_cases():
 
 
 def test_integer_root_matches_sympy():
-    # Newton starts just above the root, from a float estimate with a
-    # 2^-20 margin; a margin of 2^-40 started below the root of an exact
-    # cube of 131072 bits, and so returned None for it.
+    # Newton must start at or above the root: a start below it returns None
+    # for an exact power.  The start comes from the root of n's top bits,
+    # so exact powers near the norm's cap, and their neighbours, check it.
     cases = list(_root_cases())
     assert len(cases) == 292
     for n, k in cases:
         root, exact = sympy.integer_nthroot(n, k)
         assert _integer_root(n, k) == (root if exact else None), (n.bit_length(), k)
-    r = random.Random(3).getrandbits(131072 // 3)
-    assert _integer_root(r**3, 3) == r and _integer_root(r**3 + 1, 3) is None
+    rng = random.Random(3)
+    for k in (3, 5):
+        r = rng.getrandbits(262144 // k)
+        assert _integer_root(r**k, k) == r, k
+        assert _integer_root(r**k - 1, k) is None and _integer_root(r**k + 1, k) is None, k
 
 
 def test_nonunit_candidate_skips_quotient_claims(ctx7):
@@ -518,6 +522,40 @@ def test_preconditions_raise(ctx7):
     )
     with pytest.raises(PreconditionError, match="no eta/beta"):
         verify_b_prime(neg)
+
+
+@pytest.mark.parametrize(
+    "case", ["b_prime-no-witnesses", "b_prime-broken-eta", "positive-given-negative"]
+)
+def test_refusal_order(ctx7, monkeypatch, case):
+    """Parity before K, and K before the witnesses and their exact products."""
+    good = real_witness_bundle(ctx7)
+    shallow = dataclasses.replace(good, K=1)
+    broken = dataclasses.replace(shallow, eta=good.eta + ExactElement.from_integer(7, 7))
+    verify, bundle, message = {
+        "b_prime-no-witnesses": (
+            verify_b_prime,
+            dataclasses.replace(shallow, eta=None, beta=None),
+            "verify_b_prime: verification needs K >= 2 (congruence depth p+1), got K=1",
+        ),
+        "b_prime-broken-eta": (
+            verify_b_prime,
+            broken,
+            "verify_b_prime: verification needs K >= 2 (congruence depth p+1), got K=1",
+        ),
+        "positive-given-negative": (
+            verify_positive_candidate,
+            shallow,
+            "verify_positive_candidate: bundle has parity 'negative', needs 'positive'",
+        ),
+    }[case]
+
+    def no_product(*_):
+        raise AssertionError("an exact product ran before the refusal")
+
+    monkeypatch.setattr(ExactElement, "__mul__", no_product)
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        verify(bundle)
 
 
 def test_outcome_taxonomy_is_distinguishable(ctx7):
