@@ -223,7 +223,9 @@ def _cmd_expand(args) -> int:
             why = f"--coeffs entries must be decimal integers; entry {i} is not: {_echo(s)}"
             raise PreconditionError(why) from None
     elem = RingElement(ctx, args.K, vals)
-    N = args.precision if args.precision is not None else ctx.p + 1
+    N = args.precision
+    if N is None:
+        N = min(ctx.p + 1, args.K * (ctx.p - 1))  # p+1 may pass the cap at K=1
     exp = digits(elem, N)
     payload = exp.to_json_dict()
     lines = [
@@ -336,7 +338,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--coeffs", type=str, required=True, help='"c0,c1,...,c_(p-2)"')
     sp.add_argument("--K", type=_int_arg, default=_DEFAULT_K)
     sp.add_argument(
-        "--precision", type=_int_arg, default=None, help="digits to extract (default p+1)"
+        "--precision",
+        type=_int_arg,
+        default=None,
+        help="digits to extract (default min(p+1, K*(p-1)))",
     )
     add_json(sp)
     sp.set_defaults(func=_cmd_expand)

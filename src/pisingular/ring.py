@@ -205,16 +205,23 @@ def _fold_mul(a, b, p: int, modulus: int | None, dtype):
         )
     if dtype == object:
         conv = np.array(_kronecker_conv(a, b), dtype=object)
-    elif _route(modulus, p) == "float":
-        conv = np.convolve(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
     elif a.ndim == 1:
-        conv = np.convolve(a, b)  # degrees 0 .. 2p-4
+        conv = _convolve(a, b, p, modulus)  # degrees 0 .. 2p-4
     else:
         conv = np.zeros(a.shape[:-1] + (2 * p - 3,), dtype=np.int64)
         for i in range(p - 1):
             conv[..., i : i + p - 1] += a[..., i : i + 1] * b
     conv[..., : p - 3] += conv[..., p:]  # z^p = 1, in place: exponents 0 .. p-1 remain
     return _fold(conv[..., :p], modulus)
+
+
+def _convolve(a, b, p: int, modulus: int):
+    """np.convolve of two int64 vectors of at most p-1 residues in
+    [0, modulus), exact on the word routes of _route(modulus, p): on
+    "float" it convolves float64 copies and casts back (_fold_mul)."""
+    if _route(modulus, p) == "float":
+        return np.convolve(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
+    return np.convolve(a, b)
 
 
 def _fold(slots, modulus: int | None = None):

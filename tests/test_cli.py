@@ -117,6 +117,15 @@ def test_expand_default_precision():
     assert doc == {"digits": [0, 0, 0, 0, 4, 2], "precision": 6, "valuation": 4}
 
 
+def test_expand_default_precision_is_capped_at_k1():
+    # The default p+1 passes the cap K*(p-1) at K=1; it reads the cap instead.
+    code, doc = run_json("expand", "--p", "7", "--K", "1", "--coeffs", "1,2,3,4,5,6")
+    assert code == 0
+    assert doc == {"digits": [0, 0, 0, 0, 0, 6], "precision": 6, "valuation": 5}
+    code, doc = run_json("expand", "--p", "7", "--K", "2", "--coeffs", "1,2,3,4,5,6")
+    assert code == 0 and doc["precision"] == 8
+
+
 def test_expand_explicit_precision_text():
     r = run_cli("expand", "--p", "5", "--coeffs", "5,0,0,0", "--precision", "5")
     assert r.returncode == 0

@@ -26,7 +26,14 @@ from pisingular import (
     verify_unit_relation,
     zeta,
 )
-from pisingular.padic import _pascal_transposed_mod_p
+from pisingular.padic import (
+    _digits_by_division,
+    _epsilon,
+    _pascal_transposed_mod_p,
+    _shift,
+    _shift_tables,
+    _vp,
+)
 from pisingular.ring import _dtype_for, _route
 
 import oracles
@@ -210,12 +217,13 @@ def test_digits_prefix_stability():
     [(101, 4, np.int64), (257, 2, np.int64), (103, 5, object), (5, 14, object), (3, 3, np.int64)],
 )
 def test_digits_match_the_digit_scan_on_every_route(p, K, dtype):
-    # the division by lam runs in the element's dtype: int64 below the exact
-    # bound (101^4; 257^2, whose products take the float route), object past
-    # it.  Random elements are checked up to N = p; at full precision the
-    # oracle's scan of p candidates per digit is held to a few probes by
-    # planted digits, small from position p-1 on, and with p-content.  The
-    # scan is greedy, so one call at the largest N gives every shorter one
+    # int64 elements below the exact bound (101^4; 257^2, whose products
+    # take the float route) read blocks of p-1 digits, object ones past it
+    # one division by lam per digit.  Random elements are checked up to
+    # N = p; at full precision the oracle's scan of p candidates per digit
+    # is held to a few probes by planted digits, small from position p-1
+    # on, and with p-content.  The scan is greedy, so one call at the
+    # largest N gives every shorter one
     ctx = new_context(p)
     m, n = p**K, K * (p - 1)
     assert (_dtype_for(m, p), _route(m, p) == "float") == (dtype, p == 257)
@@ -260,6 +268,100 @@ def test_digits_capped_valuation_marker(ctx5):
         "digits": [0, 0, 0, 0],
         "precision": 4,
     }
+
+
+@pytest.mark.parametrize("p, K", [(3, 19), (5, 2), (101, 4), (257, 2), (1031, 2)])
+def test_taylor_shift_is_the_oracles_lambda_basis_change(p, K):
+    # _shift reads lam-coordinates as oracles.lambda_coeffs does (Horner in
+    # Python ints), and its inverse builds sum e_j lam^j (degree < p-1, so
+    # no fold) as oracles.from_digits does, at every level mod p^k <= p^K.
+    m = p**K
+    tables = _shift_tables(p, m)
+    rng = seeded(p + K)
+    for k in sorted({1, K}):
+        mk = p**k
+        x = [rng.randrange(mk) for _ in range(p - 1)]
+        e = _shift(np.array(x, dtype=np.int64), tables, mk)
+        assert e.tolist() == oracles.lambda_coeffs(x, mk)
+        back = _shift(e, tables, mk, inverse=True)
+        assert back.tolist() == x == oracles.from_digits(e.tolist(), p, mk)
+
+
+@pytest.mark.parametrize(
+    "p, K", [(3, 1), (3, 18), (5, 4), (7, 3), (101, 3), (257, 1), (1031, 1), (2039, 1)]
+)
+def test_epsilon_is_p_over_lam_to_the_p_minus_1(p, K):
+    # eps mod p^K is exact iff eps * lam^(p-1) = p one level up, mod
+    # p^(K+1) (lam^(p-1) is p times a unit); and eps = (p-1)! = -1 mod lam.
+    ctx = new_context(p)
+    coeffs = _epsilon(p, K, _shift_tables(p, p ** (K + 1)))
+    assert coeffs.dtype == np.int64 and 0 <= coeffs.min() and coeffs.max() < p**K
+    eps = RingElement(ctx, K + 1, coeffs)
+    assert eps * lam(ctx, K + 1) ** (p - 1) == from_integer(ctx, K + 1, p)
+    assert valuation(RingElement(ctx, K, coeffs) + from_integer(ctx, K, 1)) >= 1
+
+
+def _planted_with_content(p, K, t, rng):
+    """Digits of p^t times a unit: zero below t*(p-1), nonzero there, then
+    any digit below position p-1 and 0..2 past it, since the oracle's scan
+    of a deep digit d costs d probes."""
+    ds = [rng.randrange(p) if i < p - 1 else rng.randrange(3) for i in range(K * (p - 1))]
+    v = t * (p - 1)
+    ds[:v] = [0] * v
+    ds[v] = rng.randrange(1, p if v < p - 1 else 3)
+    return ds
+
+
+@pytest.mark.parametrize(
+    "p, K, route, scan",
+    [
+        (101, 4, "int64", True),
+        (257, 2, "float", False),
+        (1031, 2, "float", False),
+        (101, 5, "object", True),
+    ],
+)
+def test_digits_at_the_block_edges(p, K, route, scan):
+    # Blocks of p-1 digits on the word routes, one division per digit on
+    # the object route, cut at every block edge.  An element of p-content
+    # p^t (t < K) is built by oracles.from_digits from planted digits, which
+    # are its digits since the expansion is unique; at p=101 the oracle's
+    # scan is run too (one O(p^2) probe per digit: 4 s at p=257).  A random
+    # p^t * unit is checked against the other internal path (the division
+    # loop is exact on int64 within the ring's bound).  Zero reads CAP.
+    ctx = new_context(p)
+    m, n = p**K, K * (p - 1)
+    assert _route(m, p) == route
+    edges = sorted(N for N in {p - 2, p - 1, p, 2 * (p - 1), 2 * (p - 1) + 1, n} if N <= n)
+    rng = seeded(p * K + 7)
+    for t in range(K):
+        planted = _planted_with_content(p, K, t, rng)
+        a = RingElement(ctx, K, oracles.from_digits(planted, p, m))
+        assert _vp(math.gcd(*a.coeff_list()), p) == t
+        want = oracles.digits(a, n).digits if scan else tuple(planted)
+        assert want == tuple(planted)
+        v = t * (p - 1)
+        for N in edges:
+            assert digits(a, N) == LambdaExpansion(want[:N], v if v < N else CAP, N), (t, N)
+        if route != "object":  # there digits is the loop; see the next test
+            b = random_unit(ctx, K, rng) * p**t
+            assert digits(b, n).digits == tuple(_digits_by_division(b, n))
+    zero = from_integer(ctx, K, 0)
+    for N in edges:
+        assert digits(zero, N) == LambdaExpansion((0,) * N, CAP, N)
+
+
+def test_digits_agree_across_the_route_boundary():
+    # p=101: K=4 takes the blocks (int64), K=5 the division loop (object);
+    # one element read at both levels has the same first 400 digits.
+    p = 101
+    ctx = new_context(p)
+    rng = seeded(1010)
+    a5 = random_element(ctx, 5, rng)
+    a4 = RingElement(ctx, 4, a5.coeffs)
+    assert (_dtype_for(p**4, p), _dtype_for(p**5, p)) == (np.int64, object)
+    for N in (p - 2, p - 1, p, 4 * (p - 1)):
+        assert digits(a4, N) == digits(a5, N), N
 
 
 def test_is_semi_primary_examples(ctx5):
