@@ -3,9 +3,9 @@
 The prime p is totally ramified: (p) = (z - 1)^(p-1) up to units, so the
 element lam = z - 1 is a uniformizer.  Writing an element over the basis
 lam^0, ..., lam^(p-2) is an invertible binomial change of basis from the
-power basis in z, by the Pascal matrix T[i, j] = C(j, i).  Only the
-valuations read that basis, and only mod p (below), so T mod p is the one
-matrix cached.
+power basis in z, by the Pascal matrix T[i, j] = C(j, i).  Ring owns
+that change (its module docstring); the valuations read it only mod p
+(below), by ring's cached T mod p.
 
 Every valuation splits off the p-content (_lam_read): the power basis is
 a Z-basis, so x = p^t * x' with x' != 0 mod p.  As p is lam^(p-1) times a
@@ -23,11 +23,10 @@ l_0^(p-1) = 1 mod p^2 (the p-th powers among the 1-units of Z_p are
 1 + p^2 Z_p).
 
 The digits come p-1 at a time on the word routes (int64 coefficients).
-The lam-coordinates E of the remainder x, one Taylor shift by a
-convolution with factorial weights (Aho, Steiglitz and Ullman, SIAM J.
-Comput. 4, 1975), give the block's digits E mod p; then x = D + p*Q, and
-the next remainder is p*Q / lam^(p-1) = eps*Q for the unit
-eps = p / lam^(p-1), formed once per call.  On the object route each
+The lam-coordinates E of the remainder x, one Taylor shift (ring._shift),
+give the block's digits E mod p; then x = D + p*Q, and the next
+remainder is p*Q / lam^(p-1) = eps*Q for the unit eps = p / lam^(p-1),
+formed once per call by the ring's unit inverse.  On the object route each
 digit is r(1) mod p of the remainder r (z = 1 mod lam), and one exact
 division by lam, a prefix sum, leaves the next: that loop only adds,
 while a block would multiply numbers of the modulus's full width (8.7 s
@@ -43,11 +42,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .ring import ExactElement, RingElement, _convolve, _fold_mul, from_integer
+from .ring import (
+    ExactElement, RingElement, _fold_mul, _is_unit, _pascal_transposed_mod_p, _shift,
+    _shift_tables, _unit_inverse, from_integer,
+)
 
 __all__ = [
     "CAP",
@@ -66,24 +67,6 @@ CAP = math.inf
 def _val_json(v) -> int | str:
     """A valuation as JSON writes it: "cap" for CAP, else the integer."""
     return "cap" if v is CAP else int(v)
-
-
-@lru_cache(maxsize=1)
-def _pascal_transposed_mod_p(p: int):
-    """T.T mod p, T[i, j] = C(j, i), in float64, the matrix of every
-    _lam_read, so that each read is one BLAS product.  A read sums p-1
-    products of residues below p, exact in float64 while (p-1)^3 < 2^53,
-    that is for p <= 208064 (below 2^33 at p < 2049).  One Pascal row per
-    column, formed in int64 and cast as it is stored; a float64 recurrence
-    would take twice as long (fmod)."""
-    T = np.zeros((p - 1, p - 1)).T  # T.T C-contiguous
-    row = np.zeros(p - 1, dtype=np.int64)  # C(j, .)
-    row[0] = 1
-    for j in range(p - 1):
-        T[:, j] = row
-        row[1:] = (row[1:] + row[:-1]) % p
-    T.setflags(write=False)
-    return T.T
 
 
 def _vp(x: int, p: int) -> int:
@@ -192,77 +175,18 @@ def _digits_by_division(a: RingElement, N: int) -> list:
     return out
 
 
-def _shift_tables(p: int, m: int):
-    """i! and 1/i! mod m = p^k for i = 0 .. p-1 (each i is a unit mod p),
-    and the two reversed kernels of _shift: 1/l! and (-1)^l / l! for
-    l = p-2 .. 0.  All int64 arrays."""
-    f = [1]
-    for i in range(1, p):
-        f.append(f[-1] * i % m)
-    inv = [pow(f[-1], -1, m)]
-    for i in range(p - 1, 0, -1):
-        inv.append(inv[-1] * i % m)
-    fact, ifact = np.array(f, dtype=np.int64), np.array(inv[::-1], dtype=np.int64)
-    forward = ifact[p - 2 :: -1].copy()
-    backward = forward.copy()
-    backward[::2] = m - backward[::2]  # l = p-2-t is odd at even t
-    return fact, ifact, forward, backward
-
-
-def _shift(x, tables, mk: int, inverse: bool = False):
-    """Taylor shift of the p-1 residues x mod mk = p^k, with tables from
-    _shift_tables mod p^K >= mk: the lam-coordinates sum_i x_i C(i, j) of
-    power-basis coefficients (z^i = (1 + lam)^i), or with inverse, back:
-    sum_i x_i (-1)^(i-j) C(i, j).  By C(i, j) = i! / (j! (i-j)!) either is
-    one convolution of x_i * i! with a kernel of 1/l!, scaled by 1/j!: p-1
-    products of residues mod mk, exact by ring._route as products are."""
-    fact, ifact, forward, backward = tables
-    n = len(x)  # p - 1
-    kernel = backward if inverse else forward
-    conv = _convolve(x * fact[:n] % mk, kernel % mk, n + 1, mk)
-    return conv[n - 1 :] % mk * ifact[:n] % mk
-
-
-def _series_inverse(f, p: int):
-    """g with f*g = 1 mod (p, lam^len(f)), f[0] a unit mod p: Newton's
-    g <- g*(2 - f*g) doubles the length of g and its precision at once,
-    so all steps together cost about two products of the full length."""
-    g = np.array([pow(int(f[0]), -1, p)], dtype=np.int64)
-    while len(g) < len(f):
-        L = min(2 * len(g), len(f))
-        e = -_convolve(f[:L], g, p, p)[:L] % p
-        e[0] = (e[0] + 2) % p
-        g = _convolve(g, e, p, p)[:L] % p
-    return g
-
-
 def _epsilon(p: int, K: int, tables):
     """Power-basis coefficients of the unit eps = p / lam^(p-1) mod p^K,
-    with tables from _shift_tables mod p^(K+1).
-
-    (1 + lam)^p = 1 gives 1/eps = lam^(p-1)/p = -sum_k C(p, k)/p lam^(k-1)
-    (k = 1 .. p-1), and C(p, k)/p = (-1)^(k-1)/k mod p.  Mod p the ring is
-    F_p[lam]/(lam^(p-1)), so eps mod p is a power series inverse, shifted
-    to the power basis.  Newton's x <- x*(2 - x/eps) then doubles its
-    p-adic precision up to p^K.  It reads 1/eps in the power basis:
-    (z - 1)^(p-1) has the z^i-coefficient (-1)^i C(p-1, i) - 1 once
-    z^(p-1) is folded, and C(p-1, i) = (-1)^i mod p, so
-    1/eps = sum_i ((-1)^i C(p-1, i) - 1)/p * z^i.
+    with tables from _shift_tables mod p^(K+1): the unit inverse
+    (ring._unit_inverse) of 1/eps = lam^(p-1)/p.  (z - 1)^(p-1) has the
+    z^i-coefficient (-1)^i C(p-1, i) - 1 once z^(p-1) is folded, and
+    C(p-1, i) = (-1)^i mod p, so 1/eps = sum_i ((-1)^i C(p-1, i) - 1)/p * z^i.
     """
-    m, M = p**K, p ** (K + 1)
+    M, n = p ** (K + 1), p - 1
     fact, ifact = tables[:2]
-    n = p - 1
-    series = fact[:n] * ifact[1:] % M % p  # 1/(j+1) mod p, at lam^j
-    series[::2] = p - series[::2]  # times (-1)^(j+1)
-    x = _shift(_series_inverse(series, p), tables, p, inverse=True)
-    if K > 1:
-        binom = fact[n] * ifact[:n] % M * ifact[n:0:-1] % M  # C(p-1, i)
-        binom[1::2] = -binom[1::2]
-        inv = (binom - 1) % M // p
-        for _ in range((K - 1).bit_length()):  # x = eps mod p^(2^i)
-            ax = _fold_mul(inv, x, p, m, np.int64)
-            x = (2 * x - _fold_mul(x, ax, p, m, np.int64)) % m
-    return x
+    binom = fact[n] * ifact[:n] % M * ifact[n:0:-1] % M  # C(p-1, i)
+    binom[1::2] = -binom[1::2]
+    return _unit_inverse((binom - 1) % M // p, p, K, tables)
 
 
 def _digits_by_block(a: RingElement, N: int) -> list:
@@ -285,7 +209,7 @@ def _digits_by_block(a: RingElement, N: int) -> list:
         if len(out) >= N:
             return out[:N]
         mk = p ** (k - 1)
-        x = _fold_mul(_shift(q, tables, mk, inverse=True), eps % mk, p, mk, np.int64)
+        x = _fold_mul(_shift(q, tables, mk, inverse=True), eps % mk, p, mk)
 
 
 def _first_two_digits(a: RingElement) -> tuple[int, int]:
@@ -293,10 +217,6 @@ def _first_two_digits(a: RingElement) -> tuple[int, int]:
     p = a.ctx.p
     c = a.coeffs % p
     return int(c.sum()) % p, int(c @ np.arange(p - 1)) % p
-
-
-def _is_unit(a: RingElement) -> bool:
-    return int(a.coeffs.sum()) % a.ctx.p != 0  # l_0 = a(1)
 
 
 def is_semi_primary(a: RingElement) -> bool:

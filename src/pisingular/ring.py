@@ -42,6 +42,14 @@ one-to-one) and folds alike, and _fold_mul multiplies stacks row by row.
 Powers of either element type, and of a stack of rows, take one
 left-to-right square-and-multiply routine, _power.
 
+Ring owns every change to and from the lam-basis lam^0, ..., lam^(p-2),
+lam = z - 1, where z^i = (1 + lam)^i: its matrix mod p for padic's
+valuations (_pascal_transposed_mod_p), and mod p^k the Taylor shift _shift
+and its inverse.  Mod p the ring is F_p[lam]/(lam^(p-1)), so a unit
+(_is_unit: a(1) != 0 mod p) is inverted as a power series in lam
+(_series_inverse), and Newton steps lift that to p^K: _unit_inverse, the
+one inverse, behind RingElement.invert and padic's unit p / lam^(p-1).
+
 norm_exact, the field norm of an exact element, is computed on its
 coefficients by module norm.
 
@@ -163,8 +171,8 @@ def _kronecker_conv(a, b) -> list[int]:
     return [int.from_bytes(raw[k * w : (k + 1) * w], "little") - h for k in range(m)]
 
 
-def _fold_mul(a, b, p: int, modulus: int | None, dtype):
-    """Multiply two coefficient vectors of length p-1, reduce by Phi_p.
+def _fold_mul(a, b, p: int, modulus: int | None):
+    """Multiply two coefficient arrays of length p-1, reduce by Phi_p.
 
     The full product of degree 2p-4 comes from one of three routes, then is
     folded by z^p = 1 and z^(p-1) = -(1 + ... + z^(p-2)):
@@ -199,11 +207,9 @@ def _fold_mul(a, b, p: int, modulus: int | None, dtype):
 
     so _FLOAT_MIN_P serves as the crossover here too.
     """
-    if getattr(a, "ndim", 1) > 1 and (dtype == object or p >= _FLOAT_MIN_P):
-        return np.stack(
-            [_fold_mul(x, x if b is a else y, p, modulus, dtype) for x, y in zip(a, b)]
-        )
-    if dtype == object:
+    if a.ndim > 1 and (a.dtype == object or p >= _FLOAT_MIN_P):
+        return np.stack([_fold_mul(x, x if b is a else y, p, modulus) for x, y in zip(a, b)])
+    if a.dtype == object:
         conv = np.array(_kronecker_conv(a, b), dtype=object)
     elif a.ndim == 1:
         conv = _convolve(a, b, p, modulus)  # degrees 0 .. 2p-4
@@ -289,6 +295,91 @@ def _power(x, e: int, mul=operator.mul):
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def _pascal_transposed_mod_p(p: int):
+    """T.T mod p, T[i, j] = C(j, i), in float64, the matrix of every
+    padic._lam_read, so that each read is one BLAS product.  A read sums p-1
+    products of residues below p, exact in float64 while (p-1)^3 < 2^53,
+    that is for p <= 208064 (below 2^33 at p < 2049).  One Pascal row per
+    column, formed in int64 and cast as it is stored; a float64 recurrence
+    would take twice as long (fmod)."""
+    T = np.zeros((p - 1, p - 1)).T  # T.T C-contiguous
+    row = np.zeros(p - 1, dtype=np.int64)  # C(j, .)
+    row[0] = 1
+    for j in range(p - 1):
+        T[:, j] = row
+        row[1:] = (row[1:] + row[:-1]) % p
+    T.setflags(write=False)
+    return T.T
+
+
+def _shift_tables(p: int, m: int):
+    """i! and 1/i! mod m = p^k for i = 0 .. p-1 (each i is a unit mod p),
+    and the two reversed kernels of _shift: 1/l! and (-1)^l / l! for
+    l = p-2 .. 0.  All int64 arrays."""
+    f = [1]
+    for i in range(1, p):
+        f.append(f[-1] * i % m)
+    inv = [pow(f[-1], -1, m)]
+    for i in range(p - 1, 0, -1):
+        inv.append(inv[-1] * i % m)
+    fact, ifact = np.array(f, dtype=np.int64), np.array(inv[::-1], dtype=np.int64)
+    forward = ifact[p - 2 :: -1].copy()
+    backward = forward.copy()
+    backward[::2] = m - backward[::2]  # l = p-2-t is odd at even t
+    return fact, ifact, forward, backward
+
+
+def _shift(x, tables, mk: int, inverse: bool = False):
+    """Taylor shift of the p-1 int64 residues x mod mk = p^k, with tables
+    from _shift_tables mod p^K >= mk: the lam-coordinates sum_i x_i C(i, j)
+    of power-basis coefficients (z^i = (1 + lam)^i), or with inverse, back:
+    sum_i x_i (-1)^(i-j) C(i, j).  By C(i, j) = i! / (j! (i-j)!) either is
+    one convolution of x_i * i! with a kernel of 1/l!, scaled by 1/j!: p-1
+    products of residues mod mk, exact by _route as products are (Aho,
+    Steiglitz and Ullman, SIAM J. Comput. 4, 1975)."""
+    fact, ifact, forward, backward = tables
+    n = len(x)  # p - 1
+    kernel = backward if inverse else forward
+    conv = _convolve(x * fact[:n] % mk, kernel % mk, n + 1, mk)
+    return conv[n - 1 :] % mk * ifact[:n] % mk
+
+
+def _series_inverse(f, p: int):
+    """g with f*g = 1 mod (p, lam^len(f)), f[0] a unit mod p: Newton's
+    g <- g*(2 - f*g) doubles the length h of g and its precision at once.
+    With f*g = 1 + lam^h * e, it keeps g and appends -(g*e) mod
+    lam^(L-h), a product of half the length.  Each product of length at
+    most L takes _convolve's route for that length, not for p."""
+    g = np.zeros_like(f)
+    g[0], h = pow(int(f[0]), -1, p), 1
+    while h < len(f):
+        L = min(2 * h, len(f))
+        e = _convolve(f[:L], g[:h], L + 1, p)[h:L] % p
+        g[h:L] = -_convolve(g[: L - h], e, L + 1, p)[: L - h] % p
+        h = L
+    return g
+
+
+def _unit_inverse(c, p: int, K: int, tables):
+    """The inverse mod p^K of the unit with power-basis coefficients c, in
+    c's dtype, with tables from _shift_tables mod a power of p.  Mod p it is
+    the series inverse of c's lam-coordinates, shifted back; each Newton
+    step x <- x*(2 - c*x) squares the error 1 - c*x, so it runs mod the
+    square of x's modulus, and ceil(log2 K) steps reach p^K (von zur Gathen
+    and Gerhard, Modern Computer Algebra, ch. 9)."""
+    lam_coords = _shift((c % p).astype(np.int64), tables, p)
+    x = _shift(_series_inverse(lam_coords, p), tables, p, inverse=True).astype(c.dtype)
+    for i in range((K - 1).bit_length()):  # x = 1/c mod p^(2^i)
+        mk = p ** min(2 << i, K)
+        x = (2 * x - _fold_mul(x, _fold_mul(c % mk, x, p, mk), p, mk)) % mk
+    return x
+
+
+def _is_unit(a: "RingElement") -> bool:
+    return int(a.coeffs.sum()) % a.p != 0  # a(1), the first lam-coordinate
+
+
 class RingElement:
     """Element of Z[z]/(Phi_p, p^K) in the power basis 1, z, ..., z^(p-2).
 
@@ -368,9 +459,7 @@ class RingElement:
         if isinstance(other, int):
             return self._wrap(_mod(self.coeffs * _mod(other, self.modulus), self.modulus))
         self._check_compat(other)
-        return self._wrap(
-            _fold_mul(self.coeffs, other.coeffs, self.p, self.modulus, self.coeffs.dtype)
-        )
+        return self._wrap(_fold_mul(self.coeffs, other.coeffs, self.p, self.modulus))
 
     def __rmul__(self, other):
         return self.__mul__(other) if isinstance(other, int) else NotImplemented
@@ -390,25 +479,12 @@ class RingElement:
         return self.galois_apply(self.p - 1)
 
     def invert(self) -> "RingElement":
-        """Multiplicative inverse; errors if the element is not a unit.
-
-        Z[z]/(Phi_p, p^K) is local with maximal ideal generated by lam = z - 1,
-        so a is a unit iff a(1) is a unit mod p.  Newton iteration
-        x <- x * (2 - a*x) from the constant x = a(1)^(-1) squares the error
-        1 - a*x at each step, so its lam-adic valuation doubles from 1 until
-        it reaches the truncation cap K*(p-1), where the error is 0.
-        """
-        p = self.p
-        a1 = int(self.coeffs.sum())
-        if a1 % p == 0:
+        """Multiplicative inverse by _unit_inverse.  Z[z]/(Phi_p, p^K) is local
+        with maximal ideal (lam), so it errors unless a(1) is a unit mod p."""
+        if not _is_unit(self):
             raise ValueError("invert: element is not a unit")
-        x = from_integer(self.ctx, self.K, pow(a1, -1, self.modulus))
-        two = from_integer(self.ctx, self.K, 2)
-        prec = 1
-        while prec < self.K * (p - 1):
-            x = x * (two - self * x)
-            prec *= 2
-        return x
+        p = self.p
+        return self._wrap(_unit_inverse(self.coeffs, p, self.K, _shift_tables(p, p)))
 
 
 class ExactElement(RingElement):

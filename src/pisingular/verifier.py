@@ -54,7 +54,6 @@ from .eigen import expansion_matches
 from .norm import _BLOCK_BYTES, _NORM_MAX_BITS, _P_LIMIT
 from .padic import (
     _check_depth,
-    _is_unit,
     _lam_read,
     _val_json,
     _vp,
@@ -69,6 +68,7 @@ from .ring import (
     _dtype_for,
     _fold,
     _fold_mul,
+    _is_unit,
     _power,
     from_integer,
     norm_exact,
@@ -517,7 +517,7 @@ def check_ppower_congruence(
     rng = random.Random(seed)
     m = p * p
     dtype = _dtype_for(m, p)
-    mul = functools.partial(_fold_mul, p=p, modulus=m, dtype=dtype)
+    mul = functools.partial(_fold_mul, p=p, modulus=m)
     block = max(1, _BLOCK_BYTES // (32 * p))  # 2*block rows of 2p-3 int64 per product
     failures = []
     for start in range(0, trials, block):

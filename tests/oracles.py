@@ -26,21 +26,23 @@ ints (object dtype) at every modulus, so a wrong machine-word bound in the
 package cannot pass on both sides; mul_mod, lambda_coeffs and
 digits_remainder_valuation are plain Python-int routes for the product, the lam-basis and the digit
 expansion at the edges of those bounds.  lambda_coeffs and from_digits are
-also the only converters to and from the lam-basis: the package reads it
-mod p only, for valuations.  lambda_valuation is the minimum
+Horner routes to and from the lam-basis, beside the package's Taylor
+shift (ring._shift) and Pascal matrix mod p.  lambda_valuation is the minimum
 formula min(i + (p-1) v_p(l_i)) that padic.valuation once applied; the
 p-th power, digit and e_mu oracles read every valuation through it, not
 through the package's reader, so a wrong reader cannot pass on both sides
 either.
 
-Four routes have no closed form in the package beside them, and no
+Five routes have no closed form in the package beside them, and no
 command runs them; they live here for the tests that read them: the
 first-order recurrence the eigen equation imposes on the normal-basis
 coordinates (RecurrenceSolution and recurrence_solve, acceptance criterion
 4), the twist of a unit to a semi-primary one (semi_primary_normalize),
 the exponents that absorb leftover eigencomponents of a projected unit
-(solve_unit_adjustment), and the Jacobi sums over F_ell (jacobi_sum), dense
-exact elements whose norm is known at every p.
+(solve_unit_adjustment), the Jacobi sums over F_ell (jacobi_sum), dense
+exact elements whose norm is known at every p, and Stickelberger's
+indices (stickelberger_indices), the irregular pairs read from Jacobi sums
+with no Bernoulli number.
 """
 from __future__ import annotations
 
@@ -60,9 +62,11 @@ from pisingular import (
     eigenvector_element,
     from_integer,
     is_locally_pth_power,
+    is_prime,
     is_primary,
     is_semi_primary,
     lam,
+    new_context,
     norm_exact,
     zeta,
 )
@@ -471,6 +475,38 @@ def jacobi_sum(p: int, ell: int, a: int, b: int) -> ExactElement:
     x = np.arange(2, ell)
     counts = np.bincount((a * ind[x] + b * ind[ell + 1 - x]) % p, minlength=p)
     return ExactElement(p, fold(counts))
+
+
+def stickelberger_indices(p: int, b: int | None = None) -> set[int]:
+    """The odd s in 3..p-2 at which the ideal of the eigen-projection
+    J_mu = prod_j sigma_(u^j)(J)^(mu^(-j)), mu = u^s, of the Jacobi sum
+    J = J(chi, chi^b) is a p-th power, at the least prime ell = 2pm + 1.
+
+    With r of order p mod ell, J(r^(u^j)) = 0 mod ell at the primes above
+    ell in the ideal of J (Stickelberger), so the ideal of J_mu is a p-th
+    power iff F_s = sum_j u^(-sj) w_j = 0 mod p, w_j = [J(r^(u^j)) = 0 mod
+    ell].  b defaults, per s, to the least b with 1 + b^s != (1 + b)^s
+    mod p, which keeps the b-dependent factor of the omega^s part of the
+    Stickelberger element off zero; the zero set is then {1 - 2m mod (p-1)}
+    over the irregular pairs (p, 2m) (Washington, Introduction to
+    Cyclotomic Fields, ch. 6).
+    """
+    upow = np.array(new_context(p).upow, dtype=np.int64)
+    ell = next(q for q in range(2 * p + 1, 2**31, 2 * p) if is_prime(q))
+    r = next(x for x in (pow(g, (ell - 1) // p, ell) for g in range(2, ell)) if x != 1)
+    r_pow = np.array([pow(r, k, ell) for k in range(p)], dtype=np.int64)
+    exps = np.outer(upow, np.arange(p - 1)) % p  # row j: i * u^j
+    zeros = {}  # b -> w
+    out = set()
+    for s in range(3, p - 1, 2):
+        bs = b or next(c for c in range(1, p - 1) if (1 + c**s - (1 + c) ** s) % p)
+        if bs not in zeros:
+            coeffs = np.array(jacobi_sum(p, ell, 1, bs).coeff_list(), dtype=np.int64) % ell
+            zeros[bs] = (r_pow[exps] * coeffs).sum(axis=1) % ell == 0
+        w = zeros[bs]
+        if int(upow[-s * np.arange(p - 1) % (p - 1)][w].sum()) % p == 0:
+            out.add(s)
+    return out
 
 
 def eigenvector_valuation(ctx: PrimeContext, mu: int) -> int | float:

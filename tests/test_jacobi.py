@@ -70,3 +70,23 @@ def test_verify_matches_the_full_k_reference(p, e):
             (doc,) = _check(b)
             semi, shape = doc["claims"][:2]
             assert semi["holds"] and shape["holds"] == (e == "p")
+
+
+def test_stickelberger_indices_are_the_irregular_indices():
+    # a Bernoulli-free read of irregular(): the odd s whose Jacobi-sum
+    # eigen-projection has a p-th power ideal are the 1 - 2m of the
+    # irregular pairs (p, 2m), at every prime below 400 (23 pairs) and a
+    # spread up to 2039 (491 has three pairs, 1031 none)
+    pairs = 0
+    for p in [*filter(is_prime, range(5, 400)), 409, 467, 491, 587, 1031, 1663, 2039]:
+        want = {(1 - two_m) % (p - 1) for two_m in new_context(p).irregular_pairs()}
+        assert oracles.stickelberger_indices(p) == want, p
+        pairs += len(want)
+    assert pairs == 23 + 1 + 2 + 3 + 2 + 0 + 2 + 1
+
+
+def test_stickelberger_b_must_avoid_the_factor_zeros():
+    # with b = 1 fixed, 1 + 1^s = (1 + 1)^s at s = 21 (2 has order 20 mod
+    # 41): the regular prime 41 gains that spurious index
+    assert oracles.stickelberger_indices(41) == set()
+    assert oracles.stickelberger_indices(41, b=1) == {21}

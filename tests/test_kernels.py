@@ -197,7 +197,7 @@ def test_stacked_products_match_row_products(p, K, route):
     b = _stack(rng, 5, p - 1, m, dtype) % m
     a[0] = b[0] = m - 1
     for x, y in ((a, b), (a, a)):
-        got = _fold_mul(x, y, p, m, dtype)
+        got = _fold_mul(x, y, p, m)
         assert got.dtype == dtype and got.shape == x.shape
-        assert got.tolist() == [_fold_mul(r, s, p, m, dtype).tolist() for r, s in zip(x, y)]
+        assert got.tolist() == [_fold_mul(r, s, p, m).tolist() for r, s in zip(x, y)]
         assert got.tolist() == [oracles.mul_mod(r, s, p, m) for r, s in zip(x.tolist(), y.tolist())]

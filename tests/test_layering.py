@@ -26,6 +26,9 @@ NORM_NAMES = (
 OWNERS = {
     "_check_depth": "padic", "_check_even_index": "context", "_check_odd_prime": "context",
     "_require_truncated": "padic",
+    # the lam-basis kernels and the one unit inverse
+    "_unit_inverse": "ring", "_shift": "ring", "_shift_tables": "ring",
+    "_series_inverse": "ring", "_pascal_transposed_mod_p": "ring", "_is_unit": "ring",
 }
 GONE = (
     "_galois_index", "_float_conjugates", "_float_roots", "_FLOAT_MARGIN",

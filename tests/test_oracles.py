@@ -623,7 +623,7 @@ def test_exact_kernel_matches_convolve_fold(p, data):
     a = data.draw(signed_vectors(p))
     b = data.draw(signed_vectors(p))
     want = oracles.fold_mul(_obj(a), _obj(b), p, None, object)
-    got = _fold_mul(tuple(a), tuple(b), p, None, object)
+    got = _fold_mul(_obj(a), _obj(b), p, None)
     assert list(got) == list(want)
     assert (ExactElement(p, a) * ExactElement(p, b)).coeff_list() == list(want)
     x = ExactElement(p, a)  # a square passes one vector twice

@@ -26,15 +26,14 @@ from pisingular import (
     verify_unit_relation,
     zeta,
 )
-from pisingular.padic import (
-    _digits_by_division,
-    _epsilon,
+from pisingular.padic import _digits_by_division, _epsilon, _vp
+from pisingular.ring import (
+    _dtype_for,
     _pascal_transposed_mod_p,
+    _route,
     _shift,
     _shift_tables,
-    _vp,
 )
-from pisingular.ring import _dtype_for, _route
 
 import oracles
 from conftest import random_element, random_unit, seeded

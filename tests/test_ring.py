@@ -30,6 +30,9 @@ from pisingular.norm import (
     _split_prime_segment,
 )
 
+from pisingular.ring import _route
+
+import oracles
 from conftest import random_element, random_unit, seeded, split_primes
 
 _Z = sympy.symbols("z")
@@ -463,3 +466,37 @@ def test_coeffs_are_read_only(ctx5):
     with pytest.raises(ValueError):
         a.coeffs[0] = 99
     assert not np.any(a.coeffs[2:])
+
+
+# (p, K, route) from the smallest to p = 2039 and K = 744; Gauss-Jordan
+# (oracles.invert) checks the settings with p <= 103
+INVERT_SETTINGS = [
+    (3, 40, "object"), (37, 2, "int64"), (101, 4, "int64"), (103, 5, "object"),
+    (257, 2, "float"), (23, 744, "object"), (1031, 2, "float"), (2039, 2, "int64"),
+    (2039, 8, "object"),
+]
+
+
+@pytest.mark.parametrize("p, K, route", INVERT_SETTINGS)
+def test_invert_on_every_route(p, K, route):
+    assert _route(p**K, p) == route
+    ctx = new_context(p)
+    a = random_unit(ctx, K, seeded(p * K))
+    inv = a.invert()
+    assert inv.coeffs.dtype == a.coeffs.dtype
+    assert a * inv == from_integer(ctx, K, 1)
+    if p <= 103:
+        assert inv == oracles.invert(a)
+    with pytest.raises(ValueError, match="^invert: element is not a unit$"):
+        (a * lam(ctx, K)).invert()
+
+
+def test_negative_powers_are_powers_of_the_inverse():
+    # object dtype: x ** -e against the oracle's power of the Gauss-Jordan inverse
+    p, K = 103, 5
+    ctx = new_context(p)
+    x = random_unit(ctx, K, seeded(p))
+    assert x.coeffs.dtype == object
+    inv = oracles.invert(x)
+    for e in (1, 2, 5, p):
+        assert x ** (-e) == oracles.power(inv, e), e

@@ -149,9 +149,9 @@ def _record(monkeypatch) -> list:
     every RingElement.invert call, x ** -e included."""
     real, real_invert, seen = ring._fold_mul, RingElement.invert, []
 
-    def spy(a, b, p, modulus, dtype):
+    def spy(a, b, p, modulus):
         seen.append(modulus)
-        return real(a, b, p, modulus, dtype)
+        return real(a, b, p, modulus)
 
     def invert(self):
         seen.append("invert")
