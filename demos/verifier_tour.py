@@ -3,6 +3,8 @@
 A synthetic positive-parity candidate built from a projected unit passes
 every claim by construction.  The script serializes it, reloads it,
 verifies it, then corrupts one coefficient and shows which claims notice.
+Last, a negative-parity candidate with witnesses is verified on its ratio
+C = B/conj(B) and on the adjusted element B' = B^2/eta.
 """
 
 import argparse
@@ -12,9 +14,12 @@ from pisingular import (
     CandidateBundle,
     ExactElement,
     bundle_to_json,
+    eigen_project_unit_exact,
     load_bundle,
     new_context,
     synthetic_unit_bundle,
+    verify_b_prime,
+    verify_negative_candidate,
     verify_positive_candidate,
 )
 
@@ -62,6 +67,18 @@ def main():
     )
     print("\nverifying after bumping one coefficient of B:")
     print_report(verify_positive_candidate(corrupt))
+
+    # B = W * 2^p for a real unit W, with eta = W^2 and beta = 4: then
+    # B * conj(B) = eta * beta^p and conj(eta) = eta hold exactly.
+    W = eigen_project_unit_exact(ctx, 2, args.two_m)
+    negative = CandidateBundle(
+        ctx=ctx, K=2, parity="negative", mu=ctx.upow[3], B=W * 2**ctx.p,
+        eta=W * W, beta=ExactElement.from_integer(ctx.p, 4), label="negative with witnesses",
+    )
+    print("\nverifying a negative candidate on C = B/conj(B):")
+    print_report(verify_negative_candidate(negative))
+    print("and on B' = B^2/eta, after its witness identities:")
+    print_report(verify_b_prime(negative))
 
 
 if __name__ == "__main__":

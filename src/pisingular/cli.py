@@ -27,18 +27,15 @@ from .units import unit_reports
 from .verifier import (
     BundleError,
     PreconditionError,
-    VerdictReport,
     WitnessInvalidError,
     _INT_STR_CHUNK,
     _check_K,
     _check_p,
     _decimal_int,
     _echo,
+    _verify_bundle,
     check_ppower_congruence,
     load_bundle,
-    verify_b_prime,
-    verify_negative_candidate,
-    verify_positive_candidate,
 )
 
 _DEFAULT_K = 2
@@ -277,16 +274,7 @@ def _cmd_units(args) -> int:
 
 def _cmd_verify(args) -> int:
     bundle = load_bundle(Path(args.file))  # a file name, even one that starts with '{'
-    if bundle.parity == "negative":
-        report = verify_negative_candidate(bundle)
-        if bundle.eta is not None:
-            extra = verify_b_prime(bundle)
-            report = VerdictReport(
-                overall=report.overall and extra.overall,
-                claims=report.claims + extra.claims,
-            )
-    else:
-        report = verify_positive_candidate(bundle)
+    report = _verify_bundle(bundle)
     payload = report.to_json_dict()
     lines = [f"bundle: {bundle.label or args.file} (parity={bundle.parity}, mu={bundle.mu})"]
     for c in report.claims:

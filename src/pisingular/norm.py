@@ -15,10 +15,10 @@ the product of a(r^j), j = 1 .. p-1, for r of order p mod q, in four steps:
     segment; segments are built on first use and cached; the run used is
     the shortest whose product M exceeds the bound, checked with exact
     integers;
-  * block residues: each numpy pass takes a block of primes, reduces the
-    coefficients from 16-bit limbs, builds the powers of r by doubling,
-    evaluates a at all r^j by one gather-and-contract, and multiplies the
-    p-1 values by halving;
+  * evaluation and residues: _evaluate takes a block of primes per numpy
+    pass, reduces the coefficients from 16-bit limbs, builds the powers of
+    r by doubling and evaluates at all r^j by one gather-and-contract;
+    _norm_residues multiplies a block's p-1 values by halving;
   * CRT: the cofactors M/q mod q come from a remainder tree and are
     inverted by pow(c, -1, q), and sum c_q M/q is formed up the product
     tree; the result is read in [0, M).
@@ -28,7 +28,9 @@ in _norm_bit_cap(p) = min(2^18, 2^25/(p-1)) bits, so that the primes
 suffice and the CRT stays short.
 
 ring.norm_exact is the element-level entry: it refuses truncated elements
-and calls _norm.  This module imports nothing from the package.  Each
+and calls _norm, which can also hand back a's values.  _evaluate, the one
+evaluation at split primes, also serves the verifier's witness identity.
+This module imports nothing from the package.  Each
 docstring carries the error analysis of its step; no result is checked
 against a run-time distance.  Ref: Brent and Zimmermann, Modern Computer
 Arithmetic, ch. 1-2 and 4.
@@ -231,12 +233,16 @@ def _conjugate_bound(p: int, b) -> int:
 
 def _powmod(base, exp, mod) -> np.ndarray:
     """base^exp mod mod elementwise on int64 arrays, by square and multiply
-    over the bits of exp.  mod < 2^26, so each product is below 2^52."""
+    over the bits of exp; a scalar exp multiplies only at its set bits.
+    mod < 2^26, so each product is below 2^52."""
     base = np.asarray(base, dtype=np.int64) % mod
     exp = np.asarray(exp, dtype=np.int64)
     out = np.ones(np.broadcast_shapes(base.shape, exp.shape, np.shape(mod)), dtype=np.int64)
     for bit in range(int(exp.max(initial=0)).bit_length()):
-        out = np.where((exp >> bit) & 1 == 1, out * base % mod, out)
+        if exp.ndim:
+            out = np.where((exp >> bit) & 1 == 1, out * base % mod, out)
+        elif (int(exp) >> bit) & 1:
+            out = out * base % mod
         base = base * base % mod
     return out
 
@@ -269,9 +275,11 @@ def _split_prime_segment(p: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     A sieve over m: an odd prime l != p divides 2pm + 1 exactly when
     m = -(2p)^(-1) (mod l), and a composite q < 2^26 has such a factor
     l <= 8192.  Each l strikes those m from the first one with q > l, so a q
-    that is itself a sieving prime stays.  The roots come from g = 2 on
-    every prime, then from g = 3 .. 10, 11 .. 18, ... at once on the primes
-    still at 1, each taking its first g with r != 1.
+    that is itself a sieving prime stays; an l at least the segment's width
+    strikes at most that first m, and all of those go in one assignment.
+    The roots come from g = 2 on every prime, then from g = 3 .. 10,
+    11 .. 18, ... at once on the primes still at 1, each taking its first g
+    with r != 1.
     """
     hi = (_Q_LIMIT - 2) // (2 * p) - s * _SEGMENT
     lo = max(hi - _SEGMENT, 0)
@@ -281,8 +289,11 @@ def _split_prime_segment(p: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     start = np.maximum(lo + 1, (ell - 1) // (2 * p) + 1)
     first = start + (m0 - start) % ell
     keep = np.ones(max(hi - lo, 0), dtype=bool)
-    for prime, f in zip(ell.tolist(), (first - lo - 1).tolist()):
-        keep[f::prime] = False
+    f = first - lo - 1
+    wide = ell >= keep.size  # each strikes at most its first m
+    keep[f[wide & (f < keep.size)]] = False
+    for prime, f0 in zip(ell[~wide].tolist(), f[~wide].tolist()):
+        keep[f0::prime] = False
     q = 2 * p * (lo + 1 + np.flatnonzero(keep)[::-1]) + 1
     e = (q - 1) // p
     r, g = _powmod(2, e, q), 3
@@ -359,38 +370,52 @@ def _powers(q: np.ndarray, base: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _norm_residues(coeffs, p: int, q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """N(B) mod q for every prime q, as the product of B(r^j), j = 1 .. p-1.
+def _limbs(coeffs) -> np.ndarray:
+    """(T, len(coeffs)) int64: column i holds the 16-bit limbs of |c_i|,
+    least first, signed like c_i; T fits the widest coefficient."""
+    coeffs = np.asarray(coeffs, dtype=object)
+    mags = np.abs(coeffs).tolist()
+    T = max(1, -(-max(map(int.bit_length, mags)) // 16))
+    raw = b"".join([m.to_bytes(2 * T, "little") for m in mags])
+    limbs = np.frombuffer(raw, dtype="<u2").reshape(len(mags), T).T.astype(np.int64)
+    limbs[:, coeffs < 0] *= -1
+    return limbs
 
-    Blocks of primes share each numpy call; a block's (rows, p) and
-    (rows, limbs) arrays, each gather and each slice of the exponent table
-    stay within _BLOCK_BYTES.  Up to p = 181 a gather takes every j for a
-    sub-block of primes; past it, one prime's j in chunks.  Per block:
-      * B mod q from 16-bit limbs: b = sum_t l_t (2^(16t) mod q).  Terms are
-        below 2^42 and a coefficient has at most about 2^17 bits (it fits
-        the norm bound), so the sums stay far below 2^63.
-      * r^k for k = 0 .. p-1 by doubling, and B(r^j) for all j as one gather
-        of r^((i*j) mod p) contracted with b: p-1 products below q^2 each,
-        below 2^63 as p < 2049.
-      * the product of the p-1 values mod q, halving each row.
+
+def _evaluate(vectors, p: int, q: np.ndarray, r: np.ndarray):
+    """Yield (s, V) for each block q[s] of the primes: V[k, t, j-1] =
+    X_k(r_t^j) mod q_t, j = 1 .. p-1, for each coefficient vector X_k of
+    vectors (p-1 integers each).
+
+    The vectors share each gather.  A block's (rows, p) arrays, its values
+    V, its (rows, limbs) array, each gather and each slice of the exponent
+    table stay within _BLOCK_BYTES.  Up to p = 181 a gather takes every j
+    for a sub-block of primes; past it, one prime's j in chunks.  Per block:
+      * X_k mod q from 16-bit limbs: x = sum_t l_t (2^(16t) mod q), reduced
+        mod q after each run of 2^20 limbs, so every sum of terms below
+        2^42 stays below 2^63.
+      * r^k for k = 0 .. p-1 by doubling, and X_k(r^j) for all j as one
+        gather of r^((i*j) mod p) contracted with each X_k mod q: p-1
+        products below q^2 each, below 2^63 as p < 2049.
     """
     n = p - 1
-    T = max(1, -(-max(abs(c).bit_length() for c in coeffs) // 16))
-    raw = b"".join(abs(c).to_bytes(2 * T, "little") for c in coeffs)
-    limbs = np.frombuffer(raw, dtype="<u2").reshape(n, T).T.astype(np.int64)
-    limbs *= np.array([-1 if c < 0 else 1 for c in coeffs], dtype=np.int64)  # signed like c
-    rows = max(1, _BLOCK_BYTES // (8 * max(p, T)))
+    limbs = [_limbs(X) for X in vectors]
+    T = max(t.shape[0] for t in limbs)
+    rows = max(1, _BLOCK_BYTES // (8 * max(len(limbs) * p, T)))
     chunk = min(n, max(1, _BLOCK_BYTES // (8 * n)))  # j per gather
     sub = max(1, _BLOCK_BYTES // (8 * chunk * n))  # primes per gather
-    width = 1 << (n - 1).bit_length()
     gathered = np.empty((min(sub, q.size), chunk, n), dtype=np.int64)
-    out = np.empty(q.size, dtype=np.int64)
     for a in range(0, q.size, rows):
         qb, rb = q[a : a + rows], r[a : a + rows]
         qc = qb[:, None]
-        b = _powers(qb, np.full(qb.size, 1 << 16), T) @ limbs % qc
+        radix = _powers(qb, np.full(qb.size, 1 << 16), T)
+        x = np.zeros((len(limbs), qb.size, n), dtype=np.int64)
+        for k, t in enumerate(limbs):
+            for i in range(0, t.shape[0], 1 << 20):
+                run = t[i : i + (1 << 20)]
+                x[k] = (x[k] + radix[:, i : i + run.shape[0]] @ run) % qc
         powers = _powers(qb, rb, p)
-        prod = np.ones((qb.size, width), dtype=np.int64)
+        V = np.empty((len(limbs), qb.size, n), dtype=np.int64)
         for j in range(0, n, chunk):
             js = np.arange(j + 1, min(j + chunk, n) + 1)
             table = np.multiply.outer(js, np.arange(n)) % p
@@ -398,13 +423,21 @@ def _norm_residues(coeffs, p: int, q: np.ndarray, r: np.ndarray) -> np.ndarray:
                 block = powers[c : c + sub]
                 g = gathered[: block.shape[0], : js.size]
                 np.take(block, table, axis=1, out=g, mode="clip")
-                prod[c : c + sub, j : j + js.size] = np.einsum("tji,ti->tj", g, b[c : c + sub])
-        prod[:, :n] %= qc
-        while prod.shape[1] > 1:
-            h = prod.shape[1] // 2
-            prod = prod[:, :h] * prod[:, h:] % qc
-        out[a : a + rows] = prod[:, 0]
-    return out
+                V[:, c : c + sub, j : j + js.size] = np.einsum("tji,kti->ktj", g, x[:, c : c + sub])
+        V %= qc
+        yield slice(a, a + qb.size), V
+
+
+def _norm_residues(V: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """N(X) mod q_t for each row t of X's values V (_evaluate): the product
+    of the row mod q_t, by halving the row padded with ones."""
+    qc = q[:, None]
+    prod = np.ones((q.size, 1 << (V.shape[1] - 1).bit_length()), dtype=np.int64)
+    prod[:, : V.shape[1]] = V
+    while prod.shape[1] > 1:
+        h = prod.shape[1] // 2
+        prod = prod[:, :h] * prod[:, h:] % qc
+    return prod[:, 0]
 
 
 def _crt(x: np.ndarray, tree: list) -> int:
@@ -439,12 +472,13 @@ def _crt(x: np.ndarray, tree: list) -> int:
     return values[0] % tree[-1][0]
 
 
-
-def _norm(a) -> int:
+def _norm(a, values: bool = False):
     """N(a) for an exact element a (read through a.p and a.coeffs), by the
     four steps of the module docstring; ValueError past its limits.  Both
     _norm_bound and _conjugate_bound are integers >= N(a), so the run of
-    primes whose product M passes the smaller one reads N(a) in [0, M)."""
+    primes whose product M passes the smaller one reads N(a) in [0, M).
+    With values, the pair (N(a), V), V holding a's values at the run's
+    primes (_evaluate's rows for a; none when a = 0)."""
     p = a.p
     if p >= _P_LIMIT:  # ring.ExactElement refuses a p that is not an odd prime
         raise ValueError(
@@ -453,6 +487,14 @@ def _norm(a) -> int:
         )
     bound = _norm_bound(a)
     if bound == 0:  # 0 only for the zero element, whose norm is 0
-        return 0
+        return (0, np.empty((0, p - 1), dtype=np.int64)) if values else 0
     r, tree = _crt_primes(p, min(bound, _conjugate_bound(p, a.coeffs)))
-    return _crt(_norm_residues(a.coeffs, p, tree[0], r), tree)
+    q = tree[0]
+    residues = np.empty(q.size, dtype=np.int64)
+    V = np.empty((q.size if values else 0, p - 1), dtype=np.int64)
+    for s, (block,) in _evaluate([a.coeffs], p, q, r):
+        residues[s] = _norm_residues(block, q[s])
+        if values:
+            V[s] = block
+    N = _crt(residues, tree)
+    return (N, V) if values else N

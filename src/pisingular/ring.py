@@ -518,16 +518,18 @@ class ExactElement(RingElement):
         return RingElement(ctx, K, self.coeffs)
 
 
-def norm_exact(a: ExactElement) -> int:
+def norm_exact(a: ExactElement, *, values: bool = False):
     """Field norm down to Q, the resultant of Phi_p and a's polynomial, by
     residues at split primes (module norm: the method and its limits, each
     a ValueError).  Only exact elements have norms; truncated elements lose
-    the integer."""
+    the integer.  With values, the pair (N(a), V): V[t, j-1] = a(r_t^j) mod
+    q_t at the norm's run of split primes q_t, largest first, with r_t of
+    order p (norm._evaluate), which the witness identity reads for B."""
     if not isinstance(a, ExactElement):
         raise TypeError(
             "norms are not defined on truncated elements; use ExactElement"
         )
-    return _norm(a)
+    return _norm(a, values)
 
 
 def from_integer(ctx: PrimeContext, K: int, n: int) -> RingElement:

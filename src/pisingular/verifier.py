@@ -14,10 +14,13 @@ element X -- C = B/conj(B), the witnesses' B' = B^2/eta, or B -- to one
 reader, _read_claims.  That makes the same claims on X, or X^(p-1) for B'
 and B, all read on one Z (below): the twisted local p-th power, the
 valuation unless X is primary, and the eigen-expansion on C and B.
+B' is read on C's element (below), so the verify command reads it once for
+both negative paths (_negative_claims, _adjusted).
 Each claim reads a depth below 2(p-1), so all run on B mod p^2 at every K,
-and eta enters only the exact identities; a valuation read when X is not
-primary is below p (else X is its Teichmueller lift, a rational p-th power,
-mod lam^p).  K gives only the reported semi-primary valuation of B.
+and eta enters only the witness identities (_witness_claims); a valuation
+read when X is not primary is below p (else X is its Teichmueller lift, a
+rational p-th power, mod lam^p).  K gives only the reported semi-primary
+valuation of B.
 
 No claim takes an inverse: each is unchanged when X is multiplied by x^p for
 a unit x, as x^p = x(1)^p mod lam^(p+1).  So the negative and witness paths
@@ -51,7 +54,7 @@ import numpy as np
 
 from .context import PrimeContext, new_context
 from .eigen import expansion_matches
-from .norm import _BLOCK_BYTES, _NORM_MAX_BITS, _P_LIMIT
+from .norm import _BLOCK_BYTES, _NORM_MAX_BITS, _P_LIMIT, _crt_primes, _evaluate, _powmod
 from .padic import (
     _check_depth,
     _lam_read,
@@ -177,13 +180,16 @@ _PRECISION_LIMIT = 2**14
 # and 8 s at p=257 from a fresh process, and a trial 5.5-7 ms at p=1031, so
 # about a minute there, at every K, as it computes mod p^2.
 _TRIALS_LIMIT = 10**4
-# The witness identity forms beta^p.  Each coefficient of beta^p is at most
-# L^p in absolute value, L = sum |beta_i|: it is (1/p) sum_j beta(z^j)^p z^(-ij)
-# over all p-th roots of unity z^j, and |beta(z^j)| <= L.  So beta^p has at
-# most (p-1) * p * log2(L) bits in all, and a bundle may ask for 2^22.  xi_2
-# (L = 2) fits at every p < 2049, with 4155482 bits at p=2039; there the
-# whole witness check takes 2.2 s, and 1.3-2.1 s for a random beta at the
-# cap at p = 37..257 (in process, shared 2-CPU x86-64 host).
+# Each coefficient of beta^p is at most L^p in absolute value, L = sum |beta_i|:
+# it is (1/p) sum_j beta(z^j)^p z^(-ij) over all p-th roots of unity z^j, and
+# |beta(z^j)| <= L.  So beta^p has at most (p-1) * p * log2(L) bits in all, and
+# a bundle may ask for 2^22, which keeps beta's share of the witness bound H
+# to 2^22/(p-1) bits.  H itself must fit the split primes below 2^26, about
+# 2^26/((p-1) ln 2) bits, or _witness_sides exits 2: only an eta past that
+# reaches it (from about p = 740 on under the coefficient cap), or, through
+# the API, a B past half of it.  xi_2 (L = 2) fits at every p < 2049; at
+# p=2039 verify_b_prime takes 1.2 s on 80 primes, and 0.2-0.6 s for a random
+# beta at the cap at p = 37..257 (in process, shared 2-CPU x86-64 host).
 _WITNESS_POWER_MAX_BITS = 2**22
 _BUNDLE_FIELDS = ("p", "K", "parity", "mu", "B", "eta", "beta", "label")
 
@@ -553,9 +559,7 @@ def check_ppower_congruence(
     return _verdict([claim])
 
 
-def _norm_claim(bundle: CandidateBundle) -> ClaimResult:
-    p = bundle.ctx.p
-    N = norm_exact(bundle.B)
+def _norm_claim(N: int, p: int) -> ClaimResult:
     ref = "abs(norm(B)) = p^t * n^p for integers t >= 0, n >= 1"
     if N == 0:
         return ClaimResult("norm-shape", ref, False, {"norm": "0"})
@@ -572,8 +576,10 @@ def _norm_claim(bundle: CandidateBundle) -> ClaimResult:
 
 
 def _leading_claims(bundle: CandidateBundle):
-    """Semi-primary and norm-shape claims on B; B mod p^2 when it is a unit."""
+    """Semi-primary and norm-shape claims on B; B mod p^2 when it is a unit;
+    and B's values at the norm's split primes (ring.norm_exact)."""
     Bq = bundle.B.reduce(bundle.ctx, 2)
+    N, values = norm_exact(bundle.B, values=True)
     claims = [
         ClaimResult(
             "semi-primary",
@@ -581,9 +587,9 @@ def _leading_claims(bundle: CandidateBundle):
             holds=is_semi_primary(Bq),
             data={"valuation": _val_json(valuation(bundle.B.reduce(bundle.ctx, bundle.K)))},
         ),
-        _norm_claim(bundle),
+        _norm_claim(N, bundle.ctx.p),
     ]
-    return claims, (Bq if _is_unit(Bq) else None)
+    return claims, (Bq if _is_unit(Bq) else None), values
 
 
 def _ratio(Bq: RingElement | None) -> RingElement | None:
@@ -592,31 +598,76 @@ def _ratio(Bq: RingElement | None) -> RingElement | None:
     return None if Bq is None else Bq * Bq.conjugate() ** (Bq.p - 1)
 
 
-def _witness_claims(bundle: CandidateBundle):
-    """The exact witness identities; B mod p^2, a unit, once they hold.
+def _witness_sides(bundle: CandidateBundle, known: np.ndarray | None) -> bool:
+    """Whether B * conj(B) = eta * beta^p, decided by values at split primes.
 
-    _ratio of it is B' = B^2/eta up to a p-th power of a unit: _ratio's
-    C * conj(B)^p = B' * (conj(B)/beta)^p, as B' = C * beta^p, and beta is
-    a unit.  A failed identity means the bundle is self-inconsistent
+    For a split prime q and r of order p mod q, evaluation at r^j,
+    j = 1 .. p-1, is a ring isomorphism F_q[z]/(Phi_p) -> F_q^(p-1);
+    conj(B) takes B's value at r^(p-j), and beta^p the p-th power of beta's
+    value.  So the sides agree mod q exactly when their values do.  Each
+    coefficient of a product in Z[x]/(x^p - 1) is at most the product of the
+    factors' 1-norms; the fold c_i - c_(p-1) into the power basis at most
+    doubles it, and the difference D of the two sides at most doubles the
+    larger bound again.  So every |D_i| <= H = 4 max(|B|_1^2,
+    |eta|_1 |beta|_1^p), and on the shortest run of split primes with
+    product M > H (norm._crt_primes), D = 0 mod M gives D = 0.  known, when
+    given, holds B's values at a largest-first prefix of the same primes
+    (the norm's run), which stand for B there.  Blocks are compared in turn,
+    and the first that differs ends the check.  PreconditionError when the
+    primes below 2^26 cannot cover H (see _WITNESS_POWER_MAX_BITS).
+    """
+    p = bundle.ctx.p
+    B, eta, beta = bundle.B.coeffs, bundle.eta.coeffs, bundle.beta.coeffs
+    H = 4 * max(sum(map(abs, B)) ** 2, sum(map(abs, eta)) * sum(map(abs, beta)) ** p)
+    try:
+        r, tree = _crt_primes(p, max(H, 1))
+    except ValueError:
+        raise PreconditionError(
+            f"witness identity: its bound H = 4 max(|B|_1^2, |eta|_1 |beta|_1^p) has "
+            f"{H.bit_length()} bits, more than the primes q = 1 (mod {p}) below 2^26 cover"
+        ) from None
+    q = tree[0]
+    k = 0 if known is None else min(len(known), q.size)
+
+    def blocks():
+        if k:
+            for s, (e, w) in _evaluate([eta, beta], p, q[:k], r[:k]):
+                yield q[s], known[s], e, w
+        if k < q.size:
+            for s, V in _evaluate([B, eta, beta], p, q[k:], r[k:]):
+                yield q[k:][s], *V
+
+    for qb, b, e, w in blocks():
+        qc = qb[:, None]
+        if not np.array_equal(b * b[:, ::-1] % qc, e * _powmod(w, p, qc) % qc):
+            return False
+    return True
+
+
+def _witness_claims(bundle: CandidateBundle, Bq: RingElement | None, known=None):
+    """The witness identities, given Bq = B mod p^2 when it is a unit (else
+    None) and, from the norm, B's values at its primes (_witness_sides).
+
+    _ratio of Bq is B' = B^2/eta up to a p-th power of a unit:
+    _ratio's C * conj(B)^p = B' * (conj(B)/beta)^p, as B' = C * beta^p, and
+    beta is a unit.  A failed identity means the bundle is self-inconsistent
     (WitnessInvalidError), a different event from a claim evaluating false.
     eta is a unit when B is: eta(1) * beta(1)^p = B(1)^2 mod lam.
     """
     if bundle.eta is None or bundle.beta is None:
         raise PreconditionError("verify_b_prime: bundle has no eta/beta witnesses")
-    if bundle.B * bundle.B.conjugate() != bundle.eta * bundle.beta**bundle.ctx.p:
+    if not _witness_sides(bundle, known):
         raise WitnessInvalidError("witness identity B * conj(B) = eta * beta^p fails exactly")
     if bundle.eta.conjugate() != bundle.eta:
         raise WitnessInvalidError("witness identity conj(eta) = eta fails exactly")
-    claims = [
-        ClaimResult("witness-product", "B * conj(B) = eta * beta^p exactly", True, {}),
-        ClaimResult("witness-real", "conj(eta) = eta exactly", True, {}),
-    ]
-    Bq = bundle.B.reduce(bundle.ctx, 2)
-    if not _is_unit(Bq):
+    if Bq is None:
         raise WitnessInvalidError(
             "adjusted element undefined: B or eta is not a unit at the ramified prime"
         )
-    return claims, Bq
+    return [
+        ClaimResult("witness-product", "B * conj(B) = eta * beta^p exactly", True, {}),
+        ClaimResult("witness-real", "conj(eta) = eta exactly", True, {}),
+    ]
 
 
 def _check_path(bundle: CandidateBundle, op: str, parity: str) -> None:
@@ -677,36 +728,70 @@ def _read_claims(
     return claims
 
 
+# The (id, ref) pairs of the claims on C, and of the two that B' shares.
+_C_CLAIMS = (
+    ("twist-local-pth-power",
+     "sigma(C) * C^(-mu) is a local p-th power to depth p+1, C = B/conj(B)"),
+    ("twist-valuation", "v(C - 1) = 2m+1 when C is not primary"),
+    ("eigen-expansion",
+     "C = 1 - delta*e_mu mod lam^(p-1), delta nonzero when C is not primary"),
+)
+_B_PRIME_CLAIMS = (
+    ("adjusted-local-pth-power",
+     "sigma(B') * B'^(-mu) is a local p-th power to depth p+1, B' = B^2/eta"),
+    ("adjusted-valuation", "v(B'^(p-1) - 1) = 2m+1 when B' is not primary"),
+)
+
+
+def _adjusted(read: list[ClaimResult]) -> list[ClaimResult]:
+    """B''s claims from C's first two: B' is C's element up to a p-th power
+    of a unit (_witness_claims), so holds and data are C's, under B''s ids
+    and refs and with B' in the primary skip reason."""
+    primary = {"skipped": "C is primary"}
+    return [
+        ClaimResult(*spec, c.holds, {"skipped": "B' is primary"} if c.data == primary else c.data)
+        for spec, c in zip(_B_PRIME_CLAIMS, read)
+    ]
+
+
+def _negative_claims(bundle: CandidateBundle, witnesses: bool) -> list[ClaimResult]:
+    """verify_negative_candidate's claims, then, when witnesses is set,
+    verify_b_prime's, in one pass: the witness identity reads B's values at
+    the norm's primes, and C's element is read once for both paths.  Errors
+    keep the order of the two calls: a norm refusal comes before any witness
+    error, as the norm runs first."""
+    _check_path(bundle, "verify_negative_candidate", "negative")
+    claims, Bq, values = _leading_claims(bundle)
+    witness = _witness_claims(bundle, Bq, values) if witnesses else []
+    read = _read_claims(bundle, _ratio(Bq), "C", *_C_CLAIMS)
+    return claims + read + (witness + _adjusted(read) if witnesses else [])
+
+
+def _verify_bundle(bundle: CandidateBundle) -> VerdictReport:
+    """The verify command's report: the positive path, or the negative path
+    joined with the witness path when the bundle has witnesses."""
+    if bundle.parity == "positive":
+        return verify_positive_candidate(bundle)
+    return _verdict(_negative_claims(bundle, bundle.eta is not None))
+
+
 def verify_negative_candidate(bundle: CandidateBundle) -> VerdictReport:
     """Necessary-condition checks for an odd-index candidate, on C = B/conj(B)."""
-    _check_path(bundle, "verify_negative_candidate", "negative")
-    claims, Bq = _leading_claims(bundle)
-    return _verdict(claims + _read_claims(
-        bundle, _ratio(Bq), "C",
-        ("twist-local-pth-power",
-         "sigma(C) * C^(-mu) is a local p-th power to depth p+1, C = B/conj(B)"),
-        ("twist-valuation", "v(C - 1) = 2m+1 when C is not primary"),
-        ("eigen-expansion",
-         "C = 1 - delta*e_mu mod lam^(p-1), delta nonzero when C is not primary"),
-    ))
+    return _verdict(_negative_claims(bundle, witnesses=False))
 
 
 def verify_b_prime(bundle: CandidateBundle) -> VerdictReport:
     """Witness-backed checks for the adjusted element B' = B^2 / eta."""
     _check_path(bundle, "verify_b_prime", "negative")
-    claims, Bq = _witness_claims(bundle)
-    return _verdict(claims + _read_claims(
-        bundle, _ratio(Bq), "B'",
-        ("adjusted-local-pth-power",
-         "sigma(B') * B'^(-mu) is a local p-th power to depth p+1, B' = B^2/eta"),
-        ("adjusted-valuation", "v(B'^(p-1) - 1) = 2m+1 when B' is not primary"),
-    ))
+    Bq = bundle.B.reduce(bundle.ctx, 2)
+    claims = _witness_claims(bundle, Bq if _is_unit(Bq) else None)
+    return _verdict(claims + _adjusted(_read_claims(bundle, _ratio(Bq), "C", *_C_CLAIMS[:2])))
 
 
 def verify_positive_candidate(bundle: CandidateBundle) -> VerdictReport:
     """Necessary-condition checks for an even-index candidate, on B."""
     _check_path(bundle, "verify_positive_candidate", "positive")
-    claims, Bq = _leading_claims(bundle)
+    claims, Bq, _ = _leading_claims(bundle)
     return _verdict(claims + _read_claims(
         bundle, Bq, "B",
         ("twist-local-pth-power", "sigma(B) * B^(-mu) is a local p-th power to depth p+1"),

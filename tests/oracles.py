@@ -18,7 +18,8 @@ coordinate by coordinate as one RingElement, sigma applied by galois_apply)
 with the hand-written Phi_p fold and constant elimination beside it,
 the p-th power campaign one trial at a time, the lam-digit match of
 1 - delta * e_mu to any depth (expansion_match_digits) that eigen once
-solved, and the verify claims evaluated at the bundle's full K
+solved, the witness identity B * conj(B) = eta * beta^p by exact products
+(witness_identity), and the verify claims evaluated at the bundle's full K
 (verify_full_k), with every inverse by Gauss-Jordan.
 Nothing at runtime needs them; the property tests compare the package
 against them.  The ring oracles compute with Python
@@ -415,6 +416,24 @@ def power(x, e: int):
     return acc
 
 
+def witness_identity(B: ExactElement, eta: ExactElement, beta: ExactElement) -> bool:
+    """B * conj(B) = eta * beta^p by exact products, the route verify took
+    before it decided the identity by values at split primes: the object
+    np.convolve fold (fold_mul), conj by fold_galois, and beta^p right to
+    left from the constant 1."""
+    p = B.p
+    b, e, w = (np.array([int(c) for c in x.coeffs], dtype=object) for x in (B, eta, beta))
+    acc = np.array([1] + [0] * (p - 2), dtype=object)
+    k = p
+    while k:
+        if k & 1:
+            acc = fold_mul(acc, w, p, None, object)
+        w = fold_mul(w, w, p, None, object)
+        k >>= 1
+    left = fold_mul(b, fold_galois(b, p - 1, p, None, object), p, None, object)
+    return left.tolist() == fold_mul(e, acc, p, None, object).tolist()
+
+
 def _xi_parts(p: int, a: int) -> tuple[int, list[int]]:
     """The exponent e = (1-a)/2 mod p and the geometric sum 1 + ... + z^(a-1)."""
     return (1 - a) * pow(2, -1, p) % p, [1] * a + [0] * (p - 1 - a)
@@ -675,7 +694,7 @@ def verify_full_k(bundle, path: str) -> dict:
     (local, val_id, exp_id), name, raised = _VERIFY_PATHS[path]
     B = bundle.B.reduce(ctx, K)
     if path == "b_prime":
-        assert bundle.B * bundle.B.conjugate() == bundle.eta * bundle.beta**p
+        assert witness_identity(bundle.B, bundle.eta, bundle.beta)
         assert bundle.eta.conjugate() == bundle.eta
         claims = [("witness-product", True, {}), ("witness-real", True, {})]
         X = B * B * invert(bundle.eta.reduce(ctx, K))

@@ -11,7 +11,9 @@ against oracles.verify_full_k, which evaluates every claim at the bundle's
 own K, on pinned and on random bundles, and check with a spy that the
 claims' products run mod p^2 and that no claim takes an inverse.  The
 witness path reads the ratio's element, as B' = B^2/eta = C * beta^p: its
-claims are C's, and eta enters only the exact witness identities.
+claims are C's, and eta enters only the witness identities: conj(eta) = eta
+exactly, and B * conj(B) = eta * beta^p by values at split primes, with no
+exact product on any path.
 """
 
 from dataclasses import replace
@@ -35,7 +37,8 @@ from pisingular import (
     verify_positive_candidate,
     verify_unit_relation,
 )
-from pisingular import ring, units
+from pisingular import norm, ring, units, verifier
+from pisingular.verifier import _verify_bundle
 
 from test_verifier import real_witness_bundle
 
@@ -163,8 +166,9 @@ def _record(monkeypatch) -> list:
 
 
 def test_claims_run_mod_p_squared(monkeypatch):
-    # at K=5 every truncated product of the three paths is mod p^2; the
-    # witness identities are exact (modulus None)
+    # at K=5 every product of the three paths and of the verify command's
+    # one pass is a truncated product mod p^2; none is exact (modulus None),
+    # as the witness identity is decided by values at split primes
     ctx = new_context(7)
     unit = replace(synthetic_unit_bundle(ctx, 2, 2, k=1, c=2), K=5)
     witness = replace(real_witness_bundle(ctx), K=5)
@@ -172,9 +176,10 @@ def test_claims_run_mod_p_squared(monkeypatch):
     verify_positive_candidate(unit)
     verify_negative_candidate(witness)
     assert set(seen) == {49}
-    del seen[:]
-    verify_b_prime(witness)
-    assert set(seen) == {49, None}
+    for verify in (verify_b_prime, _verify_bundle):
+        del seen[:]
+        verify(witness)
+        assert set(seen) == {49}, verify
 
 
 def test_the_twisted_quotient_runs_mod_p_squared(monkeypatch):
@@ -308,14 +313,20 @@ def test_b_prime_claims_are_the_ratios(data):
 
 
 def test_eta_enters_only_the_identities(monkeypatch):
-    # verify_b_prime reduces B alone, mod p^2; eta takes part in one product
-    # (eta * beta^p) and one conjugation, both exact, and the claims run the
-    # negative path's truncated products, as both derive C * conj(B)^p
+    # verify_b_prime reduces B alone, mod p^2; eta takes part in no exact
+    # product, in one conjugation (conj(eta) = eta), and in the identity
+    # evaluated at split primes, each of whose evaluations carries eta and
+    # beta; the claims run the negative path's truncated products, as both
+    # derive C * conj(B)^p.  The verify command's pass evaluates B once, at
+    # the norm's primes, which cover the identity's run here, and reads C's
+    # element once for both paths.
     p = 7
     bundle = replace(real_witness_bundle(new_context(p), twist=1), K=5)
-    eta, reduced, touched = bundle.eta, [], []
-    real_reduce, real_mul, real_galois = (
-        ExactElement.reduce, ExactElement.__mul__, ExactElement.galois_apply
+    eta = bundle.eta
+    names = {id(bundle.B.coeffs): "B", id(eta.coeffs): "eta", id(bundle.beta.coeffs): "beta"}
+    reduced, touched, evaluated = [], [], []
+    real_reduce, real_mul, real_galois, real_evaluate = (
+        ExactElement.reduce, ExactElement.__mul__, ExactElement.galois_apply, norm._evaluate
     )
 
     def reduce(self, ctx, K):
@@ -332,14 +343,27 @@ def test_eta_enters_only_the_identities(monkeypatch):
             touched.append(("galois", j))
         return real_galois(self, j)
 
+    def evaluate(vectors, *args):
+        evaluated.append([names[id(v)] for v in vectors])
+        return real_evaluate(vectors, *args)
+
     monkeypatch.setattr(ExactElement, "reduce", reduce)
     monkeypatch.setattr(ExactElement, "__mul__", mul)
     monkeypatch.setattr(ExactElement, "galois_apply", galois)
+    monkeypatch.setattr(norm, "_evaluate", evaluate)
+    monkeypatch.setattr(verifier, "_evaluate", evaluate)
     seen = _record(monkeypatch)
     verify_negative_candidate(bundle)
     ratio = list(seen)
-    del seen[:], reduced[:]
+    assert evaluated == [["B"]] and touched == []
+    del seen[:], reduced[:], evaluated[:]
     verify_b_prime(bundle)
     assert len(reduced) == 1 and reduced[0][0] is bundle.B and reduced[0][1] == 2
-    assert touched == ["mul", ("galois", p - 1)]
-    assert ratio and [m for m in seen if m is not None] == ratio == [p * p] * len(ratio)
+    assert touched == [("galois", p - 1)]
+    assert evaluated and all(e == ["B", "eta", "beta"] for e in evaluated)
+    assert ratio and seen == ratio == [p * p] * len(ratio)
+    del seen[:], evaluated[:], touched[:]
+    _verify_bundle(bundle)
+    assert touched == [("galois", p - 1)]
+    assert evaluated == [["B"], ["eta", "beta"]]
+    assert seen == ratio
